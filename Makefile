@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench benchsmoke benchcmp gobench profile fuzz
+.PHONY: check vet build test race bench benchsmoke benchcmp gobench profile fuzz perfbench
 
 # The tier-1 gate plus the race detector and a bench compile smoke — run
 # before every commit.
@@ -35,6 +35,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolverArithmetic$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchedRefine$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/linear
+
+# The repo benchmark (BENCHMARK.json, perfbench/): a smoke run of every
+# workload with its answer checks, then the benchmark module's own tests
+# (decorator parity, metric names and units against BENCHMARK.json).
+# The full measured run is `bash perfbench/run.sh`; see perfbench/README.md.
+perfbench:
+	bash perfbench/run.sh --smoke
+	cd perfbench && $(GO) test ./...
 
 # Run the benchmark-regression suite and record BENCH_PR9.json (see
 # EXPERIMENTS.md, "Perf appendix").

@@ -61,7 +61,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		keepAll    = fs.Bool("keepall", false, "ablation: disable the Section 3.4 spanning-tree restriction")
 		eager      = fs.Bool("eager", false, "skip the confirmation window (pseudocode-literal termination)")
 		traceFlag  = fs.Bool("trace", false, "print a per-round protocol trace and summary")
-		scheduler  = fs.String("scheduler", "sequential", "engine scheduler: sequential (direct execution), parallel (sharded workers), or concurrent")
+		scheduler  = fs.String("scheduler", "sequential", "engine scheduler: sequential (one shard, inline) or parallel (min(GOMAXPROCS, n) worker shards)")
 		compact    = fs.Bool("compact", false, "release consumed VHT levels (O(active view) memory; incompatible with faulty resets that rewind far)")
 		private    = fs.Bool("privatevht", false, "disable cross-process structural sharing (each process keeps its own VHT; ablation knob)")
 		arith      = fs.String("arith", "modular", "counting-solver arithmetic: modular (residue/CRT) or big (big.Int witness)")

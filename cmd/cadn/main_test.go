@@ -276,6 +276,19 @@ func TestProtocolUsageError(t *testing.T) {
 	}
 }
 
+// TestRemovedSchedulerUsageError pins that the retired "concurrent"
+// scheduler is a usage error whose message lists the remaining values.
+func TestRemovedSchedulerUsageError(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := realMain([]string{"-n", "4", "-scheduler", "concurrent"}, &out, &errOut); code != 2 {
+		t.Fatalf("exit code %d, want 2 (stderr: %s)", code, errOut.String())
+	}
+	want := "cadn: invalid usage: unknown scheduler \"concurrent\" (have sequential, parallel)\n"
+	if errOut.String() != want {
+		t.Fatalf("stderr %q, want %q", errOut.String(), want)
+	}
+}
+
 // TestExitCodes pins the CLI contract: usage errors exit 2, runtime
 // failures exit 1, success exits 0.
 func TestExitCodes(t *testing.T) {

@@ -28,16 +28,12 @@ type NamedBench struct {
 // code paths (root bench_test.go, internal/historytree, internal/engine).
 func PerfSuite() []NamedBench {
 	suite := []NamedBench{
-		// SolverFromScratch tracks the shipped default backend (modular
-		// since PR 7); SolverModular pins the modular backend explicitly so
-		// the entry keeps meaning the same thing if the default ever moves;
-		// SolverBig keeps the big.Int witness measured so every report
-		// shows the modular-vs-exact ratio (PR 4's SolverFromScratch was
-		// the big.Int path: 63.2 ms/op, 945k allocs/op).
+		// SolverFromScratch runs the modular backend (the default since
+		// PR 7); SolverBig keeps the big.Int witness measured so every
+		// report shows the modular-vs-exact ratio (PR 4's SolverFromScratch
+		// was the big.Int path: 63.2 ms/op, 945k allocs/op).
 		{Name: "SolverFromScratch/n=16", Bench: solverBench(16, false, historytree.ArithModular)},
 		{Name: "SolverFromScratch/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
-		{Name: "SolverModular/n=16", Bench: solverBench(16, false, historytree.ArithModular)},
-		{Name: "SolverModular/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
 		{Name: "SolverBig/n=16", Bench: solverBench(16, false, historytree.ArithBig)},
 		{Name: "SolverIncremental/n=16", Bench: solverBench(16, true, historytree.ArithModular)},
 		{Name: "E2Count/n=12", Bench: e2Bench(12, false)},
@@ -60,9 +56,7 @@ func PerfSuite() []NamedBench {
 		{Name: "E2SolverReplayIncremental/n=12", Bench: e2SolverReplayBench(12, true)},
 		{Name: "E4RedEdges/n=10", Bench: e4Bench(10)},
 		{Name: "E6NonCongested/n=10", Bench: e6Bench(10)},
-		{Name: "EngineDeliverDense/n=32", Bench: engineBench(32, engine.SchedulerSequential)},
 		{Name: "EngineSchedulerSequential/n=32", Bench: engineBench(32, engine.SchedulerSequential)},
-		{Name: "EngineSchedulerConcurrent/n=32", Bench: engineBench(32, engine.SchedulerConcurrent)},
 		{Name: "EngineSchedulerParallel/n=32", Bench: engineBench(32, engine.SchedulerParallel)},
 		// n=192 is the PR 9 target: batched refinement plus cross-process
 		// structural sharing make one full counting run at this size a
@@ -277,7 +271,7 @@ func e6Bench(n int) func(b *testing.B) {
 
 // engineBench is the engine's dense-delivery microbenchmark under the
 // given scheduler: n processes echoing over a complete graph for 50 rounds
-// per iteration. The Sequential/Concurrent pair guards the direct-execution
+// per iteration. The Sequential/Parallel pair guards the inline one-shard
 // hot path against regression and keeps the scheduler gap visible in every
 // report.
 func engineBench(n int, sched engine.Scheduler) func(b *testing.B) {

@@ -27,7 +27,8 @@ import (
 
 // Checker validates protocol invariants live (as recorder events arrive)
 // and post-hoc (Verify). It is safe for concurrent use; processes under
-// the concurrent scheduler report events from their own goroutines.
+// the parallel scheduler report events from their shards' worker
+// goroutines.
 type Checker struct {
 	n      int
 	inputs []historytree.Input

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"testing"
@@ -171,26 +172,44 @@ func TestClusterServerSweepClientDisconnect(t *testing.T) {
 	srv.Start()
 	base := "http://" + srv.Addr()
 
-	// One adaptive worst-case job that runs for tens of seconds: no NDJSON
-	// line is emitted until it is terminal, so the only way the handler
-	// can unwind quickly is request-context cancellation.
-	body, _ := json.Marshal(sweepRequest{Specs: []service.JobSpec{{N: 40, Topology: "isolator"}}})
+	// One job that runs until cancelled (an out-of-model plan wedges it;
+	// its deadline is far beyond the test): no NDJSON line is emitted until
+	// it is terminal, so the only way the handler can unwind quickly is
+	// request-context cancellation.
+	wedged := service.JobSpec{N: 5, Topology: "complete", Halt: true, Faults: "drop:1:0:1",
+		DeadlineMS: 600_000, MaxRounds: 1 << 30}
+	body, _ := json.Marshal(sweepRequest{Specs: []service.JobSpec{wedged}})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/sweep", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	// The handler's first write is the job's terminal line, so Do does not
+	// return while the job runs; issue it in the background.
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	// Let the sweep reach the backend: wait until its job is running.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		jobs := b.Manager().Jobs()
+		if len(jobs) == 1 && jobs[0].State == service.JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep job never ran on the backend: %+v", jobs)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep status %d", resp.StatusCode)
-	}
-	time.Sleep(100 * time.Millisecond) // let the sweep reach the backend
 	cancel()
-	resp.Body.Close()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned sweep request: err %v, want context.Canceled", err)
+	}
 
 	// With the client gone the handler must exit, so a bounded Shutdown
 	// succeeds long before the abandoned job would have finished.
@@ -204,5 +223,5 @@ func TestClusterServerSweepClientDisconnect(t *testing.T) {
 		t.Fatalf("shutdown took %s, handler did not unwind promptly", elapsed)
 	}
 	// The backend is torn down hard by newBackend's cleanup (Close), which
-	// also cancels the orphaned isolator job.
+	// also cancels the orphaned job.
 }

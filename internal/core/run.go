@@ -104,13 +104,12 @@ type RunOptions struct {
 	// Trace, if non-nil, observes every round's sent messages (see
 	// internal/trace for a ready-made logger).
 	Trace func(round int, sent []engine.Message)
-	// Scheduler selects the engine's execution strategy. The zero value is
-	// engine.SchedulerSequential, the direct-execution default;
-	// engine.SchedulerParallel shards the process ring across GOMAXPROCS
-	// workers with a two-phase barrier (same Result and Trace, less wall
-	// clock on multi-core hosts); engine.SchedulerConcurrent runs every
-	// process on its own goroutine (slower, kept for the equivalence
-	// contract and race coverage).
+	// Scheduler selects how the engine's coroutine runner shards the process
+	// ring. The zero value is engine.SchedulerSequential, one shard run
+	// inline on the caller's goroutine; engine.SchedulerParallel shards the
+	// ring across min(GOMAXPROCS, n) worker goroutines behind a two-phase
+	// barrier. Both give the same Result and Trace; on a 2-core host the
+	// parallel scheduler is not faster (EXPERIMENTS.md).
 	Scheduler engine.Scheduler
 }
 

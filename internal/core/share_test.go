@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"anondyn/internal/dynnet"
@@ -140,21 +141,27 @@ func TestSharedVHTEquivalence(t *testing.T) {
 
 // TestSharedVHTEquivalenceSchedulers repeats the core equivalence across
 // the engine's execution strategies: the sharing layer's locking must not
-// change results under real parallelism.
+// change results under real parallelism. The parallel rows pin GOMAXPROCS
+// (2 and 4 workers), so the ring really splits even on a one-core host.
 func TestSharedVHTEquivalenceSchedulers(t *testing.T) {
 	schedulers := []struct {
-		name string
-		s    engine.Scheduler
+		name  string
+		s     engine.Scheduler
+		procs int // GOMAXPROCS for the run; 0 leaves it alone
 	}{
-		{"sequential", engine.SchedulerSequential},
-		{"parallel", engine.SchedulerParallel},
-		{"concurrent", engine.SchedulerConcurrent},
+		{"sequential", engine.SchedulerSequential, 0},
+		{"parallel", engine.SchedulerParallel, 2},
+		{"parallel-4", engine.SchedulerParallel, 4},
 	}
 	const n = 12
 	s := dynnet.NewRandomConnected(n, 0.35, 7)
 	for _, mode := range []string{"leader", "leaderless"} {
 		for _, sched := range schedulers {
 			t.Run(mode+"/"+sched.name, func(t *testing.T) {
+				if sched.procs > 0 {
+					prev := runtime.GOMAXPROCS(sched.procs)
+					t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+				}
 				cfg := Config{Mode: ModeLeader, MaxLevels: 3*n + 6}
 				inputs := leaderInputs(n)
 				if mode == "leaderless" {

@@ -11,7 +11,7 @@ import (
 // scheduler: n processes echoing over a static cycle for 100 rounds per
 // iteration.
 func BenchmarkRoundThroughput(b *testing.B) {
-	for _, sched := range schedulers {
+	for _, sched := range []Scheduler{SchedulerSequential, SchedulerParallel} {
 		for _, n := range []int{8, 32, 128} {
 			b.Run(fmt.Sprintf("%v/n=%d", sched, n), func(b *testing.B) {
 				const rounds = 100
@@ -71,7 +71,7 @@ func BenchmarkRunSteppers(b *testing.B) {
 	}
 }
 
-// BenchmarkDeliverDense stresses the coordinator's delivery path on a
+// BenchmarkDeliverDense stresses the default runner's delivery path on a
 // complete graph, where each round routes Θ(n²) messages; the per-round
 // buffers are reused, so steady-state rounds should allocate almost
 // nothing inside deliver.

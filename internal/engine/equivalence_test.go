@@ -10,15 +10,40 @@ import (
 	"anondyn/internal/dynnet"
 )
 
-// The scheduler equivalence contract (DESIGN.md §6): all three schedulers
-// — and the RunSteppers fast path — must produce byte-identical Results
-// (Rounds, Outputs, MaxMessageBits, TotalMessages, TotalBits) and
-// identical Trace streams for any deterministic protocol, because they
-// share the routing core and differ only in how control moves between the
-// processes and the round barrier.
+// The scheduler equivalence contract (DESIGN.md §6): every execution path
+// — the runner inline on one shard, the runner on four worker shards, the
+// goroutine-per-process coordinator oracle, and the RunSteppers fast path —
+// must produce byte-identical Results (Rounds, Outputs, MaxMessageBits,
+// TotalMessages, TotalBits) and identical Trace streams for any
+// deterministic protocol, because they share the routing core and differ
+// only in how control moves between the processes and the round barrier.
 
-// schedulers lists the three coroutine schedulers under test.
-var schedulers = []Scheduler{SchedulerSequential, SchedulerConcurrent, SchedulerParallel}
+// runFunc is one coroutine execution path; its signature is RunContext's.
+type runFunc func(ctx context.Context, cfg Config, procs []Coroutine) (*Result, error)
+
+// runShards runs the production runner on exactly k shards, whatever
+// GOMAXPROCS is, so the multi-shard paths are exercised on one-core hosts.
+func runShards(k int) runFunc {
+	return func(ctx context.Context, cfg Config, procs []Coroutine) (*Result, error) {
+		n, err := cfg.validate(len(procs))
+		if err != nil {
+			return nil, err
+		}
+		return newRunner(ctx, cfg, n, k).run(procs)
+	}
+}
+
+// runPaths lists the coroutine execution paths under test. The first is
+// the public default (Config.Scheduler zero: one shard, inline) and is the
+// reference the others are compared against.
+var runPaths = []struct {
+	name string
+	run  runFunc
+}{
+	{"sequential", RunContext},
+	{"shards=4", runShards(4)},
+	{"coordinator", runCoordinator},
+}
 
 // mixedProc is a deterministic protocol with per-process lifetimes: process
 // pid runs base+pid%3 rounds, sends pid*1000+round, and returns the sorted
@@ -74,43 +99,42 @@ func captureTrace() (*[]string, func(round int, sent []Message)) {
 	}
 }
 
-// runUnder executes the mixed-lifetime protocol on n processes under the
-// given scheduler and returns the result and trace stream.
-func runUnder(t *testing.T, sched Scheduler, cfg Config, n, base int) (*Result, []string, error) {
+// runUnder executes the mixed-lifetime protocol on n processes on the given
+// execution path and returns the result and trace stream.
+func runUnder(t *testing.T, run runFunc, cfg Config, n, base int) (*Result, []string, error) {
 	t.Helper()
 	log, hook := captureTrace()
-	cfg.Scheduler = sched
 	cfg.Trace = hook
 	cfg.SizeOf = func(m Message) int { return m.(int)%13 + 3 }
 	procs := make([]Coroutine, n)
 	for pid := range procs {
 		procs[pid] = mixedProc(pid, base)
 	}
-	res, err := Run(cfg, procs)
+	res, err := run(context.Background(), cfg, procs)
 	return res, *log, err
 }
 
 // assertSameRun fails unless the two runs are byte-identical in every
-// Result field and in their trace streams.
-func assertSameRun(t *testing.T, seqRes, conRes *Result, seqTrace, conTrace []string) {
+// Result field and in their trace streams; other names the compared path.
+func assertSameRun(t *testing.T, other string, want, got *Result, wantTrace, gotTrace []string) {
 	t.Helper()
-	if seqRes.Rounds != conRes.Rounds {
-		t.Errorf("Rounds: sequential %d, concurrent %d", seqRes.Rounds, conRes.Rounds)
+	if want.Rounds != got.Rounds {
+		t.Errorf("Rounds: reference %d, %s %d", want.Rounds, other, got.Rounds)
 	}
-	if !reflect.DeepEqual(seqRes.Outputs, conRes.Outputs) {
-		t.Errorf("Outputs differ:\nsequential %v\nconcurrent %v", seqRes.Outputs, conRes.Outputs)
+	if !reflect.DeepEqual(want.Outputs, got.Outputs) {
+		t.Errorf("Outputs differ:\nreference %v\n%s %v", want.Outputs, other, got.Outputs)
 	}
-	if seqRes.MaxMessageBits != conRes.MaxMessageBits {
-		t.Errorf("MaxMessageBits: sequential %d, concurrent %d", seqRes.MaxMessageBits, conRes.MaxMessageBits)
+	if want.MaxMessageBits != got.MaxMessageBits {
+		t.Errorf("MaxMessageBits: reference %d, %s %d", want.MaxMessageBits, other, got.MaxMessageBits)
 	}
-	if seqRes.TotalMessages != conRes.TotalMessages {
-		t.Errorf("TotalMessages: sequential %d, concurrent %d", seqRes.TotalMessages, conRes.TotalMessages)
+	if want.TotalMessages != got.TotalMessages {
+		t.Errorf("TotalMessages: reference %d, %s %d", want.TotalMessages, other, got.TotalMessages)
 	}
-	if seqRes.TotalBits != conRes.TotalBits {
-		t.Errorf("TotalBits: sequential %d, concurrent %d", seqRes.TotalBits, conRes.TotalBits)
+	if want.TotalBits != got.TotalBits {
+		t.Errorf("TotalBits: reference %d, %s %d", want.TotalBits, other, got.TotalBits)
 	}
-	if !reflect.DeepEqual(seqTrace, conTrace) {
-		t.Errorf("Trace streams differ:\nsequential %v\nconcurrent %v", seqTrace, conTrace)
+	if !reflect.DeepEqual(wantTrace, gotTrace) {
+		t.Errorf("Trace streams differ:\nreference %v\n%s %v", wantTrace, other, gotTrace)
 	}
 }
 
@@ -142,18 +166,18 @@ func TestSchedulerEquivalence(t *testing.T) {
 					base := 3 + int(seed)
 					cfg := fam.cfg()
 					cfg.MaxRounds = 100
-					seqRes, seqTrace, err := runUnder(t, SchedulerSequential, cfg, n, base)
+					seqRes, seqTrace, err := runUnder(t, runPaths[0].run, cfg, n, base)
 					if err != nil {
-						t.Fatalf("sequential: %v", err)
+						t.Fatalf("%s: %v", runPaths[0].name, err)
 					}
-					for _, sched := range schedulers[1:] {
+					for _, p := range runPaths[1:] {
 						cfg = fam.cfg()
 						cfg.MaxRounds = 100
-						res, trace, err := runUnder(t, sched, cfg, n, base)
+						res, trace, err := runUnder(t, p.run, cfg, n, base)
 						if err != nil {
-							t.Fatalf("%v: %v", sched, err)
+							t.Fatalf("%s: %v", p.name, err)
 						}
-						assertSameRun(t, seqRes, res, seqTrace, trace)
+						assertSameRun(t, p.name, seqRes, res, seqTrace, trace)
 					}
 				})
 			}
@@ -163,7 +187,7 @@ func TestSchedulerEquivalence(t *testing.T) {
 
 // TestSchedulerEquivalenceStopWhen pins the StopWhen semantics: process 0
 // finishes after three rounds, the rest would run forever, and the run must
-// stop with exactly process 0's output under both schedulers.
+// stop with exactly process 0's output on every execution path.
 func TestSchedulerEquivalenceStopWhen(t *testing.T) {
 	const n = 4
 	build := func() []Coroutine {
@@ -184,38 +208,35 @@ func TestSchedulerEquivalenceStopWhen(t *testing.T) {
 		res   *Result
 		trace []string
 	}
-	got := map[Scheduler]outcome{}
-	for _, sched := range schedulers {
+	got := make([]outcome, len(runPaths))
+	for i, p := range runPaths {
 		log, hook := captureTrace()
-		res, err := Run(Config{
+		res, err := p.run(context.Background(), Config{
 			Schedule:  dynnet.NewStatic(dynnet.Complete(n)),
 			MaxRounds: 100,
-			Scheduler: sched,
 			Trace:     hook,
 			StopWhen:  func(out map[int]any) bool { _, ok := out[0]; return ok },
 		}, build())
 		if err != nil {
-			t.Fatalf("%v: %v", sched, err)
+			t.Fatalf("%s: %v", p.name, err)
 		}
 		if len(res.Outputs) != 1 {
-			t.Fatalf("%v: outputs %v, want only process 0", sched, res.Outputs)
+			t.Fatalf("%s: outputs %v, want only process 0", p.name, res.Outputs)
 		}
-		got[sched] = outcome{res: res, trace: *log}
+		got[i] = outcome{res: res, trace: *log}
 	}
-	seq := got[SchedulerSequential]
-	for _, sched := range schedulers[1:] {
-		other := got[sched]
-		assertSameRun(t, seq.res, other.res, seq.trace, other.trace)
+	for i, p := range runPaths[1:] {
+		assertSameRun(t, p.name, got[0].res, got[i+1].res, got[0].trace, got[i+1].trace)
 	}
 }
 
 // TestSchedulerEquivalenceBitLimit pins the BitLimit semantics: the first
-// violating (round, process, bits) is identical under both schedulers
+// violating (round, process, bits) is identical on every execution path
 // because accounting happens in the shared router.
 func TestSchedulerEquivalenceBitLimit(t *testing.T) {
 	const n = 3
 	var want *BitLimitError
-	for _, sched := range schedulers {
+	for _, p := range runPaths {
 		procs := make([]Coroutine, n)
 		for pid := range procs {
 			pid := pid
@@ -232,23 +253,22 @@ func TestSchedulerEquivalenceBitLimit(t *testing.T) {
 				}
 			})
 		}
-		_, err := Run(Config{
+		_, err := p.run(context.Background(), Config{
 			Schedule:  dynnet.NewStatic(dynnet.Cycle(n)),
 			MaxRounds: 100,
-			Scheduler: sched,
 			SizeOf:    func(m Message) int { return m.(int) },
 			BitLimit:  50,
 		}, procs)
 		var ble *BitLimitError
 		if !errors.As(err, &ble) {
-			t.Fatalf("%v: err=%v, want *BitLimitError", sched, err)
+			t.Fatalf("%s: err=%v, want *BitLimitError", p.name, err)
 		}
 		if want == nil {
 			want = ble
 			continue
 		}
 		if *ble != *want {
-			t.Errorf("BitLimitError differs: sequential %+v, concurrent %+v", want, ble)
+			t.Errorf("BitLimitError differs: reference %+v, %s %+v", want, p.name, ble)
 		}
 	}
 	if want.Round != 4 || want.Process != 1 || want.Bits != 100 {
@@ -256,24 +276,23 @@ func TestSchedulerEquivalenceBitLimit(t *testing.T) {
 	}
 }
 
-// TestSchedulerEquivalencePreCancelled pins the cancellation contract both
-// schedulers share: a context cancelled before the run starts fails with
-// context.Canceled and zero rounds.
+// TestSchedulerEquivalencePreCancelled pins the cancellation contract every
+// execution path shares: a context cancelled before the run starts fails
+// with context.Canceled and zero rounds.
 func TestSchedulerEquivalencePreCancelled(t *testing.T) {
-	for _, sched := range schedulers {
+	for _, p := range runPaths {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		procs := []Coroutine{echoProc(3), echoProc(3)}
-		res, err := RunContext(ctx, Config{
+		res, err := p.run(ctx, Config{
 			Schedule:  dynnet.NewStatic(dynnet.Path(2)),
 			MaxRounds: 10,
-			Scheduler: sched,
 		}, procs)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%v: err=%v, want context.Canceled", sched, err)
+			t.Fatalf("%s: err=%v, want context.Canceled", p.name, err)
 		}
 		if res.Rounds != 0 || len(res.Outputs) != 0 {
-			t.Fatalf("%v: partial result %+v, want empty", sched, res)
+			t.Fatalf("%s: partial result %+v, want empty", p.name, res)
 		}
 	}
 }
@@ -301,16 +320,15 @@ func (c *countStepper) Done() (any, bool) {
 	return nil, false
 }
 
-// TestStepperPathsEquivalent runs the same stepper protocol on all three
-// execution paths — RunSteppers, and FromStepper on each coroutine
-// scheduler — and asserts identical results and traces.
+// TestStepperPathsEquivalent runs the same stepper protocol on every
+// execution path — RunSteppers, and FromStepper on each coroutine path —
+// and asserts identical results and traces.
 func TestStepperPathsEquivalent(t *testing.T) {
 	const n = 6
-	cfg := func(hook func(int, []Message), sched Scheduler) Config {
+	cfg := func(hook func(int, []Message)) Config {
 		return Config{
 			Schedule:  dynnet.NewRandomConnected(n, 0.4, 3),
 			MaxRounds: 50,
-			Scheduler: sched,
 			SizeOf:    func(m Message) int { return m.(int)%13 + 3 },
 			Trace:     hook,
 		}
@@ -324,24 +342,24 @@ func TestStepperPathsEquivalent(t *testing.T) {
 	}
 
 	log, hook := captureTrace()
-	want, err := RunSteppers(cfg(hook, SchedulerSequential), build())
+	want, err := RunSteppers(cfg(hook), build())
 	if err != nil {
 		t.Fatalf("RunSteppers: %v", err)
 	}
 	wantTrace := *log
 
-	for _, sched := range schedulers {
+	for _, p := range runPaths {
 		log, hook := captureTrace()
 		steppers := build()
 		procs := make([]Coroutine, n)
 		for pid := range procs {
 			procs[pid] = FromStepper(steppers[pid])
 		}
-		got, err := Run(cfg(hook, sched), procs)
+		got, err := p.run(context.Background(), cfg(hook), procs)
 		if err != nil {
-			t.Fatalf("FromStepper on %v: %v", sched, err)
+			t.Fatalf("FromStepper on %s: %v", p.name, err)
 		}
-		assertSameRun(t, want, got, wantTrace, *log)
+		assertSameRun(t, p.name, want, got, wantTrace, *log)
 	}
 }
 

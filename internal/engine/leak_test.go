@@ -12,20 +12,20 @@ import (
 
 // TestNoGoroutineLeaks verifies that Run waits for every process goroutine
 // before returning — under normal completion, early stop, and round-budget
-// cancellation alike, and on both schedulers.
+// cancellation alike, and on every execution path.
 func TestNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	runs := []struct {
 		name string
-		do   func(sched Scheduler) error
+		do   func(run runFunc) error
 	}{
-		{name: "normal", do: func(sched Scheduler) error {
-			_, err := Run(Config{Schedule: dynnet.NewStatic(dynnet.Cycle(4)), MaxRounds: 10, Scheduler: sched},
+		{name: "normal", do: func(run runFunc) error {
+			_, err := run(context.Background(), Config{Schedule: dynnet.NewStatic(dynnet.Cycle(4)), MaxRounds: 10},
 				[]Coroutine{echoProc(3), echoProc(3), echoProc(3), echoProc(3)})
 			return err
 		}},
-		{name: "stop-when", do: func(sched Scheduler) error {
+		{name: "stop-when", do: func(run runFunc) error {
 			forever := CoroutineFunc(func(tr *Transport) (any, error) {
 				for {
 					if _, err := tr.SendAndReceive(nil); err != nil {
@@ -41,15 +41,14 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				}
 				return "done", nil
 			})
-			_, err := Run(Config{
+			_, err := run(context.Background(), Config{
 				Schedule:  dynnet.NewStatic(dynnet.Path(3)),
 				MaxRounds: 100,
-				Scheduler: sched,
 				StopWhen:  func(out map[int]any) bool { _, ok := out[0]; return ok },
 			}, []Coroutine{twoRounds, forever, forever})
 			return err
 		}},
-		{name: "max-rounds", do: func(sched Scheduler) error {
+		{name: "max-rounds", do: func(run runFunc) error {
 			forever := CoroutineFunc(func(tr *Transport) (any, error) {
 				for {
 					if _, err := tr.SendAndReceive(nil); err != nil {
@@ -57,14 +56,14 @@ func TestNoGoroutineLeaks(t *testing.T) {
 					}
 				}
 			})
-			_, err := Run(Config{Schedule: dynnet.NewStatic(dynnet.Path(2)), MaxRounds: 3, Scheduler: sched},
+			_, err := run(context.Background(), Config{Schedule: dynnet.NewStatic(dynnet.Path(2)), MaxRounds: 3},
 				[]Coroutine{forever, forever})
 			if err == nil {
 				return nil
 			}
 			return nil // ErrMaxRounds expected
 		}},
-		{name: "context-cancel-pre-cancelled", do: func(sched Scheduler) error {
+		{name: "context-cancel-pre-cancelled", do: func(run runFunc) error {
 			forever := CoroutineFunc(func(tr *Transport) (any, error) {
 				for {
 					if _, err := tr.SendAndReceive(nil); err != nil {
@@ -74,17 +73,16 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			})
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			_, err := RunContext(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Path(3)), MaxRounds: 1 << 20, Scheduler: sched},
+			_, err := run(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Path(3)), MaxRounds: 1 << 20},
 				[]Coroutine{forever, forever, forever})
 			if !errors.Is(err, context.Canceled) {
 				return err
 			}
 			return nil
 		}},
-		{name: "context-cancel-mid-round", do: func(sched Scheduler) error {
+		{name: "context-cancel-mid-round", do: func(run runFunc) error {
 			// One process stalls before submitting its round-4 message, so
-			// the coordinator is parked waiting for submissions when the
-			// cancellation lands — the cancel path must release both the
+			// the run is parked waiting for it when the cancellation lands — the cancel path must release both the
 			// submitted processes (blocked on the round barrier) and, once
 			// the straggler wakes, the straggler itself.
 			release := make(chan struct{})
@@ -108,7 +106,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunContext(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Cycle(3)), MaxRounds: 1 << 20, Scheduler: sched},
+				_, err := run(ctx, Config{Schedule: dynnet.NewStatic(dynnet.Cycle(3)), MaxRounds: 1 << 20},
 					[]Coroutine{straggler, forever, forever})
 				done <- err
 			}()
@@ -122,11 +120,11 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			return nil
 		}},
 	}
-	for _, sched := range schedulers {
+	for _, p := range runPaths {
 		for _, r := range runs {
 			for i := 0; i < 5; i++ {
-				if err := r.do(sched); err != nil {
-					t.Fatalf("%s under %v: %v", r.name, sched, err)
+				if err := r.do(p.run); err != nil {
+					t.Fatalf("%s on %s: %v", r.name, p.name, err)
 				}
 			}
 		}

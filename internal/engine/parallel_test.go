@@ -13,25 +13,29 @@ import (
 // withShards raises GOMAXPROCS for the duration of a test so the parallel
 // scheduler actually splits the ring into several shards. The CI and
 // container hosts often run single-core, where min(GOMAXPROCS, n) = 1 and
-// every multi-shard code path — cross-shard barrier ordering, per-shard
-// doneBuf merging, worker release — would otherwise go untested.
+// the parallel scheduler degenerates to the inline shard and every
+// multi-shard code path — cross-shard barrier ordering, per-shard merging,
+// worker release — would otherwise go untested.
 func withShards(t *testing.T, workers int) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(workers)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// TestParallelShardSplit pins that the runner genuinely shards: with
-// GOMAXPROCS=4 and 9 processes it must create 4 contiguous shards covering
-// the ring exactly once.
+// TestParallelShardSplit pins that the runner genuinely shards: asked for 4
+// workers over 9 processes it must create 4 contiguous worker shards
+// covering the ring exactly once, and asked for one (SchedulerSequential)
+// a single inline shard with no worker channel.
 func TestParallelShardSplit(t *testing.T) {
-	withShards(t, 4)
-	p := newParRunner(context.Background(), Config{}, 9)
-	if len(p.shards) != 4 {
-		t.Fatalf("got %d shards for 9 procs at GOMAXPROCS=4, want 4", len(p.shards))
+	r := newRunner(context.Background(), Config{}, 9, 4)
+	if len(r.shards) != 4 {
+		t.Fatalf("got %d shards for 9 procs and 4 workers, want 4", len(r.shards))
 	}
 	lo := 0
-	for i, sh := range p.shards {
+	for i, sh := range r.shards {
+		if sh.cmd == nil {
+			t.Fatalf("shard %d of 4 has no worker channel", i)
+		}
 		if sh.lo != lo {
 			t.Fatalf("shard %d starts at %d, want %d (contiguous cover)", i, sh.lo, lo)
 		}
@@ -44,32 +48,40 @@ func TestParallelShardSplit(t *testing.T) {
 		t.Fatalf("shards cover [0,%d), want [0,9)", lo)
 	}
 	// More workers than processes must clamp to one process per shard.
-	p = newParRunner(context.Background(), Config{}, 2)
-	if len(p.shards) != 2 {
-		t.Fatalf("got %d shards for 2 procs, want 2", len(p.shards))
+	r = newRunner(context.Background(), Config{}, 2, 4)
+	if len(r.shards) != 2 {
+		t.Fatalf("got %d shards for 2 procs, want 2", len(r.shards))
+	}
+	// One worker is the inline shard: the whole ring, no worker goroutine.
+	r = newRunner(context.Background(), Config{}, 9, 1)
+	if len(r.shards) != 1 || r.shards[0].lo != 0 || r.shards[0].hi != 9 || r.shards[0].cmd != nil {
+		t.Fatalf("one-worker runner: shards %+v, want one inline shard [0,9)", r.shards)
 	}
 }
 
 // TestParallelMultiShardEquivalence re-runs the scheduler equivalence
-// contract with the ring genuinely split across 4 workers. The package's
-// main equivalence sweep covers SchedulerParallel too, but under a
-// single-core host it degenerates to one shard; this test forces the
-// cross-shard merge and barrier ordering.
+// contract through the public SchedulerParallel entry point with
+// GOMAXPROCS raised to 4, so the production shard sizing genuinely splits
+// the ring and the cross-shard merge and barrier ordering are exercised.
 func TestParallelMultiShardEquivalence(t *testing.T) {
 	withShards(t, 4)
+	parallel := func(ctx context.Context, cfg Config, procs []Coroutine) (*Result, error) {
+		cfg.Scheduler = SchedulerParallel
+		return RunContext(ctx, cfg, procs)
+	}
 	for _, n := range []int{4, 9, 16} {
 		cfg := func() Config {
 			return Config{Schedule: dynnet.NewRandomConnected(n, 0.4, int64(n)), MaxRounds: 100}
 		}
-		seqRes, seqTrace, err := runUnder(t, SchedulerSequential, cfg(), n, 5)
+		seqRes, seqTrace, err := runUnder(t, RunContext, cfg(), n, 5)
 		if err != nil {
 			t.Fatalf("n=%d sequential: %v", n, err)
 		}
-		parRes, parTrace, err := runUnder(t, SchedulerParallel, cfg(), n, 5)
+		parRes, parTrace, err := runUnder(t, parallel, cfg(), n, 5)
 		if err != nil {
 			t.Fatalf("n=%d parallel: %v", n, err)
 		}
-		assertSameRun(t, seqRes, parRes, seqTrace, parTrace)
+		assertSameRun(t, "parallel", seqRes, parRes, seqTrace, parTrace)
 	}
 }
 
@@ -90,23 +102,22 @@ func quietProc(rounds int) Coroutine {
 
 // TestSchedulerSteadyStateAllocs gates per-round allocations: once the
 // router's double-buffered delivery backings have grown to the round's
-// working set (and each shard's doneBuf is warm), additional rounds must be
-// allocation-free. The gate is the *difference* between a long and a short
-// run, so per-run setup (runner, coroutines, shards) cancels out.
+// working set, additional rounds must be allocation-free on every
+// execution path (one inline shard, four worker shards, the oracle). The
+// gate is the *difference* between a long and a short run, so per-run setup
+// (runner, coroutines, shards) cancels out.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
-	withShards(t, 4)
 	const extra = 100
-	for _, sched := range schedulers {
+	for _, p := range runPaths {
 		measure := func(rounds int) float64 {
 			return testing.AllocsPerRun(5, func() {
 				procs := make([]Coroutine, 8)
 				for pid := range procs {
 					procs[pid] = quietProc(rounds)
 				}
-				cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(8)),
-					MaxRounds: rounds + 1, Scheduler: sched}
-				if _, err := Run(cfg, procs); err != nil {
-					t.Errorf("%v: %v", sched, err)
+				cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(8)), MaxRounds: rounds + 1}
+				if _, err := p.run(context.Background(), cfg, procs); err != nil {
+					t.Errorf("%s: %v", p.name, err)
 				}
 			})
 		}
@@ -114,8 +125,8 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		long := measure(10 + extra)
 		perRound := (long - short) / extra
 		if perRound > 0.5 {
-			t.Errorf("scheduler %v: %.2f allocs per steady-state round (short=%.0f long=%.0f), want ~0",
-				sched, perRound, short, long)
+			t.Errorf("%s: %.2f allocs per steady-state round (short=%.0f long=%.0f), want ~0",
+				p.name, perRound, short, long)
 		}
 	}
 }

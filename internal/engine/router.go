@@ -8,10 +8,10 @@ import (
 
 // router computes one round's deliveries: congestion accounting, schedule
 // lookup, degree pre-sizing and the parity-double-buffered inbox
-// carve-out. It is shared by the sequential direct-execution runner, the
-// stepper fast path, and the concurrent coordinator, so every scheduler
-// routes byte-identically and a steady-state round performs at most one
-// allocation (growing a delivery backing array).
+// carve-out. It is shared by the coroutine runner at every shard count and
+// by the stepper fast path, so every execution path routes byte-identically
+// and a steady-state round performs at most one allocation (growing a
+// delivery backing array).
 //
 // The per-pid state slice uses the runners' common convention: a process
 // participates in the round iff its state is stateWaiting, and pending[pid]
@@ -44,8 +44,8 @@ type router struct {
 	inPlace dynnet.InPlaceSchedule
 	gbuf    *dynnet.Multigraph
 
-	// prepare/fill hand-off state for shard-local delivery (the parallel
-	// runner fills each shard's inboxes on the shard's own worker).
+	// prepare/fill hand-off state for shard-local delivery (the runner fills
+	// each shard's inboxes on the goroutine that sweeps the shard).
 	// liveLinks is the round's links with endpoint liveness already
 	// resolved, so fill never reads the state slice — workers may already
 	// be mutating other shards' states while a fill runs. pendSnap is the
@@ -83,8 +83,8 @@ func newRouter(cfg *Config, n int) *router {
 // of the round-parity backing array and stay valid until the same parity's
 // next route call.
 //
-// route is prepare followed by a full-range fill; the parallel runner calls
-// the two halves itself so each worker fills its own shard's inboxes.
+// route is prepare followed by a full-range fill; the coroutine runner calls
+// the two halves itself so each shard fills its own inboxes.
 func (rt *router) route(state []procState, pending []Message, res *Result) ([][]Message, error) {
 	out, err := rt.prepare(state, pending, res)
 	if err != nil {

@@ -52,19 +52,3 @@ func (w *watchdog) check(rounds int) error {
 	}
 	return &WatchdogError{Rounds: rounds, Limit: w.limit}
 }
-
-// timer returns a timer firing at the deadline so select-based loops can
-// observe the watchdog even while blocked, or a nil channel when no
-// deadline is set (a nil channel never selects).
-func (w *watchdog) timer() (*time.Timer, <-chan time.Time) {
-	if w.limit <= 0 {
-		return nil, nil
-	}
-	t := time.NewTimer(time.Until(w.deadline))
-	return t, t.C
-}
-
-// fail builds the structured error for a deadline observed via timer().
-func (w *watchdog) fail(rounds int) error {
-	return &WatchdogError{Rounds: rounds, Limit: w.limit}
-}

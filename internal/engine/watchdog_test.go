@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -28,30 +29,29 @@ func (spinStepper) Deliver([]Message) {}
 func (spinStepper) Done() (any, bool) { return nil, false }
 
 func TestWatchdogFiresOnAllCoroutineSchedulers(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerSequential, SchedulerConcurrent, SchedulerParallel} {
+	for _, p := range runPaths {
 		cfg := Config{
 			Schedule:  dynnet.NewStatic(dynnet.Complete(3)),
 			MaxRounds: 1 << 30,
 			Deadline:  50 * time.Millisecond,
-			Scheduler: sched,
 		}
 		start := time.Now()
-		_, err := Run(cfg, []Coroutine{spinner(), spinner(), spinner()})
+		_, err := p.run(context.Background(), cfg, []Coroutine{spinner(), spinner(), spinner()})
 		if !errors.Is(err, ErrWatchdog) {
-			t.Fatalf("scheduler %v: got %v, want ErrWatchdog", sched, err)
+			t.Fatalf("%s: got %v, want ErrWatchdog", p.name, err)
 		}
 		var wderr *WatchdogError
 		if !errors.As(err, &wderr) {
-			t.Fatalf("scheduler %v: error %v is not a *WatchdogError", sched, err)
+			t.Fatalf("%s: error %v is not a *WatchdogError", p.name, err)
 		}
 		if wderr.Limit != cfg.Deadline {
-			t.Fatalf("scheduler %v: reported limit %v, want %v", sched, wderr.Limit, cfg.Deadline)
+			t.Fatalf("%s: reported limit %v, want %v", p.name, wderr.Limit, cfg.Deadline)
 		}
 		if wderr.Rounds <= 0 {
-			t.Fatalf("scheduler %v: watchdog fired after %d rounds", sched, wderr.Rounds)
+			t.Fatalf("%s: watchdog fired after %d rounds", p.name, wderr.Rounds)
 		}
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("scheduler %v: watchdog took %v to stop the run", sched, elapsed)
+			t.Fatalf("%s: watchdog took %v to stop the run", p.name, elapsed)
 		}
 	}
 }

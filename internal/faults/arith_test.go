@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"anondyn/internal/core"
@@ -13,7 +14,8 @@ import (
 
 // TestMatrixFaultArithmeticEquivalence layers the solver's witness
 // discipline over the PR 5 fault matrix: every in-model fault plan, in
-// leader and leaderless mode, under both engine schedulers, must produce
+// leader and leaderless mode, under both engine schedulers (the parallel
+// one on 4 workers, so the ring splits even on one core), must produce
 // byte-identical protocol executions (same rounds, levels, resets, answer)
 // whether the counting solver runs the multi-modular backend or the
 // big.Int exactness witness. The backends may differ only in the modular
@@ -27,9 +29,10 @@ func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 		"spike:4:16,storm:1:0:2",
 	}
 	n := 5
+	withProcs(t, 4)
 	for _, T := range []int{1, 4} {
 		for _, spec := range plans {
-			for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerConcurrent} {
+			for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerParallel} {
 				for _, leaderless := range []bool{false, true} {
 					mode := "leader"
 					if leaderless {
@@ -98,4 +101,12 @@ func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withProcs raises GOMAXPROCS to at least procs for the rest of the test, so
+// the parallel scheduler really splits the ring into several shards.
+func withProcs(t *testing.T, procs int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(max(procs, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

@@ -194,7 +194,8 @@ func TestOutOfModelFaultsFailDetectably(t *testing.T) {
 		{name: "leader-crashed-forever", spec: "crash:0:3:0"},
 	}
 	n := 5
-	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerConcurrent} {
+	withProcs(t, 4)
+	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerParallel} {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/scheduler=%d", tc.name, sched), func(t *testing.T) {
 				plan, err := faults.Parse(tc.spec, 1, 9)

@@ -11,9 +11,9 @@ type Arith int
 
 // Arithmetic backends. The zero value is the multi-modular backend, the
 // default everywhere; the big.Int fraction-free eliminator is retained as
-// the always-available exactness witness (the same discipline as
-// engine.SchedulerConcurrent witnessing SchedulerSequential), and both
-// must produce identical results on every input — pinned by the
+// the always-available exactness witness (the same discipline as the
+// engine's test-only coordinator witnessing its production runner), and
+// both must produce identical results on every input — pinned by the
 // equivalence suite and FuzzSolverArithmetic.
 const (
 	// ArithModular solves over a battery of word-sized primes with CRT

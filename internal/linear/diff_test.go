@@ -2,6 +2,7 @@ package linear_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -22,9 +23,25 @@ import (
 // bit accounting flows through wire.SizeOf, so every subtest also logs the
 // measured rounds-vs-bits tradeoff the E17 experiment tabulates.
 
-// schedulers is the engine matrix every equivalence case runs under.
-var schedulers = []engine.Scheduler{
-	engine.SchedulerSequential, engine.SchedulerParallel, engine.SchedulerConcurrent,
+// schedulers is the engine matrix every equivalence case runs under; the
+// subtests name an entry by its index. The parallel entries pin GOMAXPROCS
+// (2 and 4 workers), so the ring really splits even on a one-core host.
+var schedulers = []struct {
+	s     engine.Scheduler
+	procs int // GOMAXPROCS for the run; 0 leaves it alone
+}{
+	{engine.SchedulerSequential, 0},
+	{engine.SchedulerParallel, 2},
+	{engine.SchedulerParallel, 4},
+}
+
+// setProcs sets GOMAXPROCS to procs for the rest of the test; 0 is a no-op.
+func setProcs(t *testing.T, procs int) {
+	t.Helper()
+	if procs > 0 {
+		prev := runtime.GOMAXPROCS(procs)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 }
 
 // inModelPlans is the PR 5 in-model fault matrix, verbatim from
@@ -149,22 +166,25 @@ func assertBitAccounting(t *testing.T, congested, lin *core.RunResult) {
 
 // TestProtocolEquivalenceFaultMatrix is the headline differential suite:
 // on every schedule of the PR 5 in-model fault matrix — leader and
-// leaderless, T ∈ {1, 2, 4, 8}, every fault family, all three engine
-// schedulers — both protocols must return the identical answer, each
+// leaderless, T ∈ {1, 2, 4, 8}, every fault family, every entry of the
+// engine matrix — both protocols must return the identical answer, each
 // independently verified against ground truth.
 func TestProtocolEquivalenceFaultMatrix(t *testing.T) {
 	n := 5
-	for _, sched := range schedulers {
+	for i, sc := range schedulers {
+		sched := sc.s
 		for _, T := range []int{1, 2, 4, 8} {
 			for _, spec := range inModelPlans {
-				t.Run(fmt.Sprintf("leader/sched=%d/T=%d/%s", sched, T, spec), func(t *testing.T) {
+				t.Run(fmt.Sprintf("leader/sched=%d/T=%d/%s", i, T, spec), func(t *testing.T) {
+					setProcs(t, sc.procs)
 					inputs := leaderIn(n)
 					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T, sched)
 					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T, sched)
 					assertSameAnswer(t, congested, lin)
 					assertBitAccounting(t, congested, lin)
 				})
-				t.Run(fmt.Sprintf("leaderless/sched=%d/T=%d/%s", sched, T, spec), func(t *testing.T) {
+				t.Run(fmt.Sprintf("leaderless/sched=%d/T=%d/%s", i, T, spec), func(t *testing.T) {
+					setProcs(t, sc.procs)
 					inputs := valueIn(n)
 					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T, sched)
 					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T, sched)
@@ -240,14 +260,16 @@ func failsDetectably(t *testing.T, protocol string, s dynnet.Schedule,
 }
 
 // TestProtocolsFailDetectablyOutOfModel mirrors the PR 5 out-of-model
-// cases on both protocols: neither may return a silently wrong answer.
+// cases on both protocols and both engine schedulers (the parallel one on
+// 4 workers): neither may return a silently wrong answer.
 // Total message loss makes the anonymous leader count only itself (caught
 // by the oracle) under both protocols; a forever-crashed leader wedges
 // the run until the watchdog or the level guard ends it.
 func TestProtocolsFailDetectablyOutOfModel(t *testing.T) {
 	n := 5
 	cases := []string{"drop:1:0:1", "crash:0:3:0"}
-	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerConcurrent} {
+	setProcs(t, 4)
+	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerParallel} {
 		for _, spec := range cases {
 			for _, protocol := range []string{"congested", "linear"} {
 				t.Run(fmt.Sprintf("%s/%s/sched=%d", protocol, spec, sched), func(t *testing.T) {

@@ -7,10 +7,19 @@ import (
 	"time"
 )
 
-// longSpec is a worst-case job (adaptive isolator, O(n³) rounds) that takes
-// far longer than any test timeout, so it is guaranteed to still be running
-// when cancelled.
-func longSpec() JobSpec { return JobSpec{N: 20, Topology: "isolator"} }
+// longSpec is a job that runs until it is cancelled: the out-of-model plan
+// isolates every process forever, so under Halt the leader stops alone and
+// the others can never terminate (TestManagerWatchdogJobFailsStructured
+// pins the wedge), and its deadline and round cap lie far beyond any test
+// timeout. Unlike a merely slow spec it cannot finish early on a fast host.
+func longSpec() JobSpec {
+	return JobSpec{N: 5, Topology: "complete", Halt: true, Faults: "drop:1:0:1",
+		DeadlineMS: 600_000, MaxRounds: 1 << 30}
+}
+
+// longSpecJSON is longSpec as an API request body.
+const longSpecJSON = `{"n":5,"topology":"complete","halt":true,"faults":"drop:1:0:1",` +
+	`"deadlineMS":600000,"maxRounds":1073741824}`
 
 func quickSpec(seed int64) JobSpec { return JobSpec{N: 5, Seed: seed} }
 
@@ -137,6 +146,20 @@ func waitState(t *testing.T, job *Job, want JobState, timeout time.Duration) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("job %s never reached state %s (now %s)", job.ID, want, job.Status().State)
+}
+
+// waitRounds waits until the job has delivered at least one round. By then
+// the engine has started every process coroutine, so goroutine counts taken
+// afterwards no longer move with the run's start-up.
+func waitRounds(t *testing.T, job *Job, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for job.rounds.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s delivered no round within %v (state %s)", job.ID, timeout, job.Status().State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 func contextWithTimeout(t *testing.T, d time.Duration) context.Context {

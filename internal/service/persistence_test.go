@@ -168,11 +168,9 @@ func TestEventStreamClientDisconnect(t *testing.T) {
 	defer func() { _ = srv.Shutdown(contextWithTimeout(t, 30*time.Second)) }()
 	base := "http://" + srv.Addr()
 
-	// n=40 keeps the adaptive worst case running for tens of seconds (the
-	// n=20 variant finishes in under a second on the direct-execution
-	// engine), so the job is guaranteed to outlive every stream below.
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"n":40,"topology":"isolator"}`))
+	// The job runs until the test cancels it, so it outlives every stream
+	// below however fast the host is.
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(longSpecJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +183,10 @@ func TestEventStreamClientDisconnect(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s vanished", submitted.ID)
 	}
-	waitState(t, job, JobRunning, 10*time.Second)
+	// Sample the goroutine baseline only once a round has been delivered:
+	// the engine's process coroutines count as goroutines, and right after
+	// JobRunning they may not all exist yet.
+	waitRounds(t, job, 10*time.Second)
 
 	subscribers := func() int {
 		job.mu.Lock()

@@ -123,8 +123,8 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("distinct job simulated no rounds: %d → %d", m2.RoundsSimulated, m3.RoundsSimulated)
 	}
 
-	// --- Stream NDJSON events for a long-running worst-case job. ---
-	long := post(`{"n":20,"topology":"isolator"}`)
+	// --- Stream NDJSON events for a job that runs until cancelled. ---
+	long := post(longSpecJSON)
 	streamCtx, cancelStream := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancelStream()
 	req, err := http.NewRequestWithContext(streamCtx, http.MethodGet, base+"/v1/jobs/"+long.ID+"/events", nil)

@@ -84,12 +84,10 @@ type JobSpec struct {
 	// MaxRounds caps the run; 0 derives the default O(T·n³ log n) budget.
 	MaxRounds int `json:"maxRounds,omitempty"`
 	// Scheduler selects the engine execution strategy: "" or "sequential"
-	// for the direct-execution default, "parallel" for the sharded
-	// round-parallel scheduler (same results, less wall clock on
-	// multi-core hosts), "concurrent" for the goroutine-per-process
-	// coordinator. All produce identical results (the spec hash treats
-	// them as the same simulation), so this is a performance/debugging
-	// knob, not a semantic one.
+	// for the default (one shard, run inline), "parallel" for the sharded
+	// round-parallel scheduler (min(GOMAXPROCS, n) worker shards). Both
+	// produce identical results (the spec hash treats them as the same
+	// simulation), so this is a performance knob, not a semantic one.
 	Scheduler string `json:"scheduler,omitempty"`
 	// CompactVHT enables history-level compaction: consumed VHT levels are
 	// released once the counting solver can never re-read them, keeping
@@ -216,8 +214,8 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("the isolator adversary targets the congested protocol's leader; protocol linear unsupported")
 		}
 	}
-	if s.Scheduler != "" && s.Scheduler != "parallel" && s.Scheduler != "concurrent" {
-		return fmt.Errorf("unknown scheduler %q (have sequential, parallel, concurrent)", s.Scheduler)
+	if s.Scheduler != "" && s.Scheduler != "parallel" {
+		return fmt.Errorf("unknown scheduler %q (have sequential, parallel)", s.Scheduler)
 	}
 	if s.Arithmetic != "" && s.Arithmetic != "big" {
 		return fmt.Errorf("unknown arithmetic %q (have modular, big)", s.Arithmetic)
@@ -400,11 +398,8 @@ func (s JobSpec) Run(ctx context.Context, traceHook func(round int, sent []engin
 		Deadline:  time.Duration(s.DeadlineMS) * time.Millisecond,
 		Trace:     traceHook,
 	}
-	switch s.Scheduler {
-	case "parallel":
+	if s.Scheduler == "parallel" {
 		opts.Scheduler = engine.SchedulerParallel
-	case "concurrent":
-		opts.Scheduler = engine.SchedulerConcurrent
 	}
 	var plan *faults.Plan
 	if s.Faults != "" {

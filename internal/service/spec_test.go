@@ -71,9 +71,8 @@ func TestSpecHashCanonical(t *testing.T) {
 	// they must not fragment the result cache.
 	s1 := JobSpec{N: 5, Seed: 1}
 	for name, same := range map[string]JobSpec{
-		"parallel-scheduler":   {N: 5, Seed: 1, Scheduler: "parallel"},
-		"concurrent-scheduler": {N: 5, Seed: 1, Scheduler: "concurrent"},
-		"compact":              {N: 5, Seed: 1, CompactVHT: true},
+		"parallel-scheduler": {N: 5, Seed: 1, Scheduler: "parallel"},
+		"compact":            {N: 5, Seed: 1, CompactVHT: true},
 	} {
 		if s1.Hash() != same.Hash() {
 			t.Errorf("%s: performance knob changed the hash", name)
@@ -82,14 +81,18 @@ func TestSpecHashCanonical(t *testing.T) {
 }
 
 func TestSpecSchedulerValues(t *testing.T) {
-	for _, ok := range []string{"", "sequential", "parallel", "concurrent"} {
+	for _, ok := range []string{"", "sequential", "parallel"} {
 		if err := (JobSpec{N: 4, Scheduler: ok}).Validate(); err != nil {
 			t.Errorf("scheduler %q rejected: %v", ok, err)
 		}
 	}
-	err := (JobSpec{N: 4, Scheduler: "threads"}).Validate()
-	if err == nil || !strings.Contains(err.Error(), "parallel") {
-		t.Fatalf("bad scheduler error %v should list the valid values", err)
+	// "concurrent" named the goroutine-per-process coordinator, which is
+	// now test-only; specs naming it are rejected like any unknown value.
+	for _, bad := range []string{"threads", "concurrent"} {
+		err := (JobSpec{N: 4, Scheduler: bad}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "(have sequential, parallel)") {
+			t.Fatalf("scheduler %q: error %v should list the valid values", bad, err)
+		}
 	}
 }
 

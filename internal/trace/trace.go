@@ -17,7 +17,8 @@ import (
 )
 
 // Logger accumulates and writes the round log. All methods are safe for
-// concurrent use; the engine calls the hook from its coordinator goroutine.
+// concurrent use; the engine calls the hook from the goroutine that called
+// Run, once per round.
 type Logger struct {
 	mu sync.Mutex
 
