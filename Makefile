@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSolverArithmetic$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchedRefine$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/linear
+	$(GO) test -run='^$$' -fuzz='^FuzzJobSpec$$' -fuzztime=$(FUZZTIME) ./internal/service
 
 # The repo benchmark (BENCHMARK.json, perfbench/): a smoke run of every
 # workload with its answer checks, then the benchmark module's own tests

@@ -14,9 +14,10 @@
 //   - The paper's congested Counting algorithm and its Section 5
 //     extensions: Generalized Counting, simultaneous termination,
 //     leaderless frequency computation, and T-union-connected networks.
-//   - Baselines (non-congested view exchange, randomized token
-//     forwarding) and the benchmark harness that regenerates every
-//     experiment in EXPERIMENTS.md.
+//   - The non-congested full-information protocol (the linear backend)
+//     and the randomized token-forwarding baseline it is compared with,
+//     and the benchmark harness that regenerates every experiment in
+//     EXPERIMENTS.md.
 //
 // # Quick start
 //
@@ -37,6 +38,7 @@ import (
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
+	"anondyn/internal/linear"
 )
 
 // Re-exported types. Aliases keep the internal packages as the single
@@ -77,8 +79,6 @@ type (
 	// Recorder collects instrumentation from a run.
 	Recorder = core.Recorder
 
-	// NonCongestedResult is the outcome of the full-information baseline.
-	NonCongestedResult = baseline.NonCongestedResult
 	// TokenForwardResult is the outcome of the token-forwarding baseline.
 	TokenForwardResult = baseline.TokenForwardResult
 )
@@ -212,9 +212,12 @@ func RenderTree(t *Tree) string { return historytree.RenderASCII(t) }
 // RenderTreeDOT renders a history tree in Graphviz DOT format.
 func RenderTreeDOT(t *Tree, name string) string { return historytree.RenderDOT(t, name) }
 
-// RunNonCongested executes the non-congested full-information baseline.
-func RunNonCongested(s Schedule, inputs []Input, maxRounds int) (*NonCongestedResult, error) {
-	return baseline.RunNonCongested(s, inputs, maxRounds)
+// RunNonCongested executes the non-congested full-information protocol
+// (Di Luna–Viglietta, arXiv 2204.02128) in leader mode: Θ(n) rounds, but
+// messages that grow to Θ(n³ log n) bits. maxRounds caps the run; 0
+// derives a default from n.
+func RunNonCongested(s Schedule, inputs []Input, maxRounds int) (*RunResult, error) {
+	return linear.Run(s, inputs, linear.Config{Mode: ModeLeader}, RunOptions{MaxRounds: maxRounds})
 }
 
 // RunTokenForward executes the randomized token-forwarding baseline.

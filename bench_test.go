@@ -105,7 +105,7 @@ func BenchmarkE5DiamEstimate(b *testing.B) {
 	}
 }
 
-func BenchmarkE6CongestedVsNonCongested(b *testing.B) {
+func BenchmarkE17ProtocolTradeoff(b *testing.B) {
 	for _, n := range []int{6, 10} {
 		s := anondyn.RandomConnected(n, 0.3, 17)
 		b.Run(fmt.Sprintf("congested/n=%d", n), func(b *testing.B) {
@@ -117,8 +117,8 @@ func BenchmarkE6CongestedVsNonCongested(b *testing.B) {
 			b.ReportMetric(float64(res.Stats.Rounds), "rounds")
 			b.ReportMetric(float64(res.Stats.MaxMessageBits), "max-bits")
 		})
-		b.Run(fmt.Sprintf("noncongested/n=%d", n), func(b *testing.B) {
-			var res *anondyn.NonCongestedResult
+		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
+			var res *anondyn.RunResult
 			for i := 0; i < b.N; i++ {
 				var err error
 				res, err = anondyn.RunNonCongested(s, anondyn.LeaderInputs(n), 0)
@@ -129,8 +129,8 @@ func BenchmarkE6CongestedVsNonCongested(b *testing.B) {
 					b.Fatalf("counted %d, want %d", res.N, n)
 				}
 			}
-			b.ReportMetric(float64(res.Rounds), "rounds")
-			b.ReportMetric(float64(res.MaxMessageBits), "max-bits")
+			b.ReportMetric(float64(res.Stats.Rounds), "rounds")
+			b.ReportMetric(float64(res.Stats.MaxMessageBits), "max-bits")
 		})
 	}
 }

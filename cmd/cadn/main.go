@@ -63,8 +63,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		traceFlag  = fs.Bool("trace", false, "print a per-round protocol trace and summary")
 		scheduler  = fs.String("scheduler", "sequential", "engine scheduler: sequential (one shard, inline) or parallel (min(GOMAXPROCS, n) worker shards)")
 		compact    = fs.Bool("compact", false, "release consumed VHT levels (O(active view) memory; incompatible with faulty resets that rewind far)")
-		private    = fs.Bool("privatevht", false, "disable cross-process structural sharing (each process keeps its own VHT; ablation knob)")
-		arith      = fs.String("arith", "modular", "counting-solver arithmetic: modular (residue/CRT) or big (big.Int witness)")
 		faultsFlag = fs.String("faults", "", "fault plan layered over the adversary, e.g. spike:8:0 or cut:3:20,storm:1:0:2 (see internal/faults)")
 		faultSeed  = fs.Int64("faultseed", 0, "fault-plan RNG seed (only the drop fault consumes it)")
 		deadline   = fs.Int("deadline", 0, "watchdog deadline in milliseconds (0 = off; required for out-of-model fault plans)")
@@ -74,7 +72,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	spec, err := buildSpec(*n, *protocol, *topology, *density, *seed, *blockT,
 		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll, *eager, *scheduler,
-		*compact, *private, *arith, *faultsFlag, *faultSeed, *deadline)
+		*compact, *faultsFlag, *faultSeed, *deadline)
 	if err != nil {
 		fmt.Fprintln(stderr, "cadn: invalid usage:", err)
 		return 2
@@ -91,7 +89,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 func buildSpec(n int, protocol, topology string, density float64, seed int64, blockT int,
 	leaderless bool, inputsFlag string, halt bool, bitLimit int,
 	fine bool, batch int, keepAll, eager bool, scheduler string,
-	compact, private bool, arith string, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
+	compact bool, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
 	spec := service.JobSpec{
 		N:          n,
 		Protocol:   protocol,
@@ -108,8 +106,6 @@ func buildSpec(n int, protocol, topology string, density float64, seed int64, bl
 		Eager:      eager,
 		Scheduler:  scheduler,
 		CompactVHT: compact,
-		PrivateVHT: private,
-		Arithmetic: arith,
 		Faults:     faultsSpec,
 		FaultSeed:  faultSeed,
 		DeadlineMS: deadlineMS,

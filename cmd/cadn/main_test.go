@@ -134,12 +134,11 @@ func TestValidateFlagCombinations(t *testing.T) {
 		fine       bool
 		batch      int
 		scheduler  string
-		arith      string
 		faults     string
 		faultSeed  int64
 		deadlineMS int
 	}
-	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1, scheduler: "sequential", arith: "modular"}
+	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1, scheduler: "sequential"}
 	tests := []struct {
 		name    string
 		mut     func(*args)
@@ -174,8 +173,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{name: "inputs-not-numeric", mut: func(a *args) { a.inputs = "a,b,c,d" }, wantErr: "-inputs value"},
 		{name: "unknown-scheduler", mut: func(a *args) { a.scheduler = "threads" }, wantErr: "unknown scheduler"},
 		{name: "parallel-scheduler-ok", mut: func(a *args) { a.scheduler = "parallel" }, wantErr: ""},
-		{name: "unknown-arithmetic", mut: func(a *args) { a.arith = "float" }, wantErr: "unknown arithmetic"},
-		{name: "big-arithmetic-ok", mut: func(a *args) { a.arith = "big" }, wantErr: ""},
 		{name: "malformed-faults", mut: func(a *args) { a.faults = "spike:1" }, wantErr: "invalid fault plan"},
 		{name: "unknown-fault", mut: func(a *args) { a.faults = "meteor:1:0" }, wantErr: "unknown fault"},
 		{name: "crash-pid-out-of-range", mut: func(a *args) { a.faults = "crash:9:1:0"; a.deadlineMS = 100 },
@@ -193,7 +190,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 			tt.mut(&a)
 			_, err := buildSpec(a.n, a.protocol, a.topology, a.density, a.seed, a.blockT,
 				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false, false, a.scheduler,
-				false, false, a.arith, a.faults, a.faultSeed, a.deadlineMS)
+				false, a.faults, a.faultSeed, a.deadlineMS)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -310,6 +307,9 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown-protocol", args: []string{"-n", "4", "-protocol", "quantum"}, want: 2},
 		{name: "linear-halt", args: []string{"-n", "4", "-protocol", "linear", "-halt"}, want: 2},
 		{name: "linear-compact", args: []string{"-n", "4", "-protocol", "linear", "-compact"}, want: 2},
+		// Retired ablation flags are unknown flags, hence usage errors.
+		{name: "removed-privatevht", args: []string{"-n", "4", "-privatevht"}, want: 2},
+		{name: "removed-arith", args: []string{"-n", "4", "-arith", "big"}, want: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -92,13 +92,17 @@ func checkGenDecl(fset *token.FileSet, d *ast.GenDecl) []string {
 // cannot be added without surfacing them in the user-facing docs. The
 // -faults/-deadline pair in particular carries a usage contract
 // (out-of-model plans require a deadline) that only the README explains,
-// and the cadnd coordinator flags carry the cluster-mode topology.
+// and the cadnd coordinator flags carry the cluster-mode topology. In the
+// other direction, every backticked `-flag` in the first cell of a README
+// table row must be registered by one of the two commands, so a flag
+// table cannot outlive a removed flag.
 func TestEveryCliFlagIsDocumented(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := string(readme)
+	registered := make(map[string]bool)
 	for _, cmd := range []struct {
 		path     string
 		minFlags int
@@ -114,6 +118,7 @@ func TestEveryCliFlagIsDocumented(t *testing.T) {
 		// backend per run, cadnd sets the fleet default for submitted jobs.
 		hasProtocol := false
 		for _, name := range flags {
+			registered[name] = true
 			if name == "protocol" {
 				hasProtocol = true
 			}
@@ -123,6 +128,17 @@ func TestEveryCliFlagIsDocumented(t *testing.T) {
 		}
 		if !hasProtocol {
 			t.Errorf("%s does not register a -protocol flag", cmd.path)
+		}
+	}
+	for i, line := range strings.Split(text, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || strings.TrimSpace(cells[0]) != "" {
+			continue
+		}
+		for j, tok := range strings.Split(cells[1], "`") {
+			if j%2 == 1 && strings.HasPrefix(tok, "-") && !registered[tok[1:]] {
+				t.Errorf("README.md:%d documents %s, which neither cmd/cadn nor cmd/cadnd registers", i+1, tok)
+			}
 		}
 	}
 }

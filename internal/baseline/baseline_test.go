@@ -4,60 +4,7 @@ import (
 	"testing"
 
 	"anondyn/internal/dynnet"
-	"anondyn/internal/historytree"
 )
-
-func leaderInputs(n int) []historytree.Input {
-	in := make([]historytree.Input, n)
-	in[0].Leader = true
-	return in
-}
-
-func TestNonCongestedCountsCorrectly(t *testing.T) {
-	tests := []struct {
-		name string
-		n    int
-		mk   func(n int) dynnet.Schedule
-	}{
-		{name: "path", n: 6, mk: func(n int) dynnet.Schedule { return dynnet.NewStatic(dynnet.Path(n)) }},
-		{name: "complete", n: 7, mk: func(n int) dynnet.Schedule { return dynnet.NewStatic(dynnet.Complete(n)) }},
-		{name: "random", n: 8, mk: func(n int) dynnet.Schedule { return dynnet.NewRandomConnected(n, 0.3, 4) }},
-		{name: "rotating-star", n: 5, mk: func(n int) dynnet.Schedule { return dynnet.NewRotatingStar(n) }},
-		{name: "shifting-path", n: 6, mk: func(n int) dynnet.Schedule { return dynnet.NewShiftingPath(n) }},
-		{name: "single", n: 1, mk: func(n int) dynnet.Schedule { return dynnet.NewStatic(dynnet.Complete(n)) }},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			res, err := RunNonCongested(tt.mk(tt.n), leaderInputs(tt.n), 0)
-			if err != nil {
-				t.Fatalf("RunNonCongested: %v", err)
-			}
-			if res.N != tt.n {
-				t.Fatalf("counted %d, want %d", res.N, tt.n)
-			}
-			if res.Rounds > 4*tt.n+16 {
-				t.Errorf("took %d rounds, expected Θ(n)", res.Rounds)
-			}
-			t.Logf("n=%d rounds=%d maxBits=%d", tt.n, res.Rounds, res.MaxMessageBits)
-		})
-	}
-}
-
-func TestNonCongestedMessageGrowth(t *testing.T) {
-	// View messages must grow super-linearly in n — that is the point of
-	// the congested algorithm. Compare max message bits for n and 2n.
-	bits := make(map[int]int)
-	for _, n := range []int{4, 8} {
-		res, err := RunNonCongested(dynnet.NewRandomConnected(n, 0.5, 9), leaderInputs(n), 0)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		bits[n] = res.MaxMessageBits
-	}
-	if bits[8] < 4*bits[4] {
-		t.Errorf("view size grew only from %d to %d bits; expected ≥ 4x growth", bits[4], bits[8])
-	}
-}
 
 func TestTokenForwardEstimates(t *testing.T) {
 	for _, n := range []int{3, 6, 10} {

@@ -1,3 +1,11 @@
+// Package baseline implements the randomized token-forwarding counting
+// algorithm discussed in Section 1.2 of the paper, in the style of
+// Kuhn–Lynch–Oshman (STOC 2010): unique random tokens are disseminated by
+// single-token forwarding for Θ(N²) rounds. Messages are small, but the
+// algorithm needs an a-priori bound N ≥ n, is only correct with high
+// probability, and the random tokens defeat anonymity. The other Section
+// 1.2 comparison point, the non-congested full-information algorithm, is
+// the internal/linear backend.
 package baseline
 
 import (
@@ -126,4 +134,16 @@ func (t *tokenStepper) Done() (any, bool) {
 		return len(t.known), true
 	}
 	return nil, false
+}
+
+// varintBits returns the size in bits of the unsigned varint encoding of
+// the zig-zagged value.
+func varintBits(v int64) int {
+	u := uint64(v<<1) ^ uint64(v>>63)
+	bytes := 1
+	for u >= 0x80 {
+		u >>= 7
+		bytes++
+	}
+	return 8 * bytes
 }

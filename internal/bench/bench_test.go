@@ -1,16 +1,27 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsRun executes every experiment end to end and checks the
-// tables are well-formed. This is the regression gate for EXPERIMENTS.md.
+// TestAllExperimentsRun executes every experiment end to end, checks the
+// tables are well-formed, and requires each table's data rows to equal
+// the rows EXPERIMENTS.md records under its "## <ID> —" heading. This is
+// the regression gate for EXPERIMENTS.md: a change that moves a number
+// fails here until the file is regenerated.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments skipped in -short mode")
 	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := recordedRows(string(doc))
 	seen := make(map[string]bool)
 	for _, e := range All() {
 		e := e
@@ -41,11 +52,47 @@ func TestAllExperimentsRun(t *testing.T) {
 			if !strings.Contains(out, e.ID) || !strings.Contains(out, "paper:") {
 				t.Errorf("render output malformed:\n%s", out)
 			}
+			var rows []string
+			for _, row := range table.Rows {
+				rows = append(rows, "| "+strings.Join(row, " | ")+" |")
+			}
+			if want := recorded[e.ID]; !slices.Equal(rows, want) {
+				t.Errorf("EXPERIMENTS.md is stale for %s; regenerate with `go run ./cmd/experiments -only %s -format markdown`\n got:\n%s\nrecorded:\n%s",
+					e.ID, e.ID, strings.Join(rows, "\n"), strings.Join(want, "\n"))
+			}
 		})
 	}
-	if len(seen) != 15 {
-		t.Errorf("%d experiments, want 15", len(seen))
+	if len(seen) != 14 {
+		t.Errorf("%d experiments, want 14", len(seen))
 	}
+}
+
+// recordedRows maps each experiment ID to the data rows (header and
+// separator dropped) of the first markdown table under its "## <ID> —"
+// heading in doc.
+func recordedRows(doc string) map[string][]string {
+	tables := make(map[string][]string)
+	id := ""
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			id, _, _ = strings.Cut(strings.TrimPrefix(line, "## "), " —")
+			if _, dup := tables[id]; dup || strings.Contains(id, " ") {
+				id = ""
+			}
+			continue
+		}
+		switch {
+		case id == "":
+		case strings.HasPrefix(line, "|"):
+			tables[id] = append(tables[id], line)
+		case len(tables[id]) > 0:
+			id = "" // the first table has ended
+		}
+	}
+	for id, lines := range tables {
+		tables[id] = lines[min(2, len(lines)):]
+	}
+	return tables
 }
 
 func TestRenderAlignment(t *testing.T) {

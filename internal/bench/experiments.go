@@ -228,7 +228,7 @@ func E3MessageBits(p *E3Params) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Notes = append(t.Notes, "compare the non-congested baseline's Θ(n³ log n)-bit views in E6")
+	t.Notes = append(t.Notes, "compare the non-congested protocol's Θ(n³ log n)-bit views in E17")
 	return t, nil
 }
 
@@ -332,59 +332,6 @@ func E5DiamEstimate(p *E5Params) (*Table, error) {
 			fmt.Sprintf("%d", 4*n),
 			fmt.Sprintf("%.1f", math.Log2(float64(4*n))),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// E6Params configures E6.
-type E6Params struct {
-	Ns []int
-}
-
-// E6Tradeoff compares the congested algorithm against the non-congested
-// full-information baseline: rounds vs message bits.
-func E6Tradeoff(p *E6Params) (*Table, error) {
-	if p == nil {
-		p = &E6Params{Ns: []int{4, 6, 8, 10}}
-	}
-	t := &Table{
-		ID:    "E6",
-		Title: "congested O(log n)-bit algorithm vs non-congested view exchange",
-		Claim: "non-congested: Θ(n) rounds but Θ(n³ log n)-bit messages; " +
-			"congested: O(n³) rounds with O(log n)-bit messages",
-		Header: []string{"n", "cong rounds", "cong bits", "non-cong rounds", "non-cong bits",
-			"bits ratio"},
-	}
-	t.Rows = make([][]string, len(p.Ns))
-	t.Timings = make([]*trace.Timing, len(p.Ns))
-	err := sweep(len(p.Ns), func(i int) error {
-		n := p.Ns[i]
-		s := dynnet.NewRandomConnected(n, 0.3, 17)
-		res, err := core.Run(s, leaderIn(n), core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 6},
-			core.RunOptions{})
-		if err != nil {
-			return fmt.Errorf("E6 n=%d congested: %w", n, err)
-		}
-		nc, err := baseline.RunNonCongested(s, leaderIn(n), 0)
-		if err != nil {
-			return fmt.Errorf("E6 n=%d non-congested: %w", n, err)
-		}
-		if res.N != n || nc.N != n {
-			return fmt.Errorf("E6 n=%d: counts %d and %d", n, res.N, nc.N)
-		}
-		t.Rows[i] = []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", res.Stats.Rounds),
-			fmt.Sprintf("%d", res.Stats.MaxMessageBits),
-			fmt.Sprintf("%d", nc.Rounds),
-			fmt.Sprintf("%d", nc.MaxMessageBits),
-			fmt.Sprintf("%.1fx", float64(nc.MaxMessageBits)/float64(res.Stats.MaxMessageBits)),
-		}
-		t.Timings[i] = trace.TimingOf(res.Stats)
 		return nil
 	})
 	if err != nil {
@@ -650,7 +597,12 @@ func E11Generalized(p *E11Params) (*Table, error) {
 		Header: []string{"input", "true count", "computed"},
 	}
 	allMatch := true
-	for in, c := range want {
+	for _, in := range inputs { // input order, so the rows are deterministic
+		c, ok := want[in]
+		if !ok {
+			continue
+		}
+		delete(want, in)
 		got := res.Multiset[in]
 		if got != c {
 			allMatch = false

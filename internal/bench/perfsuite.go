@@ -6,12 +6,12 @@ import (
 	"runtime"
 	"testing"
 
-	"anondyn/internal/baseline"
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
 	"anondyn/internal/faults"
 	"anondyn/internal/historytree"
+	"anondyn/internal/linear"
 )
 
 // NamedBench couples a benchmark-regression suite entry with its body.
@@ -21,11 +21,12 @@ type NamedBench struct {
 }
 
 // PerfSuite returns the benchmark-regression suite behind `make bench`:
-// the solver-heavy experiment runs (E2 at its largest n, E4, E6) plus the
-// solver and engine microbenchmarks, each in an incremental and — where
-// the distinction exists — a from-scratch variant so a single run yields
-// the speedup ratio. The names match the testing.B entries of the same
-// code paths (root bench_test.go, internal/historytree, internal/engine).
+// the solver-heavy experiment runs (E2 at its largest n, E4, E17's linear
+// backend at n=10) plus the solver and engine microbenchmarks, each in an
+// incremental and — where the distinction exists — a from-scratch variant
+// so a single run yields the speedup ratio. The names match the testing.B
+// entries of the same code paths (root bench_test.go, internal/historytree,
+// internal/engine).
 func PerfSuite() []NamedBench {
 	suite := []NamedBench{
 		// SolverFromScratch runs the modular backend (the default since
@@ -36,16 +37,16 @@ func PerfSuite() []NamedBench {
 		{Name: "SolverFromScratch/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
 		{Name: "SolverBig/n=16", Bench: solverBench(16, false, historytree.ArithBig)},
 		{Name: "SolverIncremental/n=16", Bench: solverBench(16, true, historytree.ArithModular)},
-		{Name: "E2Count/n=12", Bench: e2Bench(12, false)},
+		{Name: "E2Count/n=12", Bench: e2Bench(12)},
 		// The n=24 and n=48 points record how the history-tree/VHT layer
 		// scales, not just the E2 sweep's largest published point; n=48 is
 		// the scaling point the modular solver makes affordable.
-		{Name: "E2Count/n=24", Bench: e2Bench(24, false)},
-		{Name: "E2Count/n=48", Bench: e2Bench(48, false)},
+		{Name: "E2Count/n=24", Bench: e2Bench(24)},
+		{Name: "E2Count/n=48", Bench: e2Bench(48)},
 		// n=96 is the routine-scale target of the PR 8 scheduler/compaction
 		// work: one full counting run at double the previous largest point,
 		// kept in the suite so its cost curve is tracked like any other.
-		{Name: "E2Count/n=96", Bench: e2Bench(96, false)},
+		{Name: "E2Count/n=96", Bench: e2Bench(96)},
 		// The fault sweep records what in-model faults cost: the spike
 		// drives the error/reset machinery (more rounds, same answer), the
 		// storm multiplies delivered links (more per-round work). They
@@ -133,12 +134,11 @@ func solverBench(n int, incremental bool, arith historytree.Arith) func(b *testi
 	}
 }
 
-// e2Bench is one full counting run at E2's largest sweep point, with the
-// FromScratchCount ablation toggling the incremental solver.
-func e2Bench(n int, fromScratch bool) func(b *testing.B) {
+// e2Bench is one full counting run at E2's largest sweep point.
+func e2Bench(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		s := dynnet.NewRandomConnected(n, 0.3, 1)
-		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 6, FromScratchCount: fromScratch}
+		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 6}
 		for i := 0; i < b.N; i++ {
 			res, err := core.Run(s, leaderIn(n), cfg, core.RunOptions{})
 			if err != nil {
@@ -253,12 +253,16 @@ func e4Bench(n int) func(b *testing.B) {
 	}
 }
 
-// e6Bench is the E6 non-congested baseline at its largest sweep point.
+// e6Bench is the non-congested full-information protocol (the linear
+// backend) at the largest n of the old E6 sweep, now part of E17. The
+// entry keeps its name so reports still compare against earlier
+// snapshots, whose rows measured the retired baseline copy.
 func e6Bench(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		s := dynnet.NewRandomConnected(n, 0.3, 17)
+		cfg := linear.Config{Mode: core.ModeLeader}
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.RunNonCongested(s, leaderIn(n), 0)
+			res, err := linear.Run(s, leaderIn(n), cfg, core.RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -16,16 +16,16 @@ type E17Params struct {
 
 // E17ProtocolTradeoff runs the congested backend and the linear
 // full-information backend over the SAME schedules and tabulates the
-// measured rounds-vs-bits tradeoff: the linear protocol terminates in
-// Θ(n) rounds where the congested one needs O(n³ log n), but pays with
-// messages that grow to Θ(n³ log n) bits where the congested protocol
-// sends O(log n). Both counts are cross-checked against each other and
-// against n — this table IS the differential suite at experiment scale,
-// not a hand-written comparison (unlike E6, which compares against the
-// instrumented baseline rather than the full sibling backend).
+// measured rounds-vs-bits tradeoff the paper argues from (Sections 1.1
+// and 6): the linear protocol terminates in Θ(n) rounds where the
+// congested one needs O(n³ log n), but pays with messages that grow to
+// Θ(n³ log n) bits where the congested protocol sends O(log n). Both
+// counts are cross-checked against each other and against n — this
+// table IS the differential suite at experiment scale, not a
+// hand-written comparison.
 func E17ProtocolTradeoff(p *E17Params) (*Table, error) {
 	if p == nil {
-		p = &E17Params{Ns: []int{12, 24, 48}}
+		p = &E17Params{Ns: []int{4, 6, 8, 10, 12, 24, 48}}
 	}
 	t := &Table{
 		ID:    "E17",

@@ -69,7 +69,6 @@ func All() []Experiment {
 		{ID: "E3", Name: "message size vs n (Corollary 4.9)", Run: func() (*Table, error) { return E3MessageBits(nil) }},
 		{ID: "E4", Name: "red-edge amortization (Lemma 4.6)", Run: func() (*Table, error) { return E4RedEdges(nil) }},
 		{ID: "E5", Name: "diameter estimate and resets (Lemma 4.7)", Run: func() (*Table, error) { return E5DiamEstimate(nil) }},
-		{ID: "E6", Name: "congested vs non-congested tradeoff", Run: func() (*Table, error) { return E6Tradeoff(nil) }},
 		{ID: "E7", Name: "token-forwarding comparison", Run: func() (*Table, error) { return E7TokenForward(nil) }},
 		{ID: "E8", Name: "leaderless computation (Section 5)", Run: func() (*Table, error) { return E8Leaderless(nil) }},
 		{ID: "E9", Name: "T-union-connected networks (Section 5)", Run: func() (*Table, error) { return E9UnionConnected(nil) }},

@@ -18,6 +18,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 
@@ -179,6 +180,40 @@ func VerifyAnswer(inputs []historytree.Input, res *core.RunResult) error {
 		return errors.New("check: nil RunResult")
 	}
 	return New(inputs).verifyAnswer(res)
+}
+
+// VerifyWitness re-solves a completed run's final VHT at every level up
+// to the decision level under both arithmetic backends of the counting
+// solver, and reports the first level where the multi-modular answer
+// differs from the big.Int witness's, in its Known flag or its answer.
+// It also rejects a run whose own solver fell back to the witness, which
+// means the modular backend failed to certify (DESIGN.md decision 12).
+// The run must have kept an uncompacted tree.
+func VerifyWitness(res *core.RunResult) error {
+	if res == nil || res.VHT == nil {
+		return errors.New("check: no VHT to re-solve")
+	}
+	if res.Stats.SolverWitnessFalls != 0 {
+		return fmt.Errorf("check: solver fell back to the big.Int witness %d times", res.Stats.SolverWitnessFalls)
+	}
+	for l := 0; l <= res.Stats.Levels; l++ {
+		var mod, big any
+		var modErr, bigErr error
+		if res.Frequencies != nil {
+			mod, modErr = historytree.FrequenciesWith(res.VHT, l, historytree.ArithModular)
+			big, bigErr = historytree.FrequenciesWith(res.VHT, l, historytree.ArithBig)
+		} else {
+			mod, modErr = historytree.CountWith(res.VHT, l, historytree.ArithModular)
+			big, bigErr = historytree.CountWith(res.VHT, l, historytree.ArithBig)
+		}
+		if modErr != nil || bigErr != nil {
+			return fmt.Errorf("check: level %d: modular error %v, big.Int error %v", l, modErr, bigErr)
+		}
+		if !reflect.DeepEqual(mod, big) {
+			return fmt.Errorf("check: level %d: modular %+v, big.Int witness %+v", l, mod, big)
+		}
+	}
+	return nil
 }
 
 // verifyAnswer compares the run's output with ground truth computed

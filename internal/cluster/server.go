@@ -115,7 +115,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // every replica maps to 502.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var spec service.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := service.DecodeStrict(r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decode job spec: %v", err)
 		return
 	}
@@ -154,7 +154,7 @@ type sweepEvent struct {
 // flush (the proxy-buffering backstop) does the same.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := service.DecodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "decode sweep request: %v", err)
 		return
 	}

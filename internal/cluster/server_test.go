@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -153,6 +154,33 @@ func TestClusterServerSingleJob(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid spec got status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestClusterServerRejectsUnknownFields pins that the coordinator decodes
+// requests the way a backend does: an unknown or retired spec field in
+// /v1/jobs or /v1/sweep is a 400 naming the field, and nothing is routed.
+func TestClusterServerRejectsUnknownFields(t *testing.T) {
+	b := newBackend(t, 1, "")
+	srv, c := newClusterServer(t, Config{Backends: []string{b.Addr()}, ProbeInterval: -1})
+	base := "http://" + srv.Addr()
+	for _, tc := range []struct{ path, body, field string }{
+		{"/v1/jobs", `{"n":4,"lederless":true}`, "lederless"},
+		{"/v1/jobs", `{"n":4,"arithmetic":"big"}`, "arithmetic"},
+		{"/v1/sweep", `{"specs":[{"n":4},{"n":5,"private_vht":true}]}`, "private_vht"},
+	} {
+		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `\"`+tc.field+`\"`) {
+			t.Errorf("%s %s: status %d body %s, want 400 naming the field", tc.path, tc.body, resp.StatusCode, msg)
+		}
+	}
+	if m := c.MetricsSnapshot(); m.JobsRouted != 0 {
+		t.Fatalf("rejected requests were routed: %+v", m)
 	}
 }
 

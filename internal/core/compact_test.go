@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"anondyn/internal/dynnet"
@@ -114,18 +113,5 @@ func TestCompactVHTPeakReduction(t *testing.T) {
 	} else {
 		t.Logf("peak resident nodes: %d → %d (%.1fx)",
 			off.Stats.PeakResidentNodes, on.Stats.PeakResidentNodes, ratio)
-	}
-}
-
-// TestCompactVHTRejectsFromScratch pins the Validate guard: the
-// from-scratch solver re-reads released levels and must be refused.
-func TestCompactVHTRejectsFromScratch(t *testing.T) {
-	cfg := Config{Mode: ModeLeader, CompactVHT: true, FromScratchCount: true}
-	err := cfg.Validate(leaderInputs(4))
-	if err == nil {
-		t.Fatal("Validate accepted CompactVHT + FromScratchCount")
-	}
-	if !strings.Contains(err.Error(), "CompactVHT") {
-		t.Fatalf("error %q does not name CompactVHT", err)
 	}
 }

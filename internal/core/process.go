@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"time"
 
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
@@ -111,10 +110,8 @@ type Process struct {
 	// solver is the persistent incremental counting solver, kept across
 	// constructLevel iterations so each level's balance equations are
 	// eliminated exactly once; it watches the VHT's truncation generation
-	// and rebuilds itself after resets. scratchStats mirrors its counters
-	// when the FromScratchCount ablation bypasses it.
-	solver       *historytree.Solver
-	scratchStats historytree.SolverStats
+	// and rebuilds itself after resets.
+	solver *historytree.Solver
 }
 
 // pendingOutput is a resolved count waiting out its confirmation window.
@@ -222,7 +219,7 @@ func (p *Process) initialize() {
 	}
 	p.initialID = p.myID
 	p.nextFreshID = 2
-	p.solver = historytree.NewSolverWith(p.cfg.Arithmetic)
+	p.solver = historytree.NewSolver()
 	p.snapshots = make(map[int]snapshot)
 	p.diamEstimate = 1
 	if p.cfg.Mode == ModeLeaderless {
@@ -380,9 +377,8 @@ func (p *Process) emitPending() (any, error) {
 	}, nil
 }
 
-// countNow evaluates the cardinality solver after a completed level,
-// through the persistent incremental Solver or, under the FromScratchCount
-// ablation, the reference implementation (timed for comparability).
+// countNow evaluates the persistent incremental Solver after a completed
+// level.
 func (p *Process) countNow() (historytree.CountResult, error) {
 	if g := p.group; g != nil {
 		// The solver memoizes balance pairs on the tree and the level graph
@@ -390,14 +386,7 @@ func (p *Process) countNow() (historytree.CountResult, error) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	if !p.cfg.FromScratchCount {
-		return p.solver.CountAt(p.vht, p.currentLevel)
-	}
-	start := time.Now()
-	res, err := historytree.CountWith(p.vht, p.currentLevel, p.cfg.Arithmetic)
-	p.scratchStats.Calls++
-	p.scratchStats.SolveTime += time.Since(start)
-	return res, err
+	return p.solver.CountAt(p.vht, p.currentLevel)
 }
 
 // frequenciesNow is countNow's leaderless counterpart.
@@ -406,21 +395,11 @@ func (p *Process) frequenciesNow() (historytree.FrequencyResult, error) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 	}
-	if !p.cfg.FromScratchCount {
-		return p.solver.FrequenciesAt(p.vht, p.currentLevel)
-	}
-	start := time.Now()
-	res, err := historytree.FrequenciesWith(p.vht, p.currentLevel, p.cfg.Arithmetic)
-	p.scratchStats.Calls++
-	p.scratchStats.SolveTime += time.Since(start)
-	return res, err
+	return p.solver.FrequenciesAt(p.vht, p.currentLevel)
 }
 
 // solverStats returns the counting work this process has done.
 func (p *Process) solverStats() historytree.SolverStats {
-	if p.cfg.FromScratchCount {
-		return p.scratchStats
-	}
 	if p.solver == nil {
 		return historytree.SolverStats{}
 	}

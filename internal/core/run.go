@@ -36,16 +36,15 @@ type RunStats struct {
 	// goes (see the perf appendix of EXPERIMENTS.md).
 	SolverTime  time.Duration
 	SolverCalls int
-	// Multi-modular backend counters of the deciding process's solver
-	// (all zero under Arithmetic: historytree.ArithBig): the battery size
-	// reached, CRT ray reconstructions, unlucky-prime evictions, and
-	// fallbacks to the big.Int exactness witness.
+	// Multi-modular backend counters of the deciding process's solver:
+	// the battery size reached, CRT ray reconstructions, unlucky-prime
+	// evictions, and fallbacks to the big.Int exactness witness.
 	SolverPrimes       int
 	SolverCRTRecons    int
 	SolverEvictions    int
 	SolverWitnessFalls int
 	// Cross-process structural-sharing counters (all zero when sharing is
-	// off — PrivateVHT, single-process runs, FineGrainedReset):
+	// off — single-process runs, FineGrainedReset):
 	// SharedApplies is the number of structural operations applied to the
 	// shared state (each the collapse of what was previously n identical
 	// applications), SharedHits the number of O(1) log verifications that
@@ -118,16 +117,22 @@ type RunOptions struct {
 // wires a Recorder if none was supplied, and verifies cross-process
 // agreement on the answer before returning.
 func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts RunOptions) (*RunResult, error) {
-	return run(engine.Config{Schedule: s}, s.N(), inputs, cfg, opts)
+	return run(engine.Config{Schedule: s}, s.N(), inputs, cfg, opts, true)
 }
 
 // RunAdaptive is Run against a reactive (strongly adaptive) adversary that
 // chooses each round's multigraph after seeing the messages in flight.
 func RunAdaptive(a engine.AdaptiveSchedule, inputs []historytree.Input, cfg Config, opts RunOptions) (*RunResult, error) {
-	return run(engine.Config{Adaptive: a}, a.N(), inputs, cfg, opts)
+	return run(engine.Config{Adaptive: a}, a.N(), inputs, cfg, opts, true)
 }
 
-func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts RunOptions) (*RunResult, error) {
+// run executes the protocol. share enables cross-process structural
+// sharing (DESIGN.md decision 15); the exported entry points always ask
+// for it, and the sharing equivalence tests pass false to run the
+// private per-process path they compare against. Sharing is skipped
+// regardless for single-process runs and under FineGrainedReset, whose
+// journal replay re-applies messages the shared state already holds.
+func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts RunOptions, share bool) (*RunResult, error) {
 	if err := cfg.Validate(inputs); err != nil {
 		return nil, err
 	}
@@ -141,7 +146,7 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 	procs := make([]engine.Coroutine, n)
 	leaderPID := -1
 	var grp *shareGroup
-	if n > 1 && !cfg.PrivateVHT && !cfg.FineGrainedReset {
+	if share && n > 1 && !cfg.FineGrainedReset {
 		grp = newShareGroup(cfg, n)
 	}
 	for i, in := range inputs {

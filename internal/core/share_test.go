@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,13 +12,14 @@ import (
 )
 
 // share_test.go pins cross-process structural sharing (share.go, DESIGN.md
-// decision 15): a shared run must be indistinguishable from a PrivateVHT
-// run in every observable — answer, rounds, levels, message totals, tree
-// bytes, compaction counters — while actually collapsing the n-fold work
-// (hits ≫ applies). Forks can occur even in-model (a double broadcast
-// failure slips a divergent message past the ack comparison); they must
-// not change any observable, because the fork replays the member's exact
-// verified prefix and the member rejoins at the protocol's own reset.
+// decision 15): a shared run must be indistinguishable from a private
+// per-process run in every observable — answer, rounds, levels, message
+// totals, tree bytes, compaction counters — while actually collapsing the
+// n-fold work (hits ≫ applies). Forks can occur even in-model (a double
+// broadcast failure slips a divergent message past the ack comparison);
+// they must not change any observable, because the fork replays the
+// member's exact verified prefix and the member rejoins at the protocol's
+// own reset.
 
 // runPair executes the same job with sharing on and off and returns
 // (shared, private).
@@ -27,8 +29,7 @@ func runPair(t *testing.T, s dynnet.Schedule, inputs []historytree.Input, cfg Co
 	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
-	cfg.PrivateVHT = true
-	private, err := Run(s, inputs, cfg, opts)
+	private, err := run(engine.Config{Schedule: s}, s.N(), inputs, cfg, opts, false)
 	if err != nil {
 		t.Fatalf("private run: %v", err)
 	}
@@ -80,24 +81,49 @@ func requireSameResult(t *testing.T, shared, private *RunResult) {
 	}
 }
 
+// requireWitnessAgrees re-solves a leader run's final VHT at every level
+// up to the decision level under both arithmetic backends: the modular
+// count must equal the big.Int witness's (same Known flag, same answer),
+// and the run's own modular solver must never have fallen back to the
+// witness. It is the leader-mode part of check.VerifyWitness, which this
+// package cannot import.
+func requireWitnessAgrees(t *testing.T, res *RunResult) {
+	t.Helper()
+	if res.Stats.SolverWitnessFalls != 0 {
+		t.Fatalf("solver fell back to the big.Int witness %d times", res.Stats.SolverWitnessFalls)
+	}
+	for l := 0; l <= res.Stats.Levels; l++ {
+		mod, modErr := historytree.CountWith(res.VHT, l, historytree.ArithModular)
+		big, bigErr := historytree.CountWith(res.VHT, l, historytree.ArithBig)
+		if modErr != nil || bigErr != nil {
+			t.Fatalf("level %d: modular error %v, big error %v", l, modErr, bigErr)
+		}
+		if !reflect.DeepEqual(mod, big) {
+			t.Fatalf("level %d: modular %+v, big %+v", l, mod, big)
+		}
+	}
+}
+
 // TestSharedVHTEquivalence sweeps the configuration surface: modes,
-// extensions, arithmetic backends, compaction, and batching must all be
-// byte-equivalent between shared and private runs.
+// extensions, compaction, and batching must all be byte-equivalent
+// between shared and private runs. The leader-bigint row also re-solves
+// the shared run's tree under the big.Int witness.
 func TestSharedVHTEquivalence(t *testing.T) {
 	cases := []struct {
 		name       string
 		cfg        Config
 		n          int
 		leaderless bool
+		witness    bool
 	}{
-		{"leader-basic", Config{Mode: ModeLeader}, 12, false},
-		{"leader-inputs", Config{Mode: ModeLeader, BuildInputLevel: true}, 10, false},
-		{"leader-batch", Config{Mode: ModeLeader, BatchSize: 4}, 10, false},
-		{"leader-compact", Config{Mode: ModeLeader, CompactVHT: true}, 14, false},
-		{"leader-bigint", Config{Mode: ModeLeader, Arithmetic: historytree.ArithBig}, 9, false},
-		{"leader-halt", Config{Mode: ModeLeader, SimultaneousHalt: true}, 8, false},
-		{"leaderless", Config{Mode: ModeLeaderless}, 10, true},
-		{"leaderless-compact", Config{Mode: ModeLeaderless, CompactVHT: true}, 12, true},
+		{"leader-basic", Config{Mode: ModeLeader}, 12, false, false},
+		{"leader-inputs", Config{Mode: ModeLeader, BuildInputLevel: true}, 10, false, false},
+		{"leader-batch", Config{Mode: ModeLeader, BatchSize: 4}, 10, false, false},
+		{"leader-compact", Config{Mode: ModeLeader, CompactVHT: true}, 14, false, false},
+		{"leader-bigint", Config{Mode: ModeLeader}, 9, false, true},
+		{"leader-halt", Config{Mode: ModeLeader, SimultaneousHalt: true}, 8, false, false},
+		{"leaderless", Config{Mode: ModeLeaderless}, 10, true, false},
+		{"leaderless-compact", Config{Mode: ModeLeaderless, CompactVHT: true}, 12, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,6 +148,9 @@ func TestSharedVHTEquivalence(t *testing.T) {
 				s := dynnet.NewRandomConnected(tc.n, 0.4, seed)
 				shared, private := runPair(t, s, inputs, cfg, RunOptions{})
 				requireSameResult(t, shared, private)
+				if tc.witness {
+					requireWitnessAgrees(t, shared)
+				}
 				if shared.Stats.SharedForks != 0 && shared.Stats.Resets == 0 {
 					// A fork needs a divergent acceptance, which the ack
 					// machinery always catches with a reset eventually.

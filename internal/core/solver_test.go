@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"anondyn/internal/dynnet"
@@ -122,28 +123,34 @@ func TestSolverSurvivesProtocolResets(t *testing.T) {
 	}
 }
 
-// TestFromScratchAblationMatches runs the same schedules with and without
-// the incremental solver; every protocol-visible quantity must agree.
+// TestFromScratchAblationMatches replays the deciding process's solver
+// queries on each run's final VHT: the incremental Solver the protocol
+// consults and the from-scratch Count reference must give the same
+// answer at every level, so the run cannot depend on which one decides.
 func TestFromScratchAblationMatches(t *testing.T) {
 	for _, seed := range []int64{1, 42, 77} {
 		n := 7
-		mk := func() dynnet.Schedule { return dynnet.NewRandomConnected(n, 0.4, seed) }
-		inc, err := Run(mk(), leaderInputs(n),
+		res, err := Run(dynnet.NewRandomConnected(n, 0.4, seed), leaderInputs(n),
 			Config{Mode: ModeLeader, MaxLevels: 4 * n}, RunOptions{})
 		if err != nil {
-			t.Fatalf("seed %d incremental: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ref, err := Run(mk(), leaderInputs(n),
-			Config{Mode: ModeLeader, MaxLevels: 4 * n, FromScratchCount: true}, RunOptions{})
-		if err != nil {
-			t.Fatalf("seed %d from-scratch: %v", seed, err)
+		if res.N != n {
+			t.Fatalf("seed %d: counted %d, want %d", seed, res.N, n)
 		}
-		if inc.N != ref.N || inc.Stats.Rounds != ref.Stats.Rounds ||
-			inc.Stats.Levels != ref.Stats.Levels || inc.Stats.Resets != ref.Stats.Resets {
-			t.Errorf("seed %d: incremental %+v vs from-scratch %+v", seed, inc.Stats, ref.Stats)
-		}
-		if !historytree.Isomorphic(inc.VHT, ref.VHT) {
-			t.Errorf("seed %d: VHTs differ between solver modes", seed)
+		solver := historytree.NewSolver()
+		for l := 0; l <= res.VHT.Depth(); l++ {
+			inc, err := solver.CountAt(res.VHT, l)
+			if err != nil {
+				t.Fatalf("seed %d level %d: CountAt: %v", seed, l, err)
+			}
+			ref, err := historytree.Count(res.VHT, l)
+			if err != nil {
+				t.Fatalf("seed %d level %d: Count: %v", seed, l, err)
+			}
+			if !reflect.DeepEqual(inc, ref) {
+				t.Errorf("seed %d level %d: incremental %+v, from-scratch %+v", seed, l, inc, ref)
+			}
 		}
 	}
 }

@@ -23,14 +23,6 @@ const (
 	ArithBig
 )
 
-// String names the backend the way the cadn -arith flag spells it.
-func (a Arith) String() string {
-	if a == ArithBig {
-		return "big"
-	}
-	return "modular"
-}
-
 // CountWith is Count under the selected arithmetic backend.
 func CountWith(t *Tree, completeLevels int, a Arith) (CountResult, error) {
 	if a == ArithBig {

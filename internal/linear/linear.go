@@ -64,9 +64,6 @@ type Config struct {
 	// guaranteed within O(n) levels in-model, so tests set this to catch
 	// divergence under out-of-model faults.
 	MaxLevels int
-	// Arithmetic selects the counting solver's exact-arithmetic backend,
-	// as in core.Config.
-	Arithmetic historytree.Arith
 }
 
 // blockT normalizes BlockT to ≥ 1.

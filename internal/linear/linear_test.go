@@ -36,6 +36,7 @@ func TestLinearCountsTopologies(t *testing.T) {
 			{"path", dynnet.NewStatic(dynnet.Path(n))},
 			{"complete", dynnet.NewStatic(dynnet.Complete(n))},
 			{"shifting-path", dynnet.NewShiftingPath(n)},
+			{"rotating-star", dynnet.NewRotatingStar(n)},
 		} {
 			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
 				cfg := linear.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
@@ -46,11 +47,33 @@ func TestLinearCountsTopologies(t *testing.T) {
 				if res.N != n {
 					t.Fatalf("counted %d, want %d", res.N, n)
 				}
+				if res.Stats.Rounds > 4*n+16 {
+					t.Errorf("took %d rounds, expected Θ(n)", res.Stats.Rounds)
+				}
 				if res.Stats.TotalBits <= 0 || res.Stats.MaxMessageBits <= 0 {
 					t.Fatalf("missing bit accounting: %+v", res.Stats)
 				}
 			})
 		}
+	}
+}
+
+// TestLinearMessageGrowth pins the cost side of the tradeoff: views must
+// grow super-linearly in n — that is the point of the congested
+// algorithm — so doubling n from 4 to 8 must at least quadruple the
+// largest message.
+func TestLinearMessageGrowth(t *testing.T) {
+	bits := make(map[int]int)
+	for _, n := range []int{4, 8} {
+		res, err := linear.Run(dynnet.NewRandomConnected(n, 0.5, 9), leaderIn(n),
+			linear.Config{Mode: core.ModeLeader}, core.RunOptions{})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		bits[n] = res.Stats.MaxMessageBits
+	}
+	if bits[8] < 4*bits[4] {
+		t.Errorf("views grew only from %d to %d bits; expected ≥ 4x growth", bits[4], bits[8])
 	}
 }
 

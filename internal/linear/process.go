@@ -276,7 +276,7 @@ func (p *process) decide(depth int, classes []int32, tr *engine.Transport) (*cor
 // countAt runs the counting solver with timing accounted to the process.
 func (p *process) countAt(tree *historytree.Tree, c int) (historytree.CountResult, error) {
 	start := time.Now()
-	res, err := historytree.CountWith(tree, c, p.cfg.Arithmetic)
+	res, err := historytree.CountModular(tree, c)
 	p.solveTime += time.Since(start)
 	p.solveCalls++
 	return res, err
@@ -286,7 +286,7 @@ func (p *process) countAt(tree *historytree.Tree, c int) (historytree.CountResul
 // process.
 func (p *process) frequenciesAt(tree *historytree.Tree, c int) (historytree.FrequencyResult, error) {
 	start := time.Now()
-	res, err := historytree.FrequenciesWith(tree, c, p.cfg.Arithmetic)
+	res, err := historytree.FrequenciesModular(tree, c)
 	p.solveTime += time.Since(start)
 	p.solveCalls++
 	return res, err

@@ -192,9 +192,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := DecodeStrict(r.Body, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "decode job spec: %v", err)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"runtime"
 	"strings"
@@ -251,7 +252,8 @@ func TestServerEndToEnd(t *testing.T) {
 }
 
 // TestServerRejectsUnknownFields guards the API contract: a typo in a spec
-// field is an error, not a silently defaulted knob.
+// field, or a field the spec no longer has, is a 400 naming the field, not
+// a silently defaulted knob.
 func TestServerRejectsUnknownFields(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Workers: 1, CacheSize: 4, QueueSize: 4})
 	if err != nil {
@@ -263,13 +265,20 @@ func TestServerRejectsUnknownFields(t *testing.T) {
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	}()
-	resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"n":4,"topologyy":"path"}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	for field, body := range map[string]string{
+		"topologyy":   `{"n":4,"topologyy":"path"}`,
+		"arithmetic":  `{"n":4,"arithmetic":"big"}`,
+		"private_vht": `{"n":4,"private_vht":true}`,
+	} {
+		resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
+			bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `\"`+field+`\"`) {
+			t.Errorf("%s: status %d body %s, want 400 naming the field", field, resp.StatusCode, msg)
+		}
 	}
 }

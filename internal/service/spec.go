@@ -21,6 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -49,12 +50,11 @@ type JobSpec struct {
 	// PODC 2023 congested protocol (internal/core, O(T·n³ log n) rounds,
 	// O(log n)-bit messages), "linear" for the FOCS 2022 full-information
 	// protocol (internal/linear, Θ(T·n) rounds, messages growing to
-	// Θ(n³ log n) bits). Unlike Scheduler or Arithmetic this is a
-	// semantic knob: answers agree (pinned by the cross-protocol
-	// equivalence suite) but rounds and bit accounting differ, so the
-	// spec hash keeps it. The congested-only extensions (halt, fine,
-	// batch, keepAll, eager, compact, privatevht, the isolator adversary)
-	// are rejected under "linear".
+	// Θ(n³ log n) bits). Unlike Scheduler this is a semantic knob:
+	// answers agree (pinned by the cross-protocol equivalence suite) but
+	// rounds and bit accounting differ, so the spec hash keeps it. The
+	// congested-only extensions (halt, fine, batch, keepAll, eager,
+	// compact, the isolator adversary) are rejected under "linear".
 	Protocol string `json:"protocol,omitempty"`
 	// Topology selects the adversary (see Topologies). "isolator" is the
 	// strongly adaptive worst case; the rest are oblivious schedules.
@@ -97,20 +97,6 @@ type JobSpec struct {
 	// fault plans a reset can outrun the compaction lag and abort the run
 	// with a structured error — prefer leaving it off with faults.
 	CompactVHT bool `json:"compact,omitempty"`
-	// PrivateVHT disables cross-process structural sharing: every process
-	// keeps its own VHT and applies every accepted message itself, as the
-	// pre-sharing code did. The default (false) shares one structure per
-	// run through a verified operation log. Results are identical (pinned
-	// by the core sharing equivalence suite), so the spec hash ignores it;
-	// it exists as an ablation knob for perf comparisons.
-	PrivateVHT bool `json:"private_vht,omitempty"`
-	// Arithmetic selects the counting solver's exact-arithmetic backend:
-	// "" or "modular" for the multi-modular residue/CRT default, "big"
-	// for the fraction-free big.Int eliminator kept as the exactness
-	// witness. Both backends produce identical results (pinned by the
-	// solver equivalence suite), so like Scheduler this is a
-	// performance/debugging knob the spec hash ignores.
-	Arithmetic string `json:"arithmetic,omitempty"`
 	// Faults is a fault-plan spec layered over the adversary (see
 	// internal/faults.Parse for the grammar, e.g. "spike:8:0"). Empty
 	// means fault-free. Out-of-model plans (drop, crash) require a
@@ -124,6 +110,17 @@ type JobSpec struct {
 	// watchdog error. 0 disarms it (fault-free and in-model runs always
 	// terminate on their own).
 	DeadlineMS int `json:"deadlineMS,omitempty"`
+}
+
+// DecodeStrict decodes one JSON value from r into v and rejects any field
+// v does not declare, so a misspelled or retired spec field (say
+// "lederless" or "arithmetic") is an error naming that field instead of a
+// silently defaulted knob. The backend and the coordinator decode every
+// request body with it.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Normalize fills defaulted fields in place so that equivalent specs hash
@@ -149,9 +146,6 @@ func (s *JobSpec) Normalize() {
 	}
 	if s.Scheduler == "sequential" {
 		s.Scheduler = "" // the default, spelled out
-	}
-	if s.Arithmetic == "modular" {
-		s.Arithmetic = "" // the default, spelled out
 	}
 	s.Faults = strings.TrimSpace(s.Faults)
 	if s.Faults == "" {
@@ -208,17 +202,12 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("eager is congested-only (the linear protocol has no confirmation window)")
 		case s.CompactVHT:
 			return fmt.Errorf("compact is congested-only (linear views must stay whole to be broadcast)")
-		case s.PrivateVHT:
-			return fmt.Errorf("privatevht is congested-only (the linear protocol always shares one interner)")
 		case s.Topology == "isolator":
 			return fmt.Errorf("the isolator adversary targets the congested protocol's leader; protocol linear unsupported")
 		}
 	}
 	if s.Scheduler != "" && s.Scheduler != "parallel" {
 		return fmt.Errorf("unknown scheduler %q (have sequential, parallel)", s.Scheduler)
-	}
-	if s.Arithmetic != "" && s.Arithmetic != "big" {
-		return fmt.Errorf("unknown arithmetic %q (have modular, big)", s.Arithmetic)
 	}
 	if len(s.Inputs) > 0 && len(s.Inputs) != s.N {
 		return fmt.Errorf("%d input values for %d processes", len(s.Inputs), s.N)
@@ -266,12 +255,9 @@ func (s JobSpec) Hash() string {
 	s.Normalize()
 	// All schedulers produce identical results (the engine's equivalence
 	// contract), so the choice must not fragment the result cache; the
-	// same holds for the arithmetic backends (the solver's equivalence
-	// contract) and for compaction (the core equivalence suite).
+	// same holds for compaction (the core equivalence suite).
 	s.Scheduler = ""
-	s.Arithmetic = ""
 	s.CompactVHT = false
-	s.PrivateVHT = false
 	// Protocol stays in the hash: both protocols return the same answer
 	// (the cross-protocol equivalence suite pins that), but the cached
 	// Result also carries rounds and bit accounting, which differ
@@ -349,10 +335,6 @@ func (s JobSpec) config() core.Config {
 		KeepAllLinks:     s.KeepAll,
 		EagerTermination: s.Eager,
 		CompactVHT:       s.CompactVHT,
-		PrivateVHT:       s.PrivateVHT,
-	}
-	if s.Arithmetic == "big" {
-		cfg.Arithmetic = historytree.ArithBig
 	}
 	if s.Leaderless {
 		cfg.Mode = core.ModeLeaderless
@@ -370,9 +352,6 @@ func (s JobSpec) linearConfig() linear.Config {
 		Mode:      core.ModeLeader,
 		BlockT:    s.BlockT,
 		MaxLevels: 3*s.N + 8,
-	}
-	if s.Arithmetic == "big" {
-		cfg.Arithmetic = historytree.ArithBig
 	}
 	if s.Leaderless {
 		cfg.Mode = core.ModeLeaderless

@@ -80,6 +80,23 @@ func TestSpecHashCanonical(t *testing.T) {
 	}
 }
 
+// TestSpecHashGolden pins the content hash of a few specs. The hash keys
+// every cached and stored result, so a change to JobSpec's fields or their
+// encoding must not move it: removed hash-neutral fields were zeroed and
+// omitempty, and their removal leaves these values unchanged.
+func TestSpecHashGolden(t *testing.T) {
+	for want, spec := range map[string]JobSpec{
+		"0df5e4441d5d60d3782b83a74796b6d36c7984c896c0ad30a8144332ef819389": {N: 5},
+		"0ad19e613822e831c1df889ca7125a879aa0b26b0693f4e0001da141b08d579a": {N: 5, Seed: 1, Halt: true, Batch: 2},
+		"00dbf25cb2b974fc860742ab2852ba497982a3b5e058261c87863dd27f9a3c93": {N: 24, Protocol: "linear"},
+		"6f8e9b8ce77b595ebb15a7b11e23da27572662e70a6e3b7594e5ca4793a86d27": {N: 5, Seed: 1, Faults: "spike:8:0"},
+	} {
+		if got := spec.Hash(); got != want {
+			t.Errorf("%+v: hash %s, want %s", spec, got, want)
+		}
+	}
+}
+
 func TestSpecSchedulerValues(t *testing.T) {
 	for _, ok := range []string{"", "sequential", "parallel"} {
 		if err := (JobSpec{N: 4, Scheduler: ok}).Validate(); err != nil {
