@@ -26,7 +26,9 @@ benchsmoke:
 # Native fuzzing smoke: each target gets FUZZTIME of coverage-guided
 # input generation on top of its checked-in testdata/fuzz corpus (which
 # alone is replayed by plain `go test`). New crashers are written under
-# testdata/fuzz/<Target>/ — check them in as regressions.
+# testdata/fuzz/<Target>/ — check them in as regressions. FuzzStoreSegment
+# does file I/O on every input, so its minimization is capped by count,
+# not time, to leave most of FUZZTIME for exploring.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzMessageCodec$$' -fuzztime=$(FUZZTIME) ./internal/wire
@@ -36,6 +38,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzBatchedRefine$$' -fuzztime=$(FUZZTIME) ./internal/historytree
 	$(GO) test -run='^$$' -fuzz='^FuzzProtocolEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/linear
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpec$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run='^$$' -fuzz='^FuzzStoreSegment$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=100x ./internal/store
 
 # The repo benchmark (BENCHMARK.json, perfbench/): a smoke run of every
 # workload with its answer checks, then the benchmark module's own tests

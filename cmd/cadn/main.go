@@ -61,7 +61,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		keepAll    = fs.Bool("keepall", false, "ablation: disable the Section 3.4 spanning-tree restriction")
 		eager      = fs.Bool("eager", false, "skip the confirmation window (pseudocode-literal termination)")
 		traceFlag  = fs.Bool("trace", false, "print a per-round protocol trace and summary")
-		scheduler  = fs.String("scheduler", "sequential", "engine scheduler: sequential (one shard, inline) or parallel (min(GOMAXPROCS, n) worker shards)")
 		compact    = fs.Bool("compact", false, "release consumed VHT levels (O(active view) memory; incompatible with faulty resets that rewind far)")
 		faultsFlag = fs.String("faults", "", "fault plan layered over the adversary, e.g. spike:8:0 or cut:3:20,storm:1:0:2 (see internal/faults)")
 		faultSeed  = fs.Int64("faultseed", 0, "fault-plan RNG seed (only the drop fault consumes it)")
@@ -71,7 +70,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	spec, err := buildSpec(*n, *protocol, *topology, *density, *seed, *blockT,
-		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll, *eager, *scheduler,
+		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll, *eager,
 		*compact, *faultsFlag, *faultSeed, *deadline)
 	if err != nil {
 		fmt.Fprintln(stderr, "cadn: invalid usage:", err)
@@ -88,7 +87,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 // Any error it returns is a usage error (exit status 2).
 func buildSpec(n int, protocol, topology string, density float64, seed int64, blockT int,
 	leaderless bool, inputsFlag string, halt bool, bitLimit int,
-	fine bool, batch int, keepAll, eager bool, scheduler string,
+	fine bool, batch int, keepAll, eager bool,
 	compact bool, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
 	spec := service.JobSpec{
 		N:          n,
@@ -104,7 +103,6 @@ func buildSpec(n int, protocol, topology string, density float64, seed int64, bl
 		Batch:      batch,
 		KeepAll:    keepAll,
 		Eager:      eager,
-		Scheduler:  scheduler,
 		CompactVHT: compact,
 		Faults:     faultsSpec,
 		FaultSeed:  faultSeed,

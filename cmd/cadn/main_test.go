@@ -133,12 +133,11 @@ func TestValidateFlagCombinations(t *testing.T) {
 		bitLimit   int
 		fine       bool
 		batch      int
-		scheduler  string
 		faults     string
 		faultSeed  int64
 		deadlineMS int
 	}
-	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1, scheduler: "sequential"}
+	ok := args{n: 4, protocol: "congested", topology: "random", density: 0.3, seed: 1, blockT: 1}
 	tests := []struct {
 		name    string
 		mut     func(*args)
@@ -171,8 +170,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{name: "isolator-with-T", mut: func(a *args) { a.topology = "isolator"; a.blockT = 3 }, wantErr: "isolator"},
 		{name: "inputs-count-mismatch", mut: func(a *args) { a.inputs = "1,2" }, wantErr: "input values"},
 		{name: "inputs-not-numeric", mut: func(a *args) { a.inputs = "a,b,c,d" }, wantErr: "-inputs value"},
-		{name: "unknown-scheduler", mut: func(a *args) { a.scheduler = "threads" }, wantErr: "unknown scheduler"},
-		{name: "parallel-scheduler-ok", mut: func(a *args) { a.scheduler = "parallel" }, wantErr: ""},
 		{name: "malformed-faults", mut: func(a *args) { a.faults = "spike:1" }, wantErr: "invalid fault plan"},
 		{name: "unknown-fault", mut: func(a *args) { a.faults = "meteor:1:0" }, wantErr: "unknown fault"},
 		{name: "crash-pid-out-of-range", mut: func(a *args) { a.faults = "crash:9:1:0"; a.deadlineMS = 100 },
@@ -189,7 +186,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 			a := ok
 			tt.mut(&a)
 			_, err := buildSpec(a.n, a.protocol, a.topology, a.density, a.seed, a.blockT,
-				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false, false, a.scheduler,
+				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false, false,
 				false, a.faults, a.faultSeed, a.deadlineMS)
 			if tt.wantErr == "" {
 				if err != nil {
@@ -273,19 +270,6 @@ func TestProtocolUsageError(t *testing.T) {
 	}
 }
 
-// TestRemovedSchedulerUsageError pins that the retired "concurrent"
-// scheduler is a usage error whose message lists the remaining values.
-func TestRemovedSchedulerUsageError(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := realMain([]string{"-n", "4", "-scheduler", "concurrent"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit code %d, want 2 (stderr: %s)", code, errOut.String())
-	}
-	want := "cadn: invalid usage: unknown scheduler \"concurrent\" (have sequential, parallel)\n"
-	if errOut.String() != want {
-		t.Fatalf("stderr %q, want %q", errOut.String(), want)
-	}
-}
-
 // TestExitCodes pins the CLI contract: usage errors exit 2, runtime
 // failures exit 1, success exits 0.
 func TestExitCodes(t *testing.T) {
@@ -307,9 +291,10 @@ func TestExitCodes(t *testing.T) {
 		{name: "unknown-protocol", args: []string{"-n", "4", "-protocol", "quantum"}, want: 2},
 		{name: "linear-halt", args: []string{"-n", "4", "-protocol", "linear", "-halt"}, want: 2},
 		{name: "linear-compact", args: []string{"-n", "4", "-protocol", "linear", "-compact"}, want: 2},
-		// Retired ablation flags are unknown flags, hence usage errors.
+		// Retired flags are unknown flags, hence usage errors.
 		{name: "removed-privatevht", args: []string{"-n", "4", "-privatevht"}, want: 2},
 		{name: "removed-arith", args: []string{"-n", "4", "-arith", "big"}, want: 2},
+		{name: "removed-scheduler", args: []string{"-n", "4", "-scheduler", "parallel"}, want: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -11,6 +11,7 @@ package baseline
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
@@ -55,23 +56,23 @@ func RunTokenForward(s dynnet.Schedule, bound int, seed int64) (*TokenForwardRes
 	space := int64(bound) * int64(bound) * int64(bound)
 
 	rng := rand.New(rand.NewSource(seed))
-	steppers := make([]engine.Stepper, n)
-	observer := (*tokenStepper)(nil)
-	for i := range steppers {
-		st := &tokenStepper{
-			rng:    rand.New(rand.NewSource(rng.Int63())),
-			known:  map[int64]bool{},
-			budget: rounds,
+	procs := make([]engine.Coroutine, n)
+	var observer *tokenProc
+	for i := range procs {
+		p := &tokenProc{
+			rng:   rand.New(rand.NewSource(rng.Int63())),
+			known: map[int64]bool{},
 		}
-		st.self = st.rng.Int63n(space)
-		st.known[st.self] = true
-		steppers[i] = st
+		p.known[p.rng.Int63n(space)] = true
+		procs[i] = engine.CoroutineFunc(func(t *engine.Transport) (any, error) {
+			return p.run(t, rounds)
+		})
 		if i == 0 {
-			observer = st
+			observer = p
 		}
 	}
 
-	res, err := engine.RunSteppers(engine.Config{
+	res, err := engine.Run(engine.Config{
 		Schedule:  s,
 		MaxRounds: rounds + 1,
 		SizeOf: func(m engine.Message) int {
@@ -81,7 +82,7 @@ func RunTokenForward(s dynnet.Schedule, bound int, seed int64) (*TokenForwardRes
 			}
 			return varintBits(tm.token)
 		},
-	}, steppers)
+	}, procs)
 	if err != nil {
 		return nil, err
 	}
@@ -92,48 +93,36 @@ func RunTokenForward(s dynnet.Schedule, bound int, seed int64) (*TokenForwardRes
 	}, nil
 }
 
-// tokenStepper is the per-process state machine.
-type tokenStepper struct {
-	rng    *rand.Rand
-	self   int64
-	known  map[int64]bool
-	budget int
-	steps  int
+// tokenProc is the per-process state: its private random source and the
+// set of tokens it has seen, its own included.
+type tokenProc struct {
+	rng   *rand.Rand
+	known map[int64]bool
 }
 
-var _ engine.Stepper = (*tokenStepper)(nil)
-
-// Compose forwards a uniformly random known token.
-func (t *tokenStepper) Compose() engine.Message {
-	tokens := make([]int64, 0, len(t.known))
-	for tok := range t.known {
-		tokens = append(tokens, tok)
-	}
-	// Deterministic order before sampling, so runs are reproducible.
-	for i := 1; i < len(tokens); i++ {
-		for j := i; j > 0 && tokens[j] < tokens[j-1]; j-- {
-			tokens[j], tokens[j-1] = tokens[j-1], tokens[j]
+// run forwards one uniformly random known token per round for the fixed
+// round budget, collecting every token it receives, and outputs the number
+// of distinct tokens seen.
+func (p *tokenProc) run(t *engine.Transport, rounds int) (any, error) {
+	tokens := make([]int64, 0, len(p.known))
+	for r := 0; r < rounds; r++ {
+		tokens = tokens[:0]
+		for tok := range p.known {
+			tokens = append(tokens, tok)
+		}
+		// Deterministic order before sampling, so runs are reproducible.
+		slices.Sort(tokens)
+		msgs, err := t.SendAndReceive(tokenMessage{token: tokens[p.rng.Intn(len(tokens))]})
+		if err != nil {
+			return nil, err
+		}
+		for _, raw := range msgs {
+			if tm, ok := raw.(tokenMessage); ok {
+				p.known[tm.token] = true
+			}
 		}
 	}
-	return tokenMessage{token: tokens[t.rng.Intn(len(tokens))]}
-}
-
-// Deliver collects received tokens.
-func (t *tokenStepper) Deliver(msgs []engine.Message) {
-	for _, raw := range msgs {
-		if tm, ok := raw.(tokenMessage); ok {
-			t.known[tm.token] = true
-		}
-	}
-	t.steps++
-}
-
-// Done terminates after the fixed round budget.
-func (t *tokenStepper) Done() (any, bool) {
-	if t.steps >= t.budget {
-		return len(t.known), true
-	}
-	return nil, false
+	return len(p.known), nil
 }
 
 // varintBits returns the size in bits of the unsigned varint encoding of

@@ -33,10 +33,10 @@ func PerfSuite() []NamedBench {
 		// PR 7); SolverBig keeps the big.Int witness measured so every
 		// report shows the modular-vs-exact ratio (PR 4's SolverFromScratch
 		// was the big.Int path: 63.2 ms/op, 945k allocs/op).
-		{Name: "SolverFromScratch/n=16", Bench: solverBench(16, false, historytree.ArithModular)},
-		{Name: "SolverFromScratch/n=24", Bench: solverBench(24, false, historytree.ArithModular)},
-		{Name: "SolverBig/n=16", Bench: solverBench(16, false, historytree.ArithBig)},
-		{Name: "SolverIncremental/n=16", Bench: solverBench(16, true, historytree.ArithModular)},
+		{Name: "SolverFromScratch/n=16", Bench: solverBench(16, fromScratch(historytree.CountModular))},
+		{Name: "SolverFromScratch/n=24", Bench: solverBench(24, fromScratch(historytree.CountModular))},
+		{Name: "SolverBig/n=16", Bench: solverBench(16, fromScratch(historytree.Count))},
+		{Name: "SolverIncremental/n=16", Bench: solverBench(16, func() countFunc { return historytree.NewSolver().CountAt })},
 		{Name: "E2Count/n=12", Bench: e2Bench(12)},
 		// The n=24 and n=48 points record how the history-tree/VHT layer
 		// scales, not just the E2 sweep's largest published point; n=48 is
@@ -57,8 +57,7 @@ func PerfSuite() []NamedBench {
 		{Name: "E2SolverReplayIncremental/n=12", Bench: e2SolverReplayBench(12, true)},
 		{Name: "E4RedEdges/n=10", Bench: e4Bench(10)},
 		{Name: "E6NonCongested/n=10", Bench: e6Bench(10)},
-		{Name: "EngineSchedulerSequential/n=32", Bench: engineBench(32, engine.SchedulerSequential)},
-		{Name: "EngineSchedulerParallel/n=32", Bench: engineBench(32, engine.SchedulerParallel)},
+		{Name: "EngineSchedulerSequential/n=32", Bench: engineBench(32)},
 		// n=192 is the PR 9 target: batched refinement plus cross-process
 		// structural sharing make one full counting run at this size a
 		// routine suite entry. CompactVHT keeps its resident set bounded,
@@ -99,11 +98,19 @@ func runEntries(suite []NamedBench, progress func(name string)) (PerfReport, err
 	return report, nil
 }
 
+// countFunc is one counting solve of a tree at a complete-level prefix.
+type countFunc func(t *historytree.Tree, completeLevels int) (historytree.CountResult, error)
+
+// fromScratch wraps a stateless from-scratch solve for solverBench.
+func fromScratch(count countFunc) func() countFunc {
+	return func() countFunc { return count }
+}
+
 // solverBench replays the protocol's access pattern — re-solving after
-// every completed level of a prebuilt history tree — through either the
-// from-scratch solve or the persistent incremental Solver, under the
-// given arithmetic backend.
-func solverBench(n int, incremental bool, arith historytree.Arith) func(b *testing.B) {
+// every completed level of a prebuilt history tree — through the solve
+// newCount returns. newCount is called once per iteration, so a stateful
+// (incremental) solver starts fresh each time.
+func solverBench(n int, newCount func() countFunc) func(b *testing.B) {
 	return func(b *testing.B) {
 		s := dynnet.NewRandomConnected(n, 0.3, 1)
 		inputs := make([]historytree.Input, n)
@@ -114,15 +121,9 @@ func solverBench(n int, incremental bool, arith historytree.Arith) func(b *testi
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			solver := historytree.NewSolverWith(arith)
+			count := newCount()
 			for l := 0; l <= 3*n; l++ {
-				var res historytree.CountResult
-				var err error
-				if incremental {
-					res, err = solver.CountAt(run.Tree, l)
-				} else {
-					res, err = historytree.CountWith(run.Tree, l, arith)
-				}
+				res, err := count(run.Tree, l)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,12 +274,10 @@ func e6Bench(n int) func(b *testing.B) {
 	}
 }
 
-// engineBench is the engine's dense-delivery microbenchmark under the
-// given scheduler: n processes echoing over a complete graph for 50 rounds
-// per iteration. The Sequential/Parallel pair guards the inline one-shard
-// hot path against regression and keeps the scheduler gap visible in every
-// report.
-func engineBench(n int, sched engine.Scheduler) func(b *testing.B) {
+// engineBench is the engine's dense-delivery microbenchmark: n processes
+// echoing over a complete graph for 50 rounds per iteration. It guards the
+// runner's inline hot path against regression.
+func engineBench(n int) func(b *testing.B) {
 	return func(b *testing.B) {
 		const rounds = 50
 		schedule := dynnet.NewStatic(dynnet.Complete(n))
@@ -294,7 +293,7 @@ func engineBench(n int, sched engine.Scheduler) func(b *testing.B) {
 					return nil, nil
 				})
 			}
-			cfg := engine.Config{Schedule: schedule, MaxRounds: rounds + 1, Scheduler: sched}
+			cfg := engine.Config{Schedule: schedule, MaxRounds: rounds + 1}
 			if _, err := engine.Run(cfg, procs); err != nil {
 				b.Fatal(err)
 			}

@@ -27,9 +27,7 @@ import (
 )
 
 // Checker validates protocol invariants live (as recorder events arrive)
-// and post-hoc (Verify). It is safe for concurrent use; processes under
-// the parallel scheduler report events from their shards' worker
-// goroutines.
+// and post-hoc (Verify). It is safe for concurrent use.
 type Checker struct {
 	n      int
 	inputs []historytree.Input
@@ -200,11 +198,11 @@ func VerifyWitness(res *core.RunResult) error {
 		var mod, big any
 		var modErr, bigErr error
 		if res.Frequencies != nil {
-			mod, modErr = historytree.FrequenciesWith(res.VHT, l, historytree.ArithModular)
-			big, bigErr = historytree.FrequenciesWith(res.VHT, l, historytree.ArithBig)
+			mod, modErr = historytree.FrequenciesModular(res.VHT, l)
+			big, bigErr = historytree.Frequencies(res.VHT, l)
 		} else {
-			mod, modErr = historytree.CountWith(res.VHT, l, historytree.ArithModular)
-			big, bigErr = historytree.CountWith(res.VHT, l, historytree.ArithBig)
+			mod, modErr = historytree.CountModular(res.VHT, l)
+			big, bigErr = historytree.Count(res.VHT, l)
 		}
 		if modErr != nil || bigErr != nil {
 			return fmt.Errorf("check: level %d: modular error %v, big.Int error %v", l, modErr, bigErr)

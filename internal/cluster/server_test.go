@@ -168,6 +168,8 @@ func TestClusterServerRejectsUnknownFields(t *testing.T) {
 		{"/v1/jobs", `{"n":4,"lederless":true}`, "lederless"},
 		{"/v1/jobs", `{"n":4,"arithmetic":"big"}`, "arithmetic"},
 		{"/v1/sweep", `{"specs":[{"n":4},{"n":5,"private_vht":true}]}`, "private_vht"},
+		{"/v1/jobs", `{"n":4,"scheduler":"parallel"}`, "scheduler"},
+		{"/v1/sweep", `{"specs":[{"n":4,"scheduler":"sequential"}]}`, "scheduler"},
 	} {
 		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

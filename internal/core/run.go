@@ -82,12 +82,14 @@ type RunResult struct {
 	Stats RunStats
 }
 
-// RunOptions bundles the engine-level knobs of Run.
+// RunOptions bundles the engine-level knobs of Run (linear.Run honors the
+// same set). Every run executes on the engine's one inline runner, so a
+// run is single-threaded; independent runs parallelize at the job level.
 type RunOptions struct {
 	// Ctx, if non-nil, cancels the run externally: when it is done, the
-	// engine stops every process goroutine promptly (no goroutines leak)
-	// and Run returns an error wrapping the context's cause. Nil means no
-	// external cancellation (context.Background()).
+	// engine stops the run at its next round boundary, unwinds every
+	// process coroutine, and Run returns an error wrapping the context's
+	// cause. Nil means no external cancellation (context.Background()).
 	Ctx context.Context
 	// MaxRounds caps the run; 0 derives a generous default from n and the
 	// configuration (≈ 400·T·n³·log n real rounds plus slack).
@@ -103,13 +105,6 @@ type RunOptions struct {
 	// Trace, if non-nil, observes every round's sent messages (see
 	// internal/trace for a ready-made logger).
 	Trace func(round int, sent []engine.Message)
-	// Scheduler selects how the engine's coroutine runner shards the process
-	// ring. The zero value is engine.SchedulerSequential, one shard run
-	// inline on the caller's goroutine; engine.SchedulerParallel shards the
-	// ring across min(GOMAXPROCS, n) worker goroutines behind a two-phase
-	// barrier. Both give the same Result and Trace; on a 2-core host the
-	// parallel scheduler is not faster (EXPERIMENTS.md).
-	Scheduler engine.Scheduler
 }
 
 // Run executes the configured protocol over the schedule with the given
@@ -168,7 +163,6 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 	ecfg.SizeOf = newSizeMemo()
 	ecfg.BitLimit = opts.BitLimit
 	ecfg.Trace = opts.Trace
-	ecfg.Scheduler = opts.Scheduler
 	if cfg.Mode == ModeLeader && !cfg.SimultaneousHalt {
 		// Basic contract: the run is over once the leader has output n.
 		ecfg.StopWhen = func(outputs map[int]any) bool {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"anondyn/internal/dynnet"
@@ -93,8 +92,8 @@ func requireWitnessAgrees(t *testing.T, res *RunResult) {
 		t.Fatalf("solver fell back to the big.Int witness %d times", res.Stats.SolverWitnessFalls)
 	}
 	for l := 0; l <= res.Stats.Levels; l++ {
-		mod, modErr := historytree.CountWith(res.VHT, l, historytree.ArithModular)
-		big, bigErr := historytree.CountWith(res.VHT, l, historytree.ArithBig)
+		mod, modErr := historytree.CountModular(res.VHT, l)
+		big, bigErr := historytree.Count(res.VHT, l)
 		if modErr != nil || bigErr != nil {
 			t.Fatalf("level %d: modular error %v, big error %v", l, modErr, bigErr)
 		}
@@ -165,46 +164,6 @@ func TestSharedVHTEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSharedVHTEquivalenceSchedulers repeats the core equivalence across
-// the engine's execution strategies: the sharing layer's locking must not
-// change results under real parallelism. The parallel rows pin GOMAXPROCS
-// (2 and 4 workers), so the ring really splits even on a one-core host.
-func TestSharedVHTEquivalenceSchedulers(t *testing.T) {
-	schedulers := []struct {
-		name  string
-		s     engine.Scheduler
-		procs int // GOMAXPROCS for the run; 0 leaves it alone
-	}{
-		{"sequential", engine.SchedulerSequential, 0},
-		{"parallel", engine.SchedulerParallel, 2},
-		{"parallel-4", engine.SchedulerParallel, 4},
-	}
-	const n = 12
-	s := dynnet.NewRandomConnected(n, 0.35, 7)
-	for _, mode := range []string{"leader", "leaderless"} {
-		for _, sched := range schedulers {
-			t.Run(mode+"/"+sched.name, func(t *testing.T) {
-				if sched.procs > 0 {
-					prev := runtime.GOMAXPROCS(sched.procs)
-					t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-				}
-				cfg := Config{Mode: ModeLeader, MaxLevels: 3*n + 6}
-				inputs := leaderInputs(n)
-				if mode == "leaderless" {
-					cfg.Mode = ModeLeaderless
-					cfg.DiamBound = n
-					inputs = make([]historytree.Input, n)
-					for i := range inputs {
-						inputs[i].Value = int64(i % 2)
-					}
-				}
-				shared, private := runPair(t, s, inputs, cfg, RunOptions{Scheduler: sched.s})
-				requireSameResult(t, shared, private)
-			})
-		}
 	}
 }
 

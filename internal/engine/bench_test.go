@@ -7,46 +7,9 @@ import (
 	"anondyn/internal/dynnet"
 )
 
-// BenchmarkRoundThroughput measures raw engine performance under each
-// scheduler: n processes echoing over a static cycle for 100 rounds per
-// iteration.
+// BenchmarkRoundThroughput measures raw engine performance: n processes
+// echoing over a static cycle for 100 rounds per iteration.
 func BenchmarkRoundThroughput(b *testing.B) {
-	for _, sched := range []Scheduler{SchedulerSequential, SchedulerParallel} {
-		for _, n := range []int{8, 32, 128} {
-			b.Run(fmt.Sprintf("%v/n=%d", sched, n), func(b *testing.B) {
-				const rounds = 100
-				schedule := dynnet.NewStatic(dynnet.Cycle(n))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					procs := make([]Coroutine, n)
-					for j := range procs {
-						procs[j] = CoroutineFunc(func(tr *Transport) (any, error) {
-							for r := 0; r < rounds; r++ {
-								if _, err := tr.SendAndReceive(r); err != nil {
-									return nil, err
-								}
-							}
-							return nil, nil
-						})
-					}
-					res, err := Run(Config{Schedule: schedule, MaxRounds: rounds + 1, Scheduler: sched}, procs)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Rounds != rounds {
-						b.Fatalf("rounds=%d", res.Rounds)
-					}
-				}
-				b.ReportMetric(float64(rounds)*float64(n), "msgs/op")
-			})
-		}
-	}
-}
-
-// BenchmarkRunSteppers measures the zero-synchronization stepper fast
-// path on the same echo workload as BenchmarkRoundThroughput.
-func BenchmarkRunSteppers(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			const rounds = 100
@@ -54,11 +17,18 @@ func BenchmarkRunSteppers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				steppers := make([]Stepper, n)
-				for pid := range steppers {
-					steppers[pid] = &countStepper{pid: pid, rounds: rounds}
+				procs := make([]Coroutine, n)
+				for j := range procs {
+					procs[j] = CoroutineFunc(func(tr *Transport) (any, error) {
+						for r := 0; r < rounds; r++ {
+							if _, err := tr.SendAndReceive(r); err != nil {
+								return nil, err
+							}
+						}
+						return nil, nil
+					})
 				}
-				res, err := RunSteppers(Config{Schedule: schedule, MaxRounds: rounds + 1}, steppers)
+				res, err := Run(Config{Schedule: schedule, MaxRounds: rounds + 1}, procs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -71,7 +41,7 @@ func BenchmarkRunSteppers(b *testing.B) {
 	}
 }
 
-// BenchmarkDeliverDense stresses the default runner's delivery path on a
+// BenchmarkDeliverDense stresses the runner's delivery path on a
 // complete graph, where each round routes Θ(n²) messages; the per-round
 // buffers are reused, so steady-state rounds should allocate almost
 // nothing inside deliver.

@@ -9,27 +9,20 @@
 // to the schedule, and accounts for message sizes so congestion bounds can
 // be asserted.
 //
-// One runner executes coroutines: every process is a pull coroutine, and
-// the process ring is split into contiguous shards (see Scheduler).
-// SchedulerSequential, the default, is exactly one shard swept inline on
-// the caller's goroutine by direct coroutine switches — no worker
-// goroutine, no channel operation per round. SchedulerParallel splits the
-// ring into min(GOMAXPROCS, n) shards, each swept by a worker goroutine
-// under a two-phase barrier.
+// The runner executes every process as a pull coroutine, swept inline on
+// the caller's goroutine by direct coroutine switches: no worker goroutine,
+// no channel operation per round. A run is single-threaded; independent
+// runs parallelize at the job level.
 //
-// State machines (Stepper) can additionally run on RunSteppers, a plain
-// function-call round loop with zero synchronization.
-//
-// Execution is deterministic under both schedulers: rounds are strict
-// barriers, the delivery order within a round is the canonical link order
-// of the multigraph, and protocols treat deliveries as multisets.
+// Execution is deterministic: rounds are strict barriers, the delivery
+// order within a round is the canonical link order of the multigraph, and
+// protocols treat deliveries as multisets.
 package engine
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"anondyn/internal/dynnet"
@@ -94,44 +87,6 @@ type AdaptiveSchedule interface {
 	Graph(round int, sent []Message) *dynnet.Multigraph
 }
 
-// Scheduler selects how many shards the engine's coroutine runner splits
-// the process ring into. Both values implement identical semantics: results
-// and traces are byte-identical (the equivalence suite in
-// equivalence_test.go compares them against a goroutine-per-process
-// coordinator oracle and RunSteppers).
-type Scheduler int
-
-const (
-	// SchedulerSequential is the default (zero value): one shard, swept
-	// inline on the caller's goroutine. Processes are resumed one at a time
-	// by direct coroutine switch, with no worker goroutine, no channel
-	// operation per round, and liveness tracked by a plain counter.
-	// Simulations are round-throughput-bound (the protocol runs Θ(n³)
-	// rounds), which makes this the right default; external cancellation
-	// is observed at round boundaries.
-	SchedulerSequential Scheduler = iota
-	// SchedulerParallel shards the process ring across min(GOMAXPROCS, n)
-	// worker goroutines (a single shard runs inline, exactly like
-	// SchedulerSequential). Each round the runner routes on its own goroutine,
-	// then every worker fills its shard's inboxes and resumes its own
-	// processes, under a two-phase barrier of one command send and one reply
-	// receive per shard. It pays off only once per-round protocol work
-	// dwarfs that barrier (see EXPERIMENTS.md for measurements).
-	SchedulerParallel
-)
-
-// String implements fmt.Stringer.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerSequential:
-		return "sequential"
-	case SchedulerParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", int(s))
-	}
-}
-
 // Config parameterizes a run.
 type Config struct {
 	// Schedule supplies the communication multigraph of every round.
@@ -139,9 +94,6 @@ type Config struct {
 	Schedule dynnet.Schedule
 	// Adaptive, if set, replaces Schedule with a reactive adversary.
 	Adaptive AdaptiveSchedule
-	// Scheduler selects the execution strategy. The zero value is
-	// SchedulerSequential, the direct-execution default.
-	Scheduler Scheduler
 	// MaxRounds caps the run; when exceeded, Run cancels the processes and
 	// returns ErrMaxRounds. It must be positive.
 	MaxRounds int
@@ -171,8 +123,7 @@ type Config struct {
 	Trace func(round int, sent []Message)
 }
 
-// validate checks the run parameters shared by every scheduler and returns
-// the process count.
+// validate checks the run parameters and returns the process count.
 func (cfg *Config) validate(procs int) (int, error) {
 	var n int
 	switch {
@@ -190,11 +141,6 @@ func (cfg *Config) validate(procs int) (int, error) {
 	}
 	if cfg.MaxRounds <= 0 {
 		return 0, fmt.Errorf("engine: non-positive MaxRounds %d", cfg.MaxRounds)
-	}
-	switch cfg.Scheduler {
-	case SchedulerSequential, SchedulerParallel:
-	default:
-		return 0, fmt.Errorf("engine: unknown scheduler %d", int(cfg.Scheduler))
 	}
 	return n, nil
 }
@@ -233,11 +179,7 @@ func RunContext(ctx context.Context, cfg Config, procs []Coroutine) (*Result, er
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := 1
-	if cfg.Scheduler == SchedulerParallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return newRunner(ctx, cfg, n, workers).run(procs)
+	return newRunner(ctx, cfg, n).run(procs)
 }
 
 type procState int

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -311,5 +312,51 @@ func TestZeroProcesses(t *testing.T) {
 	}
 	if res.Rounds != 0 || len(res.Outputs) != 0 {
 		t.Fatalf("unexpected result %+v", res)
+	}
+}
+
+// quietProc sends a constant small int (boxed allocation-free by the
+// runtime's small-int cache) and discards everything it receives, so any
+// allocation measured during its rounds belongs to the engine, not the
+// protocol.
+func quietProc(rounds int) Coroutine {
+	return CoroutineFunc(func(tr *Transport) (any, error) {
+		for i := 0; i < rounds; i++ {
+			if _, err := tr.SendAndReceive(7); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+}
+
+// TestSchedulerSteadyStateAllocs gates per-round allocations: once the
+// router's double-buffered delivery backings have grown to the round's
+// working set, additional rounds must be allocation-free on every
+// execution path (the runner and the oracle). The gate is the *difference*
+// between a long and a short run, so per-run setup (runner, coroutines)
+// cancels out.
+func TestSchedulerSteadyStateAllocs(t *testing.T) {
+	const extra = 100
+	for _, p := range runPaths {
+		measure := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				procs := make([]Coroutine, 8)
+				for pid := range procs {
+					procs[pid] = quietProc(rounds)
+				}
+				cfg := Config{Schedule: dynnet.NewStatic(dynnet.Complete(8)), MaxRounds: rounds + 1}
+				if _, err := p.run(context.Background(), cfg, procs); err != nil {
+					t.Errorf("%s: %v", p.name, err)
+				}
+			})
+		}
+		short := measure(10)
+		long := measure(10 + extra)
+		perRound := (long - short) / extra
+		if perRound > 0.5 {
+			t.Errorf("%s: %.2f allocs per steady-state round (short=%.0f long=%.0f), want ~0",
+				p.name, perRound, short, long)
+		}
 	}
 }

@@ -10,38 +10,24 @@ import (
 	"anondyn/internal/dynnet"
 )
 
-// The scheduler equivalence contract (DESIGN.md §6): every execution path
-// — the runner inline on one shard, the runner on four worker shards, the
-// goroutine-per-process coordinator oracle, and the RunSteppers fast path —
-// must produce byte-identical Results (Rounds, Outputs, MaxMessageBits,
-// TotalMessages, TotalBits) and identical Trace streams for any
-// deterministic protocol, because they share the routing core and differ
-// only in how control moves between the processes and the round barrier.
+// The engine equivalence contract (DESIGN.md §6): the production
+// runner and the goroutine-per-process coordinator oracle must produce
+// byte-identical Results (Rounds, Outputs, MaxMessageBits, TotalMessages,
+// TotalBits) and identical Trace streams for any deterministic protocol,
+// because they share the routing core and differ only in how control moves
+// between the processes and the round barrier.
 
 // runFunc is one coroutine execution path; its signature is RunContext's.
 type runFunc func(ctx context.Context, cfg Config, procs []Coroutine) (*Result, error)
 
-// runShards runs the production runner on exactly k shards, whatever
-// GOMAXPROCS is, so the multi-shard paths are exercised on one-core hosts.
-func runShards(k int) runFunc {
-	return func(ctx context.Context, cfg Config, procs []Coroutine) (*Result, error) {
-		n, err := cfg.validate(len(procs))
-		if err != nil {
-			return nil, err
-		}
-		return newRunner(ctx, cfg, n, k).run(procs)
-	}
-}
-
 // runPaths lists the coroutine execution paths under test. The first is
-// the public default (Config.Scheduler zero: one shard, inline) and is the
-// reference the others are compared against.
+// the public entry point and is the reference the other is compared
+// against.
 var runPaths = []struct {
 	name string
 	run  runFunc
 }{
-	{"sequential", RunContext},
-	{"shards=4", runShards(4)},
+	{"runner", RunContext},
 	{"coordinator", runCoordinator},
 }
 
@@ -297,111 +283,30 @@ func TestSchedulerEquivalencePreCancelled(t *testing.T) {
 	}
 }
 
-// countStepper is a deterministic state machine: it broadcasts pid*100+step
-// for `rounds` steps, then outputs a checksum of everything received.
-type countStepper struct {
-	pid, rounds, step int
-	sum               int
-}
-
-func (c *countStepper) Compose() Message { return c.pid*100 + c.step }
-
-func (c *countStepper) Deliver(msgs []Message) {
-	for _, m := range msgs {
-		c.sum = c.sum*31 + m.(int)
-	}
-	c.step++
-}
-
-func (c *countStepper) Done() (any, bool) {
-	if c.step >= c.rounds {
-		return c.sum, true
-	}
-	return nil, false
-}
-
-// TestStepperPathsEquivalent runs the same stepper protocol on every
-// execution path — RunSteppers, and FromStepper on each coroutine path —
-// and asserts identical results and traces.
-func TestStepperPathsEquivalent(t *testing.T) {
-	const n = 6
-	cfg := func(hook func(int, []Message)) Config {
-		return Config{
-			Schedule:  dynnet.NewRandomConnected(n, 0.4, 3),
-			MaxRounds: 50,
-			SizeOf:    func(m Message) int { return m.(int)%13 + 3 },
-			Trace:     hook,
-		}
-	}
-	build := func() []Stepper {
-		st := make([]Stepper, n)
-		for pid := range st {
-			st[pid] = &countStepper{pid: pid, rounds: 4 + pid%3}
-		}
-		return st
-	}
-
-	log, hook := captureTrace()
-	want, err := RunSteppers(cfg(hook), build())
-	if err != nil {
-		t.Fatalf("RunSteppers: %v", err)
-	}
-	wantTrace := *log
-
+// TestSchedulerEquivalenceCancelMidRun pins cancellation at a round
+// boundary: a context cancelled from the Trace hook of round 5 lets that
+// round finish, stops the run before round 6, and returns the partial
+// Result alongside context.Canceled on every execution path.
+func TestSchedulerEquivalenceCancelMidRun(t *testing.T) {
+	const stopAt = 5
 	for _, p := range runPaths {
-		log, hook := captureTrace()
-		steppers := build()
-		procs := make([]Coroutine, n)
-		for pid := range procs {
-			procs[pid] = FromStepper(steppers[pid])
+		ctx, cancel := context.WithCancel(context.Background())
+		procs := []Coroutine{spinner(), spinner(), spinner()}
+		res, err := p.run(ctx, Config{
+			Schedule:  dynnet.NewStatic(dynnet.Cycle(3)),
+			MaxRounds: 1000,
+			Trace: func(round int, _ []Message) {
+				if round == stopAt {
+					cancel()
+				}
+			},
+		}, procs)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err=%v, want context.Canceled", p.name, err)
 		}
-		got, err := p.run(context.Background(), cfg(hook), procs)
-		if err != nil {
-			t.Fatalf("FromStepper on %s: %v", p.name, err)
+		if res.Rounds != stopAt {
+			t.Fatalf("%s: Rounds=%d, want %d", p.name, res.Rounds, stopAt)
 		}
-		assertSameRun(t, p.name, want, got, wantTrace, *log)
-	}
-}
-
-// TestRunSteppersCancellation checks the RunSteppers cancellation contract:
-// pre-cancelled contexts stop before round 1, and a cancellation mid-run is
-// observed at the next round boundary with the partial result preserved.
-func TestRunSteppersCancellation(t *testing.T) {
-	const n = 3
-	build := func(rounds int) []Stepper {
-		st := make([]Stepper, n)
-		for pid := range st {
-			st[pid] = &countStepper{pid: pid, rounds: rounds}
-		}
-		return st
-	}
-	cfg := Config{Schedule: dynnet.NewStatic(dynnet.Cycle(n)), MaxRounds: 1000}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := RunSteppersContext(ctx, cfg, build(10))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled: err=%v, want context.Canceled", err)
-	}
-	if res.Rounds != 0 {
-		t.Fatalf("pre-cancelled: Rounds=%d, want 0", res.Rounds)
-	}
-
-	// Cancel from inside the Trace hook: the loop must finish the current
-	// round, then stop at the boundary.
-	ctx, cancel = context.WithCancel(context.Background())
-	stopAt := 5
-	cfg2 := cfg
-	cfg2.Trace = func(round int, sent []Message) {
-		if round == stopAt {
-			cancel()
-		}
-	}
-	res, err = RunSteppersContext(ctx, cfg2, build(1000))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("mid-run: err=%v, want context.Canceled", err)
-	}
-	if res.Rounds != stopAt {
-		t.Fatalf("mid-run: Rounds=%d, want %d", res.Rounds, stopAt)
 	}
 }

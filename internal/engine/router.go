@@ -8,10 +8,9 @@ import (
 
 // router computes one round's deliveries: congestion accounting, schedule
 // lookup, degree pre-sizing and the parity-double-buffered inbox
-// carve-out. It is shared by the coroutine runner at every shard count and
-// by the stepper fast path, so every execution path routes byte-identically
-// and a steady-state round performs at most one allocation (growing a
-// delivery backing array).
+// carve-out. It is shared by the runner and by the equivalence oracle in
+// coordinator_test.go, so both route byte-identically and a steady-state
+// round performs at most one allocation (growing a delivery backing array).
 //
 // The per-pid state slice uses the runners' common convention: a process
 // participates in the round iff its state is stateWaiting, and pending[pid]
@@ -43,17 +42,6 @@ type router struct {
 	// the call, so one buffer (no parity pair) suffices.
 	inPlace dynnet.InPlaceSchedule
 	gbuf    *dynnet.Multigraph
-
-	// prepare/fill hand-off state for shard-local delivery (the runner fills
-	// each shard's inboxes on the goroutine that sweeps the shard).
-	// liveLinks is the round's links with endpoint liveness already
-	// resolved, so fill never reads the state slice — workers may already
-	// be mutating other shards' states while a fill runs. pendSnap is the
-	// round's submitted messages snapshotted at prepare time, for the same
-	// reason. curBacking is this round's carved backing array.
-	liveLinks  []dynnet.Link
-	pendSnap   []Message
-	curBacking []Message
 }
 
 // newRouter returns a router for n processes. The Config must outlive it.
@@ -66,7 +54,6 @@ func newRouter(cfg *Config, n int) *router {
 		pos:       make([]int, n),
 		sent:      make([]Message, 0, n),
 		sentByPID: make([]Message, n),
-		pendSnap:  make([]Message, n),
 	}
 	if cfg.Adaptive == nil {
 		if ips, ok := cfg.Schedule.(dynnet.InPlaceSchedule); ok {
@@ -81,26 +68,9 @@ func newRouter(cfg *Config, n int) *router {
 // messages of every stateWaiting process along the round's multigraph, and
 // invokes the Trace hook. The returned per-pid inbox slices are carved out
 // of the round-parity backing array and stay valid until the same parity's
-// next route call.
-//
-// route is prepare followed by a full-range fill; the coroutine runner calls
-// the two halves itself so each shard fills its own inboxes.
+// next route call. It runs while every live process is parked, so state and
+// pending are stable for the whole call.
 func (rt *router) route(state []procState, pending []Message, res *Result) ([][]Message, error) {
-	out, err := rt.prepare(state, pending, res)
-	if err != nil {
-		return nil, err
-	}
-	rt.fill(0, rt.n)
-	return out, nil
-}
-
-// prepare runs the single-threaded head of a round: congestion accounting,
-// schedule lookup, the degree pass, the inbox carve-out, and the Trace
-// hook. It resolves endpoint liveness into liveLinks and snapshots the
-// submitted messages, so the fills that follow touch neither state nor
-// pending — both may be concurrently mutated by workers resuming other
-// shards' processes.
-func (rt *router) prepare(state []procState, pending []Message, res *Result) ([][]Message, error) {
 	rt.round++
 
 	out := rt.outHeads
@@ -160,7 +130,8 @@ func (rt *router) prepare(state []procState, pending []Message, res *Result) ([]
 	// slice until its next SendAndReceive (see the Transport contract), so
 	// the buffer written this round must not be the one delivered last
 	// round. When every process participates (the common case until
-	// termination), both passes skip the per-endpoint liveness checks.
+	// termination), both passes skip the per-endpoint liveness checks; a
+	// terminated endpoint neither sends nor receives.
 	links := g.CanonicalLinks()
 	deg := rt.degree
 	for pid := range deg {
@@ -168,28 +139,20 @@ func (rt *router) prepare(state []procState, pending []Message, res *Result) ([]
 	}
 	total := 0
 	all := waiting == rt.n
-	live := rt.liveLinks[:0]
 	for _, l := range links {
-		uAlive := all || state[l.U] == stateWaiting
-		vAlive := all || state[l.V] == stateWaiting
 		if l.U == l.V {
-			if uAlive {
+			if all || state[l.U] == stateWaiting {
 				deg[l.U] += l.Mult
 				total += l.Mult
-				live = append(live, l)
 			}
 			continue
 		}
-		if uAlive && vAlive {
+		if all || (state[l.U] == stateWaiting && state[l.V] == stateWaiting) {
 			deg[l.U] += l.Mult
 			deg[l.V] += l.Mult
 			total += 2 * l.Mult
-			live = append(live, l)
 		}
-		// A terminated endpoint neither sends nor receives.
 	}
-	rt.liveLinks = live
-	copy(rt.pendSnap, pending)
 	backing := rt.backings[rt.round&1]
 	if cap(backing) < total {
 		backing = make([]Message, total)
@@ -213,29 +176,10 @@ func (rt *router) prepare(state []procState, pending []Message, res *Result) ([]
 		pos[pid] = off
 		off += deg[pid]
 	}
-
-	rt.curBacking = backing
-
-	if rt.cfg.Trace != nil {
-		rt.cfg.Trace(rt.round, sent)
-	}
-	return out, nil
-}
-
-// fill delivers the prepared round's messages into the inboxes of pids in
-// [lo, hi). Liveness is already folded into liveLinks and messages are read
-// from the prepare-time snapshot, so concurrent fills of disjoint ranges
-// are race-free with each other and with workers resuming processes
-// outside the range: the pos cursors and carved backing regions touched
-// here belong exclusively to [lo, hi).
-func (rt *router) fill(lo, hi int) {
-	backing := rt.curBacking
-	pos := rt.pos
-	pend := rt.pendSnap
-	for _, l := range rt.liveLinks {
+	for _, l := range links {
 		if l.U == l.V {
-			if l.U >= lo && l.U < hi {
-				pu, mu := pos[l.U], pend[l.U]
+			if all || state[l.U] == stateWaiting {
+				pu, mu := pos[l.U], pending[l.U]
 				for k := 0; k < l.Mult; k++ {
 					backing[pu] = mu
 					pu++
@@ -244,21 +188,21 @@ func (rt *router) fill(lo, hi int) {
 			}
 			continue
 		}
-		if l.U >= lo && l.U < hi {
-			pu, mv := pos[l.U], pend[l.V]
+		if all || (state[l.U] == stateWaiting && state[l.V] == stateWaiting) {
+			pu, pv := pos[l.U], pos[l.V]
+			mu, mv := pending[l.U], pending[l.V]
 			for k := 0; k < l.Mult; k++ {
 				backing[pu] = mv
-				pu++
-			}
-			pos[l.U] = pu
-		}
-		if l.V >= lo && l.V < hi {
-			pv, mu := pos[l.V], pend[l.U]
-			for k := 0; k < l.Mult; k++ {
 				backing[pv] = mu
+				pu++
 				pv++
 			}
-			pos[l.V] = pv
+			pos[l.U], pos[l.V] = pu, pv
 		}
 	}
+
+	if rt.cfg.Trace != nil {
+		rt.cfg.Trace(rt.round, sent)
+	}
+	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
 )
 
 // procDone records a returned process: its output, its error, and the fact
@@ -17,43 +16,17 @@ type procDone struct {
 	finished bool
 }
 
-// shard is one contiguous slice [lo, hi) of the process ring. done lists the
-// pids that returned during the current phase, in pid order; only the
-// goroutine sweeping the shard appends to it. cmd is nil for a runner's
-// single inline shard; a worker shard receives one phase per command (true
-// for the start phase, false for a deliver phase).
-type shard struct {
-	lo, hi int
-	cmd    chan bool
-	done   []int
-}
-
-// runner executes one pull coroutine (iter.Pull) per process. Resuming a
-// process is a direct coroutine switch: the process runs until its next
-// SendAndReceive submission and switches straight back — no channel, no
-// scheduler queueing, no goroutine ready/park transitions — so the
-// per-round cost is the protocol's own work plus the shared routing.
+// runner executes one pull coroutine (iter.Pull) per process, inline on the
+// caller's goroutine. Resuming a process is a direct coroutine switch: the
+// process runs until its next SendAndReceive submission and switches
+// straight back — no channel, no scheduler queueing, no goroutine ready/park
+// transitions — so the per-round cost is the protocol's own work plus the
+// shared routing.
 //
-// The process ring is split into contiguous shards. Every round is the
-// router's prepare half on the runner's goroutine (accounting, schedule
-// lookup, inbox carve-out, Trace — single-threaded, which keeps every shard
-// count byte-identical), then one deliver phase per shard: fill the shard's
-// inboxes (router.fill(lo, hi)) and resume its waiting processes in pid
-// order.
-//
-//   - One shard (SchedulerSequential) is swept inline on the caller's
-//     goroutine: no worker goroutine and no channel operation per round.
-//     Each return is merged as it happens, so StopWhen and process errors
-//     stop the run mid-sweep and the processes after the trigger are never
-//     resumed.
-//   - Several shards (SchedulerParallel) are each swept by a worker
-//     goroutine behind a two-phase barrier: one command send and one reply
-//     receive per shard, which also carry the memory-model edges. Per-process
-//     state is indexed by pid and each pid belongs to one shard, so workers
-//     never write the same memory. Returns are merged after the barrier in
-//     global pid order; a process that runs one round past a stop trigger —
-//     unavoidable when its shard already resumed it — still contributes its
-//     output, exactly like the unwind.
+// Every round routes on the runner's goroutine while every live process is
+// parked, then resumes the waiting processes in pid order. Each return is
+// merged as it happens, so StopWhen and process errors stop the run
+// mid-sweep and the processes after the trigger are never resumed.
 type runner struct {
 	cfg     Config
 	ctx     context.Context
@@ -74,14 +47,8 @@ type runner struct {
 	inbox [][]Message
 	done  []procDone
 
-	procs   []Coroutine
-	out     [][]Message // this round's routed inboxes, published to workers by the command send
-	shards  []shard
-	replies chan struct{}
-	wg      sync.WaitGroup
-
-	alive   int  // processes that have not returned
-	stopped bool // StopWhen held or a process failed
+	procs []Coroutine
+	alive int // processes that have not returned
 	// stopping is set before the unwind begins, so a non-conforming
 	// coroutine that keeps calling SendAndReceive after ErrStopped fails
 	// fast instead of blocking on a dead round.
@@ -89,10 +56,7 @@ type runner struct {
 	runErr   error
 }
 
-// newRunner splits n processes into min(workers, n) contiguous shards, at
-// least one. A single shard runs inline; more get one worker goroutine each.
-func newRunner(ctx context.Context, cfg Config, n, workers int) *runner {
-	workers = max(1, min(workers, n))
+func newRunner(ctx context.Context, cfg Config, n int) *runner {
 	r := &runner{
 		cfg:     cfg,
 		ctx:     ctx,
@@ -105,31 +69,14 @@ func newRunner(ctx context.Context, cfg Config, n, workers int) *runner {
 		yield:   make([]func(struct{}) bool, n),
 		inbox:   make([][]Message, n),
 		done:    make([]procDone, n),
-		shards:  make([]shard, workers),
 	}
 	r.rt = newRouter(&r.cfg, n)
-	if workers > 1 {
-		r.replies = make(chan struct{}, workers)
-	}
-	base, rem := n/workers, n%workers
-	lo := 0
-	for i := range r.shards {
-		size := base
-		if i < rem {
-			size++
-		}
-		r.shards[i] = shard{lo: lo, hi: lo + size}
-		if workers > 1 {
-			r.shards[i].cmd = make(chan bool, 1)
-		}
-		lo += size
-	}
 	return r
 }
 
-// sendAndReceive records the submission, switches control back to whoever
-// resumed this process, and continues once its inbox slot has been filled
-// and it is resumed again.
+// sendAndReceive records the submission, switches control back to the
+// runner, and continues once its inbox slot has been filled and it is
+// resumed again.
 func (r *runner) sendAndReceive(t *Transport, msg Message) ([]Message, error) {
 	if r.stopping {
 		return nil, ErrStopped
@@ -157,114 +104,59 @@ func (r *runner) startProc(pid int) {
 	})
 }
 
-// sweep runs one phase of a shard in pid order. The start phase creates and
-// first resumes every process; a deliver phase fills the shard's inboxes
-// from the prepared round and resumes every process waiting on it. Each
-// process runs to its next submission or returns; returns are appended to
-// sh.done. An inline sweep (res non-nil) merges each return as it happens
-// and abandons the sweep once the run stops.
-func (r *runner) sweep(sh *shard, start bool, res *Result) {
-	if !start {
-		r.rt.fill(sh.lo, sh.hi)
-	}
-	for pid := sh.lo; pid < sh.hi; pid++ {
+// sweep runs one phase in pid order and reports whether the run must stop.
+// The start phase (out nil) creates and first resumes every process; a
+// deliver phase hands each waiting process its inbox from out and resumes
+// it. Each process runs to its next submission or returns. A process error
+// or a StopWhen hit stops the run and abandons the sweep.
+func (r *runner) sweep(out [][]Message, res *Result) bool {
+	for pid := range r.state {
 		switch {
-		case start:
+		case out == nil:
 			r.startProc(pid)
 		case r.state[pid] != stateWaiting:
 			continue
 		default:
-			r.inbox[pid] = r.out[pid]
+			r.inbox[pid] = out[pid]
 		}
 		r.state[pid] = stateRunning
 		if _, ok := r.next[pid](); ok {
 			continue
 		}
 		r.state[pid] = stateDone
-		sh.done = append(sh.done, pid)
-		if res != nil && r.merge(res) {
-			return
+		r.alive--
+		d := r.done[pid]
+		if d.err == nil {
+			res.Outputs[pid] = d.output
+		}
+		switch {
+		case d.err != nil && !errors.Is(d.err, ErrStopped):
+			r.runErr = fmt.Errorf("engine: process %d: %w", pid, d.err)
+			return true
+		case r.cfg.StopWhen != nil && r.cfg.StopWhen(res.Outputs):
+			return true
 		}
 	}
-}
-
-// merge folds the returns listed in the shards' done buffers into res in
-// global pid order and reports whether the run must stop. A process error or
-// a StopWhen hit stops the run; returns merged after that still contribute
-// their outputs, never their errors.
-func (r *runner) merge(res *Result) bool {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		for _, pid := range sh.done {
-			r.alive--
-			d := r.done[pid]
-			if d.err == nil {
-				res.Outputs[pid] = d.output
-			}
-			switch {
-			case r.stopped:
-			case d.err != nil && !errors.Is(d.err, ErrStopped):
-				r.runErr = fmt.Errorf("engine: process %d: %w", pid, d.err)
-				r.stopped = true
-			case r.cfg.StopWhen != nil && r.cfg.StopWhen(res.Outputs):
-				r.stopped = true
-			}
-		}
-		sh.done = sh.done[:0]
-	}
-	return r.stopped
-}
-
-// phase runs the start phase or one deliver phase over every shard: inline
-// for a single shard, otherwise on the workers behind the barrier, merging
-// after every shard has replied.
-func (r *runner) phase(start bool, res *Result) {
-	if len(r.shards) == 1 {
-		r.sweep(&r.shards[0], start, res)
-		return
-	}
-	for i := range r.shards {
-		r.shards[i].cmd <- start
-	}
-	for range r.shards {
-		<-r.replies
-	}
-	r.merge(res)
-}
-
-// worker sweeps one shard per command and replies on the shared barrier
-// channel.
-func (r *runner) worker(sh *shard) {
-	defer r.wg.Done()
-	for start := range sh.cmd {
-		r.sweep(sh, start, nil)
-		r.replies <- struct{}{}
-	}
+	return false
 }
 
 func (r *runner) run(procs []Coroutine) (*Result, error) {
 	res := &Result{Outputs: make(map[int]any)}
 	if err := r.ctx.Err(); err != nil {
-		// Pre-cancelled: never start a process coroutine or a worker.
+		// Pre-cancelled: never start a process coroutine.
 		return res, fmt.Errorf("engine: run cancelled: %w", context.Cause(r.ctx))
 	}
 	r.procs = procs
 	r.alive = r.n
-	for i := range r.shards {
-		if r.shards[i].cmd != nil {
-			r.wg.Add(1)
-			go r.worker(&r.shards[i])
-		}
-	}
 
 	// Start phase: run every process to its first submission (or return).
-	r.phase(true, res)
+	stopped := r.sweep(nil, res)
 
 	// Round loop: every live process is parked with a submission, so the
 	// barrier holds by construction. A process resumed mid-sweep re-submits
 	// at its own index, which the sweep has already passed, so it is never
 	// redelivered within the round.
-	for !r.stopped && r.alive > 0 {
+	for !stopped && r.alive > 0 {
 		if err := r.ctx.Err(); err != nil {
 			r.runErr = fmt.Errorf("engine: run cancelled: %w", context.Cause(r.ctx))
 			break
@@ -273,7 +165,7 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 			r.runErr = err
 			break
 		}
-		out, err := r.rt.prepare(r.state, r.pending, res)
+		out, err := r.rt.route(r.state, r.pending, res)
 		if err != nil {
 			r.runErr = err
 			break
@@ -285,19 +177,9 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 			r.runErr = ErrMaxRounds
 			break
 		}
-		r.out = out
-		r.phase(false, res)
+		stopped = r.sweep(out, res)
 	}
 
-	// Release the workers before unwinding: once they have exited, every
-	// coroutine handle is quiescent and owned by this goroutine (the final
-	// barrier replies carry the ordering).
-	for i := range r.shards {
-		if r.shards[i].cmd != nil {
-			close(r.shards[i].cmd)
-		}
-	}
-	r.wg.Wait()
 	r.unwind(res)
 	res.Rounds = r.rt.round
 	return res, r.runErr

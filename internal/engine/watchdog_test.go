@@ -21,13 +21,6 @@ func spinner() Coroutine {
 	})
 }
 
-// spinStepper is the stepper-path equivalent of spinner.
-type spinStepper struct{}
-
-func (spinStepper) Compose() Message  { return 0 }
-func (spinStepper) Deliver([]Message) {}
-func (spinStepper) Done() (any, bool) { return nil, false }
-
 func TestWatchdogFiresOnAllCoroutineSchedulers(t *testing.T) {
 	for _, p := range runPaths {
 		cfg := Config{
@@ -53,21 +46,6 @@ func TestWatchdogFiresOnAllCoroutineSchedulers(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 5*time.Second {
 			t.Fatalf("%s: watchdog took %v to stop the run", p.name, elapsed)
 		}
-	}
-}
-
-func TestWatchdogFiresOnStepperPath(t *testing.T) {
-	cfg := Config{
-		Schedule:  dynnet.NewStatic(dynnet.Complete(3)),
-		MaxRounds: 1 << 30,
-		Deadline:  50 * time.Millisecond,
-	}
-	res, err := RunSteppers(cfg, []Stepper{spinStepper{}, spinStepper{}, spinStepper{}})
-	if !errors.Is(err, ErrWatchdog) {
-		t.Fatalf("got %v, want ErrWatchdog", err)
-	}
-	if res == nil || res.Rounds <= 0 {
-		t.Fatalf("stepper watchdog returned no partial result: %+v", res)
 	}
 }
 

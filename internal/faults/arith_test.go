@@ -2,24 +2,22 @@ package faults_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"anondyn/internal/check"
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
-	"anondyn/internal/engine"
 	"anondyn/internal/faults"
 )
 
 // TestMatrixFaultArithmeticEquivalence layers the solver's witness
 // discipline over the fault matrix: for every in-model fault plan, in
-// leader and leaderless mode, under both engine schedulers (the parallel
-// one on 4 workers, so the ring splits even on one core), the run's final
-// VHT is re-solved at every level up to the decision level under the
-// big.Int exactness witness, which must agree with the multi-modular
-// backend the run decided with — and the run must carry itself without
-// ever falling back to the witness. Runs under -race in CI.
+// leader and leaderless mode, over two random base schedules (sched=i
+// runs the one with seed T·101+3+i), the run's final VHT is re-solved at
+// every level up to the decision level under the big.Int exactness
+// witness, which must agree with the multi-modular backend the run
+// decided with — and the run must carry itself without ever falling back
+// to the witness. Runs under -race in CI.
 func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 	plans := []string{
 		"spike:5:30",
@@ -28,10 +26,9 @@ func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 		"spike:4:16,storm:1:0:2",
 	}
 	n := 5
-	withProcs(t, 4)
 	for _, T := range []int{1, 4} {
 		for _, spec := range plans {
-			for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerParallel} {
+			for sched := range 2 {
 				for _, leaderless := range []bool{false, true} {
 					mode := "leader"
 					if leaderless {
@@ -42,7 +39,7 @@ func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						inner := dynnet.NewRandomConnected(n, 0.5, int64(T)*101+3)
+						inner := dynnet.NewRandomConnected(n, 0.5, int64(T)*101+3+int64(sched))
 						cfg := core.Config{Mode: core.ModeLeader, BlockT: T, MaxLevels: 3*n + 8}
 						inputs := leaderIn(n)
 						if leaderless {
@@ -50,8 +47,7 @@ func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 							cfg.DiamBound = n * T
 							inputs = valueIn(n)
 						}
-						res, err := core.Run(wrapT(t, inner, plan, T), inputs, cfg,
-							core.RunOptions{Scheduler: sched})
+						res, err := core.Run(wrapT(t, inner, plan, T), inputs, cfg, core.RunOptions{})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -69,12 +65,4 @@ func TestMatrixFaultArithmeticEquivalence(t *testing.T) {
 			}
 		}
 	}
-}
-
-// withProcs raises GOMAXPROCS to at least procs for the rest of the test, so
-// the parallel scheduler really splits the ring into several shards.
-func withProcs(t *testing.T, procs int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(max(procs, runtime.GOMAXPROCS(0)))
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

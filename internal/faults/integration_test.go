@@ -177,7 +177,9 @@ func TestPinnedSpikePlanForcesReset(t *testing.T) {
 // TestOutOfModelFaultsFailDetectably is the watchdog contract: under
 // out-of-model faults the run may never produce an answer, but it must
 // terminate with a structured *engine.WatchdogError within the deadline —
-// no hangs, no stuck goroutines (this test runs under -race in CI).
+// no hangs, no stuck goroutines (this test runs under -race in CI). Each
+// plan wraps two random base schedules; scheduler=i is the one with seed
+// 4+i.
 func TestOutOfModelFaultsFailDetectably(t *testing.T) {
 	cases := []struct {
 		name string
@@ -194,8 +196,7 @@ func TestOutOfModelFaultsFailDetectably(t *testing.T) {
 		{name: "leader-crashed-forever", spec: "crash:0:3:0"},
 	}
 	n := 5
-	withProcs(t, 4)
-	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerParallel} {
+	for sched := range 2 {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/scheduler=%d", tc.name, sched), func(t *testing.T) {
 				plan, err := faults.Parse(tc.spec, 1, 9)
@@ -209,10 +210,9 @@ func TestOutOfModelFaultsFailDetectably(t *testing.T) {
 				opts := core.RunOptions{
 					Deadline:  100 * time.Millisecond,
 					MaxRounds: 1 << 30, // the watchdog, not the round cap, must end the run
-					Scheduler: sched,
 				}
 				start := time.Now()
-				_, err = core.Run(plan.Wrap(dynnet.NewRandomConnected(n, 0.5, 4)), leaderIn(n), cfg, opts)
+				_, err = core.Run(plan.Wrap(dynnet.NewRandomConnected(n, 0.5, 4+int64(sched))), leaderIn(n), cfg, opts)
 				if !errors.Is(err, engine.ErrWatchdog) {
 					t.Fatalf("got %v, want ErrWatchdog", err)
 				}

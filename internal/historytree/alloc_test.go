@@ -185,7 +185,7 @@ func TestSolverModularResolveAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := NewSolverWith(ArithModular)
+	solver := NewSolver()
 	res, err := solver.CountAt(run.Tree, run.Rounds)
 	if err != nil {
 		t.Fatal(err)

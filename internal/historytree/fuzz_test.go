@@ -8,11 +8,11 @@ import (
 
 // FuzzSolverArithmetic fuzzes the witness discipline of DESIGN.md decision
 // 12: on an arbitrary (n, density, seed, leaderless) protocol tree, the
-// multi-modular backend and the big.Int eliminator must agree — same
-// errors, same known/unknown decision, and the same answer — at every
-// complete-level prefix, through both the from-scratch and the incremental
-// solve paths. Crashers land in testdata/fuzz/FuzzSolverArithmetic/ and
-// are replayed by plain `go test` once checked in.
+// multi-modular solvers — from-scratch and incremental — must agree with
+// the from-scratch big.Int eliminator: same errors, same known/unknown
+// decision, and the same answer at every complete-level prefix. Crashers
+// land in testdata/fuzz/FuzzSolverArithmetic/ and are replayed by plain
+// `go test` once checked in.
 // FuzzBatchedRefine fuzzes the batched SoA refinement pass against the
 // witness refiner: on an arbitrary random connected schedule with arbitrary
 // inputs, the two builds must produce byte-identical canonical forms,
@@ -75,8 +75,7 @@ func FuzzSolverArithmetic(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		incMod := NewSolverWith(ArithModular)
-		incBig := NewSolverWith(ArithBig)
+		inc := NewSolver()
 		for l := 0; l <= run.Rounds; l++ {
 			if leaderless {
 				exact, err1 := Frequencies(run.Tree, l)
@@ -87,13 +86,12 @@ func FuzzSolverArithmetic(f *testing.F) {
 				if err1 == nil && !sameFreq(exact, mod) {
 					t.Fatalf("level %d: modular %+v != big %+v", l, mod, exact)
 				}
-				im, err3 := incMod.FrequenciesAt(run.Tree, l)
-				ib, err4 := incBig.FrequenciesAt(run.Tree, l)
-				if (err3 == nil) != (err4 == nil) {
-					t.Fatalf("level %d: incremental error divergence: big %v, modular %v", l, err4, err3)
+				im, err3 := inc.FrequenciesAt(run.Tree, l)
+				if (err1 == nil) != (err3 == nil) {
+					t.Fatalf("level %d: incremental error divergence: big %v, incremental %v", l, err1, err3)
 				}
-				if err3 == nil && !sameFreq(ib, im) {
-					t.Fatalf("level %d: incremental modular %+v != big %+v", l, im, ib)
+				if err3 == nil && !sameFreq(exact, im) {
+					t.Fatalf("level %d: incremental %+v != big %+v", l, im, exact)
 				}
 				continue
 			}
@@ -105,13 +103,12 @@ func FuzzSolverArithmetic(f *testing.F) {
 			if err1 == nil && !sameCount(exact, mod) {
 				t.Fatalf("level %d: modular %+v != big %+v", l, mod, exact)
 			}
-			im, err3 := incMod.CountAt(run.Tree, l)
-			ib, err4 := incBig.CountAt(run.Tree, l)
-			if (err3 == nil) != (err4 == nil) {
-				t.Fatalf("level %d: incremental error divergence: big %v, modular %v", l, err4, err3)
+			im, err3 := inc.CountAt(run.Tree, l)
+			if (err1 == nil) != (err3 == nil) {
+				t.Fatalf("level %d: incremental error divergence: big %v, incremental %v", l, err1, err3)
 			}
-			if err3 == nil && !sameCount(ib, im) {
-				t.Fatalf("level %d: incremental modular %+v != big %+v", l, im, ib)
+			if err3 == nil && !sameCount(exact, im) {
+				t.Fatalf("level %d: incremental %+v != big %+v", l, im, exact)
 			}
 		}
 	})

@@ -230,3 +230,5 @@ func ratReconstruct(c, M, bound *big.Int) (*big.Rat, bool) {
 	}
 	return new(big.Rat).SetFrac(num, t1), true
 }
+
+var oneInt = big.NewInt(1)

@@ -5,7 +5,7 @@ import (
 	"math/big"
 )
 
-// modElim is the multi-modular counterpart of intElim: it maintains the
+// modElim is the incremental Solver's elimination state: it maintains the
 // reduced row-echelon basis of the balance equations as residues over a
 // battery of word-sized primes instead of as ever-growing big.Int rows.
 // Each prime keeps its own fully reduced, pivot-normalized basis in
@@ -17,9 +17,9 @@ import (
 // the answer or the decision that there is no answer yet. See DESIGN.md
 // decision 12.
 //
-// The same two operations as intElim are supported — addRow and lift —
-// plus the battery-management steps (unlucky-prime eviction, certified
-// growth) that have no exact-arithmetic analogue.
+// It supports the two operations the incremental solver needs — adding a
+// row, and lifting every row onto a refined variable set — plus the
+// battery-management steps (unlucky-prime eviction, certified growth).
 type modElim struct {
 	cols   int
 	primes []primeState
@@ -187,11 +187,14 @@ func (ps *primeState) addResidues(w []uint64, e *modElim) {
 	ps.rank++
 }
 
-// lift maps every prime's basis onto a refined variable set, exactly as
-// intElim.lift does over the integers: old column j becomes the block of
-// new columns c with parentIdx[c] == j, each row's pivot moves to the
-// first child of its old pivot, and reduction, independence, and rank are
-// preserved per prime (lifting is linear and injective on row vectors).
+// lift maps every prime's basis onto a refined variable set: old column j
+// becomes the block of new columns c with parentIdx[c] == j. Old equations
+// over class cardinalities hold verbatim when each cardinality is replaced
+// by the sum of its children's, so every lifted row is a valid equation
+// over the new variables. Each row's pivot moves to the first child of its
+// old pivot, and reduction, independence, and rank are preserved per prime
+// (lifting is linear and injective on row vectors). Every old pivot column
+// must have at least one child (the caller checks all columns).
 func (e *modElim) lift(parentIdx []int32, newCols int) {
 	if cap(e.fcScrat) < e.cols {
 		e.fcScrat = make([]int, e.cols)

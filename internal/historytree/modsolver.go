@@ -6,39 +6,6 @@ import (
 	"sync"
 )
 
-// Arith selects the exact-arithmetic backend of the counting solvers.
-type Arith int
-
-// Arithmetic backends. The zero value is the multi-modular backend, the
-// default everywhere; the big.Int fraction-free eliminator is retained as
-// the always-available exactness witness (the same discipline as the
-// engine's test-only coordinator witnessing its production runner), and
-// both must produce identical results on every input — pinned by the
-// equivalence suite and FuzzSolverArithmetic.
-const (
-	// ArithModular solves over a battery of word-sized primes with CRT
-	// recovery, certified under a Hadamard bound (DESIGN.md decision 12).
-	ArithModular Arith = iota
-	// ArithBig is the fraction-free big.Int elimination of PR 2.
-	ArithBig
-)
-
-// CountWith is Count under the selected arithmetic backend.
-func CountWith(t *Tree, completeLevels int, a Arith) (CountResult, error) {
-	if a == ArithBig {
-		return Count(t, completeLevels)
-	}
-	return CountModular(t, completeLevels)
-}
-
-// FrequenciesWith is Frequencies under the selected arithmetic backend.
-func FrequenciesWith(t *Tree, completeLevels int, a Arith) (FrequencyResult, error) {
-	if a == ArithBig {
-		return Frequencies(t, completeLevels)
-	}
-	return FrequenciesModular(t, completeLevels)
-}
-
 // CountModular is the multi-modular equivalent of Count: the same balance
 // system, eliminated as residues over a certified prime battery instead of
 // fraction-free big.Int rows, with CRT + rational recovery of the null

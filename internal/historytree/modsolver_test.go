@@ -160,8 +160,8 @@ func TestPrimePoolDeterministic(t *testing.T) {
 	}
 }
 
-// TestSolverArithEquivalence runs the incremental solver under both
-// arithmetic backends side by side on the same tree and requires identical
+// TestSolverArithEquivalence runs the incremental solver against the
+// from-scratch big.Int Count on the same tree and requires identical
 // results and known/unknown transitions at every level — the incremental
 // face of the witness discipline.
 func TestSolverArithEquivalence(t *testing.T) {
@@ -171,33 +171,26 @@ func TestSolverArithEquivalence(t *testing.T) {
 			s := dynnet.NewRandomConnected(n, densities[seed], 40+seed)
 			rounds := 3 * n
 			run := buildTree(t, s, leaderInputs(n), rounds)
-			mod := NewSolverWith(ArithModular)
-			exact := NewSolverWith(ArithBig)
+			solver := NewSolver()
 			for l := 0; l <= run.Rounds; l++ {
-				rm, err := mod.CountAt(run.Tree, l)
+				rm, err := solver.CountAt(run.Tree, l)
 				if err != nil {
-					t.Fatalf("n=%d seed=%d level=%d: modular CountAt: %v", n, seed, l, err)
+					t.Fatalf("n=%d seed=%d level=%d: CountAt: %v", n, seed, l, err)
 				}
-				rb, err := exact.CountAt(run.Tree, l)
+				rb, err := Count(run.Tree, l)
 				if err != nil {
-					t.Fatalf("n=%d seed=%d level=%d: big CountAt: %v", n, seed, l, err)
+					t.Fatalf("n=%d seed=%d level=%d: big Count: %v", n, seed, l, err)
 				}
 				if !sameCount(rb, rm) {
-					t.Fatalf("n=%d seed=%d level=%d: modular %+v != big %+v", n, seed, l, rm, rb)
+					t.Fatalf("n=%d seed=%d level=%d: incremental %+v != big %+v", n, seed, l, rm, rb)
 				}
 			}
-			ms, bs := mod.Stats(), exact.Stats()
-			if ms.Equations != bs.Equations || ms.LevelsConsumed != bs.LevelsConsumed {
-				t.Fatalf("n=%d seed=%d: work divergence: modular %+v big %+v", n, seed, ms, bs)
-			}
+			ms := solver.Stats()
 			if ms.WitnessFallbacks != 0 {
 				t.Errorf("n=%d seed=%d: unexpected witness fallbacks: %+v", n, seed, ms)
 			}
 			if ms.PrimesUsed < 2 {
 				t.Errorf("n=%d seed=%d: PrimesUsed = %d, want >= 2", n, seed, ms.PrimesUsed)
-			}
-			if bs.PrimesUsed != 0 || bs.CRTReconstructions != 0 {
-				t.Errorf("n=%d seed=%d: big backend reported modular counters: %+v", n, seed, bs)
 			}
 		}
 	}
@@ -211,7 +204,7 @@ func TestSolverModularTruncationRebuild(t *testing.T) {
 	s := dynnet.NewRandomConnected(n, 0.4, 11)
 	rounds := 3 * n
 	run := buildTree(t, s, leaderInputs(n), rounds)
-	solver := NewSolverWith(ArithModular)
+	solver := NewSolver()
 	if _, err := solver.CountAt(run.Tree, run.Rounds); err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,15 @@ import (
 // Solver is the incremental counterpart of Count and Frequencies. Where
 // those rebuild coefficient vectors and re-run the whole elimination each
 // time the tree gains a level, a Solver persists across levels: it keeps a
-// reduced integer row basis of every balance equation seen so far, and when
-// the deepest complete level advances from l to l+1 it (a) lifts the stored
-// rows onto the new level's variables — each level-l column expands into
-// the block of its children, which preserves pivots and rank — and (b)
-// feeds only level l's balance equations, which are naturally sparse over
-// the level-(l+1) basis. Elimination is fraction-free (Bareiss-style over
-// big.Int with per-row content reduction), so the inner loop does integer
-// multiply-subtract instead of allocating a big.Rat per cell.
+// reduced row basis of every balance equation seen so far, modulo each
+// prime of a multi-modular battery (modElim), and when the deepest complete
+// level advances from l to l+1 it (a) lifts the stored rows onto the new
+// level's variables — each level-l column expands into the block of its
+// children, which preserves pivots and rank — and (b) feeds only level l's
+// balance equations, which are naturally sparse over the level-(l+1)
+// basis. The exact null ray is recovered by CRT and rational
+// reconstruction; calls the battery cannot certify fall back to the
+// from-scratch big.Int Count/Frequencies.
 //
 // Because every equation of every consumed level is in the row space (the
 // lift re-expresses old equations exactly as the from-scratch solver's
@@ -40,19 +41,16 @@ type Solver struct {
 	anc0    []*Node       // level-0 ancestor of each basis column
 	covered []bool        // some ancestor (levels 1..level) has a cross red edge
 
-	arith  Arith
-	elim   *intElim // ArithBig elimination state
-	melim  *modElim // ArithModular battery; survives resets (luck is system-independent)
+	melim  *modElim // prime battery; survives resets (luck is system-independent)
 	broken bool     // structural fallback: delegate to from-scratch until reset
 
-	// The modular backend's replay skeleton: everything a fresh battery
-	// prime needs to catch up on the consumed equations without re-reading
-	// the consumed levels from the tree — which makes the solver
-	// compaction-proof (Tree.CompactLevels may release those levels).
-	// lifts[j] maps each level-j basis column to its level-(j-1) parent
-	// column (lifts[0] is unused); feds[l] holds the fed balance rows of
-	// level l in feed order, sparse over the level-(l+1) columns. Both are
-	// nil under ArithBig, which never replays.
+	// The replay skeleton: everything a fresh battery prime needs to catch
+	// up on the consumed equations without re-reading the consumed levels
+	// from the tree — which makes the solver compaction-proof
+	// (Tree.CompactLevels may release those levels). lifts[j] maps each
+	// level-j basis column to its level-(j-1) parent column (lifts[0] is
+	// unused); feds[l] holds the fed balance rows of level l in feed order,
+	// sparse over the level-(l+1) columns.
 	lifts [][]int32
 	feds  [][][]sparseCoef
 
@@ -84,9 +82,8 @@ type SolverStats struct {
 	// SolveTime accumulates wall time spent inside CountAt/FrequenciesAt.
 	SolveTime time.Duration
 
-	// PrimesUsed is the number of battery primes the modular backend has
-	// adopted over the solver's lifetime (evicted primes included). Zero
-	// under ArithBig.
+	// PrimesUsed is the number of battery primes the solver has adopted
+	// over its lifetime (evicted primes included).
 	PrimesUsed int
 	// CRTReconstructions counts null-ray CRT+rational recoveries.
 	CRTReconstructions int
@@ -98,15 +95,9 @@ type SolverStats struct {
 	WitnessFallbacks int
 }
 
-// NewSolver returns an empty Solver using the default (multi-modular)
-// arithmetic backend; it attaches to a tree on first use.
+// NewSolver returns an empty Solver; it attaches to a tree on first use.
 func NewSolver() *Solver {
-	return NewSolverWith(ArithModular)
-}
-
-// NewSolverWith returns an empty Solver using the given arithmetic backend.
-func NewSolverWith(a Arith) *Solver {
-	return &Solver{level: -1, arith: a}
+	return &Solver{level: -1}
 }
 
 // Stats returns the accumulated work counters.
@@ -226,18 +217,14 @@ func (s *Solver) ensure(t *Tree, completeLevels int) (bool, error) {
 			s.idx[v] = i
 			s.anc0[i] = v
 		}
-		if s.arith == ArithBig {
-			s.elim = newIntElim(len(base))
+		if s.melim == nil {
+			s.melim = newModElim(len(base), 2)
 		} else {
-			if s.melim == nil {
-				s.melim = newModElim(len(base), 2)
-			} else {
-				s.melim.reset(len(base))
-			}
-			// lifts is level-indexed; level 0 has no lift into it.
-			s.lifts = append(s.lifts[:0], nil)
-			s.feds = s.feds[:0]
+			s.melim.reset(len(base))
 		}
+		// lifts is level-indexed; level 0 has no lift into it.
+		s.lifts = append(s.lifts[:0], nil)
+		s.feds = s.feds[:0]
 	}
 	for s.level < completeLevels {
 		if !s.extend(t) {
@@ -253,7 +240,6 @@ func (s *Solver) reset(t *Tree) {
 	s.gen = t.Generation()
 	s.level = -1
 	s.basis, s.idx, s.anc0, s.covered = nil, nil, nil, nil
-	s.elim = nil
 	s.lifts, s.feds = nil, nil
 	s.broken = false
 }
@@ -293,12 +279,8 @@ func (s *Solver) extend(t *Tree) bool {
 	// pair enumeration matches the from-scratch solver's.
 	pairs := balancePairs(t, s.level)
 
-	if s.arith == ArithBig {
-		s.elim.lift(parentIdx, len(next))
-	} else {
-		s.melim.lift(parentIdx, len(next))
-		s.lifts = append(s.lifts, parentIdx)
-	}
+	s.melim.lift(parentIdx, len(next))
+	s.lifts = append(s.lifts, parentIdx)
 
 	idx := make(map[*Node]int, len(next))
 	anc0 := make([]*Node, len(next))
@@ -312,48 +294,15 @@ func (s *Solver) extend(t *Tree) bool {
 	s.level++
 	s.stats.LevelsConsumed++
 
-	if s.arith == ArithBig {
-		s.feedBig(pairs, idx, len(next))
-	} else {
-		s.feedModular(pairs, idx, len(next))
-	}
+	s.feed(pairs, idx, len(next))
 	return true
 }
 
-// feedBig feeds one level's balance equations into the big.Int elimination.
-func (s *Solver) feedBig(pairs []nodePair, idx map[*Node]int, k int) {
-	row := make([]big.Int, k)
-	for _, pair := range pairs {
-		for i := range row {
-			row[i].SetInt64(0)
-		}
-		used := false
-		// A node is the child of exactly one of the pair, so each column is
-		// written at most once.
-		for _, c := range pair.w.Children {
-			if m := c.RedMult(pair.u); m != 0 {
-				row[idx[c]].SetInt64(int64(m))
-				used = true
-			}
-		}
-		for _, c := range pair.u.Children {
-			if m := c.RedMult(pair.w); m != 0 {
-				row[idx[c]].SetInt64(-int64(m))
-				used = true
-			}
-		}
-		if used {
-			s.elim.addRow(row)
-		}
-		s.stats.Equations++
-	}
-}
-
-// feedModular feeds one level's balance equations into the prime battery.
+// feed feeds one level's balance equations into the prime battery.
 // The int64 row scratch lives in the battery and is recycled, so the
 // steady-state feed's only allocations are the sparse row copies retained
 // for the replay skeleton (a handful of words per fed equation).
-func (s *Solver) feedModular(pairs []nodePair, idx map[*Node]int, k int) {
+func (s *Solver) feed(pairs []nodePair, idx map[*Node]int, k int) {
 	e := s.melim
 	if cap(e.intRow) < k {
 		e.intRow = make([]int64, k, k+k/2+4)
@@ -398,9 +347,20 @@ func (s *Solver) feedModular(pairs []nodePair, idx map[*Node]int, k int) {
 // dimension ≥ 2 (or, degenerately, the ray would be a unit vector and fail
 // the positivity check) — either way the answer is unknown.
 //
-// certified=false means the modular battery could not certify a decision
-// within its attempt budget and the caller must delegate this call to the
-// big.Int witness; it never happens under ArithBig.
+// Otherwise it certifies the rank decision over the prime battery (growing
+// it to the Hadamard-bound size and replaying the consumed equations into
+// fresh primes from the replay skeleton), evicts unlucky primes against the
+// battery consensus, and CRT-reconstructs the exact null ray at corank 1.
+// Soundness: every lucky prime sees the exact rank and pivot profile, an
+// unlucky prime must divide one of two fixed nonzero minors bounded by the
+// Hadamard bound, and the battery holds more primes than those minors admit
+// 30-bit divisors — so after eviction the per-prime rays are reductions of
+// the one exact primitive ray and the CRT modulus exceeds twice the square
+// of its entry bound.
+//
+// certified=false means the battery could not certify a decision within
+// its attempt budget and the caller must delegate this call to the
+// from-scratch big.Int solver.
 func (s *Solver) resolve() (ray []*big.Rat, certified bool) {
 	k := len(s.basis)
 	if k >= 2 {
@@ -410,30 +370,6 @@ func (s *Solver) resolve() (ray []*big.Rat, certified bool) {
 			}
 		}
 	}
-	if s.arith != ArithBig {
-		return s.resolveModular(k)
-	}
-	if s.elim.rank != k-1 {
-		return nil, true
-	}
-	ray = s.elim.nullRay()
-	if !orientPositive(ray) {
-		return nil, true
-	}
-	return ray, true
-}
-
-// resolveModular is resolve over the prime battery: it certifies the rank
-// decision (growing the battery to the Hadamard-bound size and replaying
-// the consumed equations into fresh primes straight from the tree), evicts
-// unlucky primes against the battery consensus, and CRT-reconstructs the
-// exact null ray at corank 1. Soundness: every lucky prime sees the exact
-// rank and pivot profile, an unlucky prime must divide one of two fixed
-// nonzero minors bounded by the Hadamard bound, and the battery holds more
-// primes than those minors admit 30-bit divisors — so after eviction the
-// per-prime rays are reductions of the one exact primitive ray and the CRT
-// modulus exceeds twice the square of its entry bound.
-func (s *Solver) resolveModular(k int) ([]*big.Rat, bool) {
 	e := s.melim
 	for attempt := 0; attempt < 5; attempt++ {
 		r := e.maxRank()
@@ -551,169 +487,3 @@ func crossRed(v *Node) bool {
 	}
 	return false
 }
-
-// intElim is a fraction-free reduced row-echelon basis over the integers:
-// rows are big.Int vectors divided by their content, each with a positive
-// pivot entry that is the only nonzero in its column. It supports the two
-// operations the incremental solver needs — adding a row, and lifting every
-// row onto a refined variable set — plus null-ray extraction at corank 1.
-type intElim struct {
-	cols  int
-	rows  [][]big.Int
-	pivot []int
-	rank  int
-	has   []bool // has[c] = some row pivots at column c
-
-	t1, t2, g big.Int // scratch
-}
-
-func newIntElim(cols int) *intElim {
-	return &intElim{cols: cols, has: make([]bool, cols)}
-}
-
-// addRow reduces row against the basis and inserts it if independent. The
-// backing array is copied only on insertion, so callers may reuse it.
-func (e *intElim) addRow(row []big.Int) {
-	for i := range e.rows {
-		p := e.pivot[i]
-		if row[p].Sign() == 0 {
-			continue
-		}
-		// row ← a·row − b·basisRow, the fraction-free elimination step.
-		e.t2.Set(&row[p])
-		a, br := &e.rows[i][p], e.rows[i]
-		for c := 0; c < e.cols; c++ {
-			row[c].Mul(&row[c], a)
-			if br[c].Sign() != 0 {
-				e.t1.Mul(&e.t2, &br[c])
-				row[c].Sub(&row[c], &e.t1)
-			}
-		}
-		reduceContent(row, &e.g)
-	}
-	p := -1
-	for c := 0; c < e.cols; c++ {
-		if row[c].Sign() != 0 {
-			p = c
-			break
-		}
-	}
-	if p < 0 {
-		return // dependent
-	}
-	reduceContent(row, &e.g)
-	if row[p].Sign() < 0 {
-		for c := range row {
-			row[c].Neg(&row[c])
-		}
-	}
-	kept := make([]big.Int, e.cols)
-	for c := range kept {
-		kept[c].Set(&row[c])
-	}
-	// Back-eliminate the new pivot from existing rows to keep full
-	// reduction (needed for O(1)-support rows at corank 1).
-	for i := range e.rows {
-		br := e.rows[i]
-		if br[p].Sign() == 0 {
-			continue
-		}
-		e.t2.Set(&br[p])
-		for c := 0; c < e.cols; c++ {
-			br[c].Mul(&br[c], &kept[p])
-			if kept[c].Sign() != 0 {
-				e.t1.Mul(&e.t2, &kept[c])
-				br[c].Sub(&br[c], &e.t1)
-			}
-		}
-		reduceContent(br, &e.g)
-	}
-	e.rows = append(e.rows, kept)
-	e.pivot = append(e.pivot, p)
-	e.has[p] = true
-	e.rank++
-}
-
-// lift maps the state onto a refined variable set: old column j becomes the
-// block of new columns c with parentIdx[c] == j. Old equations over class
-// cardinalities hold verbatim when each cardinality is replaced by the sum
-// of its children's, so every lifted row is a valid equation over the new
-// variables; distinct pivots map to disjoint child blocks, preserving
-// independence, full reduction, and rank. Each row's new pivot is the first
-// child of its old pivot. Every old pivot column must have at least one
-// child (the caller checks all columns).
-func (e *intElim) lift(parentIdx []int32, newCols int) {
-	firstChild := make([]int, e.cols)
-	for j := range firstChild {
-		firstChild[j] = -1
-	}
-	for c := newCols - 1; c >= 0; c-- {
-		firstChild[parentIdx[c]] = c
-	}
-	for i := range e.rows {
-		old := e.rows[i]
-		lifted := make([]big.Int, newCols)
-		for c := 0; c < newCols; c++ {
-			lifted[c].Set(&old[parentIdx[c]])
-		}
-		e.rows[i] = lifted
-		e.pivot[i] = firstChild[e.pivot[i]]
-	}
-	e.cols = newCols
-	e.has = make([]bool, newCols)
-	for _, p := range e.pivot {
-		e.has[p] = true
-	}
-}
-
-// nullRay returns a nonzero vector of the null space; it must only be
-// called at rank == cols−1. Full reduction means each row is supported on
-// its pivot and the single free column, so the ray reads off directly.
-func (e *intElim) nullRay() []*big.Rat {
-	free := -1
-	for c := 0; c < e.cols; c++ {
-		if !e.has[c] {
-			free = c
-			break
-		}
-	}
-	out := make([]*big.Rat, e.cols)
-	for c := range out {
-		out[c] = new(big.Rat)
-	}
-	out[free].SetInt64(1)
-	for i := range e.rows {
-		b := &e.rows[i][free]
-		if b.Sign() == 0 {
-			continue
-		}
-		out[e.pivot[i]].SetFrac(b, &e.rows[i][e.pivot[i]])
-		out[e.pivot[i]].Neg(out[e.pivot[i]])
-	}
-	return out
-}
-
-// reduceContent divides the row by the gcd of its entries (its content),
-// bounding coefficient growth across fraction-free steps.
-func reduceContent(row []big.Int, g *big.Int) {
-	g.SetInt64(0)
-	for i := range row {
-		if row[i].Sign() == 0 {
-			continue
-		}
-		g.GCD(nil, nil, g, &row[i])
-		if g.Cmp(oneInt) == 0 {
-			return
-		}
-	}
-	if g.Sign() == 0 || g.Cmp(oneInt) == 0 {
-		return
-	}
-	for i := range row {
-		if row[i].Sign() != 0 {
-			row[i].Quo(&row[i], g)
-		}
-	}
-}
-
-var oneInt = big.NewInt(1)

@@ -2,14 +2,12 @@ package linear_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"anondyn/internal/check"
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
-	"anondyn/internal/engine"
 	"anondyn/internal/faults"
 	"anondyn/internal/historytree"
 	"anondyn/internal/linear"
@@ -23,26 +21,9 @@ import (
 // bit accounting flows through wire.SizeOf, so every subtest also logs the
 // measured rounds-vs-bits tradeoff the E17 experiment tabulates.
 
-// schedulers is the engine matrix every equivalence case runs under; the
-// subtests name an entry by its index. The parallel entries pin GOMAXPROCS
-// (2 and 4 workers), so the ring really splits even on a one-core host.
-var schedulers = []struct {
-	s     engine.Scheduler
-	procs int // GOMAXPROCS for the run; 0 leaves it alone
-}{
-	{engine.SchedulerSequential, 0},
-	{engine.SchedulerParallel, 2},
-	{engine.SchedulerParallel, 4},
-}
-
-// setProcs sets GOMAXPROCS to procs for the rest of the test; 0 is a no-op.
-func setProcs(t *testing.T, procs int) {
-	t.Helper()
-	if procs > 0 {
-		prev := runtime.GOMAXPROCS(procs)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-}
+// matrixSchedules is the number of random base schedules every fault-matrix
+// cell runs on; the subtests name one by its index (sched=i).
+const matrixSchedules = 3
 
 // inModelPlans is the PR 5 in-model fault matrix, verbatim from
 // internal/faults/integration_test.go.
@@ -54,17 +35,17 @@ var inModelPlans = []string{
 	"spike:4:16,storm:1:0:2",
 }
 
-// faultedSchedule rebuilds the matrix schedule for one (plan, T) cell:
-// the seeded random inner schedule, union-connected for T > 1, with the
-// fault plan layered on top. Each call constructs a fresh schedule so the
-// two protocol runs cannot share mutable state.
-func faultedSchedule(t *testing.T, n int, spec string, T int) dynnet.Schedule {
+// faultedSchedule rebuilds the matrix schedule for one (plan, T, sched)
+// cell: the random inner schedule with seed T·101+3+sched, union-connected
+// for T > 1, with the fault plan layered on top. Each call constructs a
+// fresh schedule so the two protocol runs cannot share mutable state.
+func faultedSchedule(t *testing.T, n int, spec string, T, sched int) dynnet.Schedule {
 	t.Helper()
 	plan, err := faults.Parse(spec, T, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := dynnet.Schedule(dynnet.NewRandomConnected(n, 0.5, int64(T)*101+3))
+	base := dynnet.Schedule(dynnet.NewRandomConnected(n, 0.5, int64(T)*101+3+int64(sched)))
 	if T > 1 {
 		uc, err := dynnet.NewUnionConnected(base, T)
 		if err != nil {
@@ -78,7 +59,7 @@ func faultedSchedule(t *testing.T, n int, spec string, T int) dynnet.Schedule {
 // runCongested executes the congested protocol with the invariant checker
 // attached and fully verified.
 func runCongested(t *testing.T, s dynnet.Schedule, inputs []historytree.Input,
-	mode core.Mode, T int, sched engine.Scheduler) *core.RunResult {
+	mode core.Mode, T int) *core.RunResult {
 	t.Helper()
 	n := len(inputs)
 	cfg := core.Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
@@ -87,7 +68,7 @@ func runCongested(t *testing.T, s dynnet.Schedule, inputs []historytree.Input,
 	}
 	checker := check.New(inputs)
 	checker.Attach(&cfg)
-	res, err := core.Run(s, inputs, cfg, core.RunOptions{Scheduler: sched})
+	res, err := core.Run(s, inputs, cfg, core.RunOptions{})
 	if err != nil {
 		t.Fatalf("congested run: %v", err)
 	}
@@ -100,14 +81,14 @@ func runCongested(t *testing.T, s dynnet.Schedule, inputs []historytree.Input,
 // runLinear executes the linear protocol and verifies its answer against
 // ground truth.
 func runLinear(t *testing.T, s dynnet.Schedule, inputs []historytree.Input,
-	mode core.Mode, T int, sched engine.Scheduler) *core.RunResult {
+	mode core.Mode, T int) *core.RunResult {
 	t.Helper()
 	n := len(inputs)
 	cfg := linear.Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
 	if mode == core.ModeLeaderless {
 		cfg.DiamBound = n * T
 	}
-	res, err := linear.Run(s, inputs, cfg, core.RunOptions{Scheduler: sched})
+	res, err := linear.Run(s, inputs, cfg, core.RunOptions{})
 	if err != nil {
 		t.Fatalf("linear run: %v", err)
 	}
@@ -166,28 +147,25 @@ func assertBitAccounting(t *testing.T, congested, lin *core.RunResult) {
 
 // TestProtocolEquivalenceFaultMatrix is the headline differential suite:
 // on every schedule of the PR 5 in-model fault matrix — leader and
-// leaderless, T ∈ {1, 2, 4, 8}, every fault family, every entry of the
-// engine matrix — both protocols must return the identical answer, each
+// leaderless, T ∈ {1, 2, 4, 8}, every fault family, matrixSchedules random
+// base schedules — both protocols must return the identical answer, each
 // independently verified against ground truth.
 func TestProtocolEquivalenceFaultMatrix(t *testing.T) {
 	n := 5
-	for i, sc := range schedulers {
-		sched := sc.s
+	for sched := range matrixSchedules {
 		for _, T := range []int{1, 2, 4, 8} {
 			for _, spec := range inModelPlans {
-				t.Run(fmt.Sprintf("leader/sched=%d/T=%d/%s", i, T, spec), func(t *testing.T) {
-					setProcs(t, sc.procs)
+				t.Run(fmt.Sprintf("leader/sched=%d/T=%d/%s", sched, T, spec), func(t *testing.T) {
 					inputs := leaderIn(n)
-					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T, sched)
-					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeader, T, sched)
+					congested := runCongested(t, faultedSchedule(t, n, spec, T, sched), inputs, core.ModeLeader, T)
+					lin := runLinear(t, faultedSchedule(t, n, spec, T, sched), inputs, core.ModeLeader, T)
 					assertSameAnswer(t, congested, lin)
 					assertBitAccounting(t, congested, lin)
 				})
-				t.Run(fmt.Sprintf("leaderless/sched=%d/T=%d/%s", i, T, spec), func(t *testing.T) {
-					setProcs(t, sc.procs)
+				t.Run(fmt.Sprintf("leaderless/sched=%d/T=%d/%s", sched, T, spec), func(t *testing.T) {
 					inputs := valueIn(n)
-					congested := runCongested(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T, sched)
-					lin := runLinear(t, faultedSchedule(t, n, spec, T), inputs, core.ModeLeaderless, T, sched)
+					congested := runCongested(t, faultedSchedule(t, n, spec, T, sched), inputs, core.ModeLeaderless, T)
+					lin := runLinear(t, faultedSchedule(t, n, spec, T, sched), inputs, core.ModeLeaderless, T)
 					assertSameAnswer(t, congested, lin)
 					assertBitAccounting(t, congested, lin)
 				})
@@ -223,7 +201,7 @@ func TestProtocolEquivalenceGeneralized(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lin := runLinear(t, mkSched(), inputs, core.ModeLeader, 1, engine.SchedulerSequential)
+	lin := runLinear(t, mkSched(), inputs, core.ModeLeader, 1)
 	assertSameAnswer(t, congested, lin)
 	if lin.Multiset[historytree.Input{Value: 2}] != 3 {
 		t.Fatalf("linear multiset: %v", lin.Multiset)
@@ -235,13 +213,12 @@ func TestProtocolEquivalenceGeneralized(t *testing.T) {
 // ground-truth oracle rejects. A clean run with a verified answer returns
 // false — the silent-corruption case the suite exists to rule out.
 func failsDetectably(t *testing.T, protocol string, s dynnet.Schedule,
-	inputs []historytree.Input, sched engine.Scheduler) (bool, string) {
+	inputs []historytree.Input) (bool, string) {
 	t.Helper()
 	n := len(inputs)
 	opts := core.RunOptions{
 		Deadline:  100 * time.Millisecond,
 		MaxRounds: 1 << 30, // the watchdog or the oracle must end it, not the round cap
-		Scheduler: sched,
 	}
 	var res *core.RunResult
 	var err error
@@ -260,16 +237,15 @@ func failsDetectably(t *testing.T, protocol string, s dynnet.Schedule,
 }
 
 // TestProtocolsFailDetectablyOutOfModel mirrors the PR 5 out-of-model
-// cases on both protocols and both engine schedulers (the parallel one on
-// 4 workers): neither may return a silently wrong answer.
+// cases on both protocols, each over two random base schedules (sched=i
+// wraps the one with seed 4+i): neither may return a silently wrong answer.
 // Total message loss makes the anonymous leader count only itself (caught
 // by the oracle) under both protocols; a forever-crashed leader wedges
 // the run until the watchdog or the level guard ends it.
 func TestProtocolsFailDetectablyOutOfModel(t *testing.T) {
 	n := 5
 	cases := []string{"drop:1:0:1", "crash:0:3:0"}
-	setProcs(t, 4)
-	for _, sched := range []engine.Scheduler{engine.SchedulerSequential, engine.SchedulerParallel} {
+	for sched := range 2 {
 		for _, spec := range cases {
 			for _, protocol := range []string{"congested", "linear"} {
 				t.Run(fmt.Sprintf("%s/%s/sched=%d", protocol, spec, sched), func(t *testing.T) {
@@ -280,8 +256,8 @@ func TestProtocolsFailDetectablyOutOfModel(t *testing.T) {
 					if plan.InModel() {
 						t.Fatalf("plan %q must be out-of-model", spec)
 					}
-					s := plan.Wrap(dynnet.NewRandomConnected(n, 0.5, 4))
-					detected, how := failsDetectably(t, protocol, s, leaderIn(n), sched)
+					s := plan.Wrap(dynnet.NewRandomConnected(n, 0.5, 4+int64(sched)))
+					detected, how := failsDetectably(t, protocol, s, leaderIn(n))
 					if !detected {
 						t.Fatalf("%s returned a verified answer under out-of-model plan %q", protocol, spec)
 					}

@@ -119,7 +119,7 @@ func defaultMaxRounds(n int, cfg Config) int {
 // Run executes the linear protocol over the schedule with the given
 // inputs and returns the collected result in the same shape as core.Run,
 // honoring the same engine-level options (context, deadline watchdog,
-// bit limit, trace hook, scheduler selection). Like core.Run it verifies
+// round cap, bit limit, trace hook). Like core.Run it verifies
 // cross-process agreement on the leaderless answer before returning, so
 // out-of-model schedules that break the diameter bound fail with a
 // structured error instead of a silent disagreement.
@@ -150,7 +150,6 @@ func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.Ru
 		SizeOf:    sizeOfMessage,
 		BitLimit:  opts.BitLimit,
 		Trace:     opts.Trace,
-		Scheduler: opts.Scheduler,
 	}
 	if ecfg.MaxRounds <= 0 {
 		ecfg.MaxRounds = defaultMaxRounds(n, cfg)

@@ -133,43 +133,6 @@ func TestLinearBlockSimulation(t *testing.T) {
 	}
 }
 
-// TestLinearSchedulerEquivalence pins the scheduler contract for the new
-// backend: answers, rounds, levels and — thanks to the canonical view
-// serialization — every bit-accounting stat must be identical on every
-// entry of the engine matrix, even though interner ID assignment order is
-// not.
-func TestLinearSchedulerEquivalence(t *testing.T) {
-	n := 7
-	type key struct {
-		n, rounds, levels, maxBits int
-		totalMsgs, totalBits       int64
-	}
-	var want *key
-	for i, sc := range schedulers {
-		t.Run(fmt.Sprintf("sched=%d", i), func(t *testing.T) {
-			setProcs(t, sc.procs)
-			cfg := linear.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
-			res, err := linear.Run(dynnet.NewRandomConnected(n, 0.3, 21), leaderIn(n), cfg,
-				core.RunOptions{Scheduler: sc.s})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := key{
-				n: res.N, rounds: res.Stats.Rounds, levels: res.Stats.Levels,
-				maxBits: res.Stats.MaxMessageBits, totalMsgs: res.Stats.TotalMessages,
-				totalBits: res.Stats.TotalBits,
-			}
-			if want == nil {
-				want = &got
-				return
-			}
-			if got != *want {
-				t.Fatalf("diverged from sched=0: %+v vs %+v", got, *want)
-			}
-		})
-	}
-}
-
 func TestLinearConfigValidation(t *testing.T) {
 	n := 4
 	sched := dynnet.NewStatic(dynnet.Complete(n))

@@ -33,9 +33,9 @@ type redRef struct {
 // classes obtain the same ID, which is exactly the "merge equivalent view
 // nodes" step of the full-information protocol — realized without
 // re-encoding entire subtrees into every message. ID assignment order
-// depends on scheduler interleaving, so nothing observable may depend on
-// the numeric IDs; the canonical view serialization orders classes by
-// content instead (see buildView).
+// depends on the order in which processes run, so nothing observable may
+// depend on the numeric IDs; the canonical view serialization orders
+// classes by content instead (see buildView).
 type interner struct {
 	mu     sync.Mutex
 	byKey  map[string]int32
@@ -355,8 +355,7 @@ func (p *process) materialize(classes []int32) (*historytree.Tree, error) {
 // (parent position, red list); positions are the resulting indices.
 // Hash-consing makes the within-level keys unique, so the order — and
 // therefore the encoding and its size — depends only on the abstract
-// view, not on interner ID assignment order, which varies across
-// schedulers.
+// view, not on interner ID assignment order.
 func buildView(infos []classInfo, ids []int32, self int32) *wire.View {
 	maxLevel := int32(0)
 	for _, id := range ids {

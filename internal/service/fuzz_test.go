@@ -16,8 +16,7 @@ import (
 //   - Normalize, Validate and Hash never panic;
 //   - Normalize is idempotent;
 //   - the hash does not depend on the order of the JSON keys;
-//   - the hash-neutral knobs (scheduler, compact, deadlineMS) never move
-//     the hash.
+//   - the hash-neutral knobs (compact, deadlineMS) never move the hash.
 //
 // Objects naming one field twice under keys that differ only in case are
 // skipped for the reordering property: encoding/json matches field names
@@ -41,7 +40,6 @@ func FuzzJobSpec(f *testing.F) {
 		hash := spec.Hash()
 
 		neutral := spec
-		neutral.Scheduler = "parallel"
 		neutral.CompactVHT = !spec.CompactVHT
 		neutral.DeadlineMS = spec.DeadlineMS + 1
 		if got := neutral.Hash(); got != hash {

@@ -269,6 +269,7 @@ func TestServerRejectsUnknownFields(t *testing.T) {
 		"topologyy":   `{"n":4,"topologyy":"path"}`,
 		"arithmetic":  `{"n":4,"arithmetic":"big"}`,
 		"private_vht": `{"n":4,"private_vht":true}`,
+		"scheduler":   `{"n":4,"scheduler":"parallel"}`,
 	} {
 		resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
 			bytes.NewReader([]byte(body)))

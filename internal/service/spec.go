@@ -50,7 +50,7 @@ type JobSpec struct {
 	// PODC 2023 congested protocol (internal/core, O(T·n³ log n) rounds,
 	// O(log n)-bit messages), "linear" for the FOCS 2022 full-information
 	// protocol (internal/linear, Θ(T·n) rounds, messages growing to
-	// Θ(n³ log n) bits). Unlike Scheduler this is a semantic knob:
+	// Θ(n³ log n) bits). Unlike CompactVHT this is a semantic knob:
 	// answers agree (pinned by the cross-protocol equivalence suite) but
 	// rounds and bit accounting differ, so the spec hash keeps it. The
 	// congested-only extensions (halt, fine, batch, keepAll, eager,
@@ -83,12 +83,6 @@ type JobSpec struct {
 	Eager bool `json:"eager,omitempty"`
 	// MaxRounds caps the run; 0 derives the default O(T·n³ log n) budget.
 	MaxRounds int `json:"maxRounds,omitempty"`
-	// Scheduler selects the engine execution strategy: "" or "sequential"
-	// for the default (one shard, run inline), "parallel" for the sharded
-	// round-parallel scheduler (min(GOMAXPROCS, n) worker shards). Both
-	// produce identical results (the spec hash treats them as the same
-	// simulation), so this is a performance knob, not a semantic one.
-	Scheduler string `json:"scheduler,omitempty"`
 	// CompactVHT enables history-level compaction: consumed VHT levels are
 	// released once the counting solver can never re-read them, keeping
 	// resident memory proportional to the active view instead of the whole
@@ -114,7 +108,7 @@ type JobSpec struct {
 
 // DecodeStrict decodes one JSON value from r into v and rejects any field
 // v does not declare, so a misspelled or retired spec field (say
-// "lederless" or "arithmetic") is an error naming that field instead of a
+// "lederless" or "scheduler") is an error naming that field instead of a
 // silently defaulted knob. The backend and the coordinator decode every
 // request body with it.
 func DecodeStrict(r io.Reader, v any) error {
@@ -143,9 +137,6 @@ func (s *JobSpec) Normalize() {
 	}
 	if len(s.Inputs) == 0 {
 		s.Inputs = nil
-	}
-	if s.Scheduler == "sequential" {
-		s.Scheduler = "" // the default, spelled out
 	}
 	s.Faults = strings.TrimSpace(s.Faults)
 	if s.Faults == "" {
@@ -206,9 +197,6 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("the isolator adversary targets the congested protocol's leader; protocol linear unsupported")
 		}
 	}
-	if s.Scheduler != "" && s.Scheduler != "parallel" {
-		return fmt.Errorf("unknown scheduler %q (have sequential, parallel)", s.Scheduler)
-	}
 	if len(s.Inputs) > 0 && len(s.Inputs) != s.N {
 		return fmt.Errorf("%d input values for %d processes", len(s.Inputs), s.N)
 	}
@@ -253,10 +241,8 @@ func (s JobSpec) Validate() error {
 // result-cache key.
 func (s JobSpec) Hash() string {
 	s.Normalize()
-	// All schedulers produce identical results (the engine's equivalence
-	// contract), so the choice must not fragment the result cache; the
-	// same holds for compaction (the core equivalence suite).
-	s.Scheduler = ""
+	// Compaction leaves results unchanged (the core equivalence suite), so
+	// it must not fragment the result cache.
 	s.CompactVHT = false
 	// Protocol stays in the hash: both protocols return the same answer
 	// (the cross-protocol equivalence suite pins that), but the cached
@@ -376,9 +362,6 @@ func (s JobSpec) Run(ctx context.Context, traceHook func(round int, sent []engin
 		BitLimit:  s.BitLimit,
 		Deadline:  time.Duration(s.DeadlineMS) * time.Millisecond,
 		Trace:     traceHook,
-	}
-	if s.Scheduler == "parallel" {
-		opts.Scheduler = engine.SchedulerParallel
 	}
 	var plan *faults.Plan
 	if s.Faults != "" {

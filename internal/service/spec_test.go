@@ -67,16 +67,12 @@ func TestSpecHashCanonical(t *testing.T) {
 	if f1.Hash() != f2.Hash() {
 		t.Error("faultSeed without a plan must not affect the hash")
 	}
-	// Scheduler and CompactVHT are performance knobs: identical results, so
-	// they must not fragment the result cache.
-	s1 := JobSpec{N: 5, Seed: 1}
-	for name, same := range map[string]JobSpec{
-		"parallel-scheduler": {N: 5, Seed: 1, Scheduler: "parallel"},
-		"compact":            {N: 5, Seed: 1, CompactVHT: true},
-	} {
-		if s1.Hash() != same.Hash() {
-			t.Errorf("%s: performance knob changed the hash", name)
-		}
+	// CompactVHT is a performance knob: identical results, so it must not
+	// fragment the result cache.
+	c1 := JobSpec{N: 5, Seed: 1}
+	c2 := JobSpec{N: 5, Seed: 1, CompactVHT: true}
+	if c1.Hash() != c2.Hash() {
+		t.Error("compact: performance knob changed the hash")
 	}
 }
 
@@ -93,22 +89,6 @@ func TestSpecHashGolden(t *testing.T) {
 	} {
 		if got := spec.Hash(); got != want {
 			t.Errorf("%+v: hash %s, want %s", spec, got, want)
-		}
-	}
-}
-
-func TestSpecSchedulerValues(t *testing.T) {
-	for _, ok := range []string{"", "sequential", "parallel"} {
-		if err := (JobSpec{N: 4, Scheduler: ok}).Validate(); err != nil {
-			t.Errorf("scheduler %q rejected: %v", ok, err)
-		}
-	}
-	// "concurrent" named the goroutine-per-process coordinator, which is
-	// now test-only; specs naming it are rejected like any unknown value.
-	for _, bad := range []string{"threads", "concurrent"} {
-		err := (JobSpec{N: 4, Scheduler: bad}).Validate()
-		if err == nil || !strings.Contains(err.Error(), "(have sequential, parallel)") {
-			t.Fatalf("scheduler %q: error %v should list the valid values", bad, err)
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // the worst case — which is exactly the tradeoff the E17 experiment
 // measures. The encoding is canonical (content-ordered, minimal varints),
 // so equal abstract views encode to identical bytes regardless of which
-// process, scheduler, or run produced them; SizeOf therefore reports
-// scheduler-independent congestion numbers.
+// process or run produced them; SizeOf therefore reports congestion
+// numbers independent of the order in which processes built their views.
 
 // ViewRed is one red multi-edge of a view class: the position (index into
 // View.Classes) of the source class one level up, and the multiplicity
