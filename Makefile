@@ -1,10 +1,13 @@
 GO ?= go
 
-.PHONY: check vet build test race bench benchsmoke benchcmp gobench profile fuzz perfbench
+.PHONY: check fmt vet build test race benchsmoke gobench profile fuzz perfbench abbench
 
-# The tier-1 gate plus the race detector and a bench compile smoke — run
-# before every commit.
-check: vet build race benchsmoke
+# The tier-1 gate plus gofmt, the race detector and a bench compile smoke —
+# run before every commit; CI's check job runs it.
+check: fmt vet build race benchsmoke
+
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -48,30 +51,27 @@ perfbench:
 	bash perfbench/run.sh --smoke
 	cd perfbench && $(GO) test ./...
 
-# Run the benchmark-regression suite and record BENCH_PR9.json (see
-# EXPERIMENTS.md, "Perf appendix").
-bench:
-	$(GO) run ./cmd/benchreport -out BENCH_PR9.json
+# The same-host A/B gate on the repo benchmark (cmd/abbench): BASE, any git
+# revision, is checked out in a temporary worktree, and every BENCHMARK.json
+# workload runs there and in this tree in 5 alternating pairs. A median
+# worse than the larger of its BENCHMARK.json bound and the base's spread
+# fails the gate. About 16 minutes on a 2-vCPU host. The binary is built
+# rather than `go run` so its exit status (1 regressed, 2 usage) survives.
+# Usage: make abbench BASE=<rev>
+abbench:
+	$(GO) build -o .bench_build/abbench ./cmd/abbench
+	.bench_build/abbench $(BASE)
 
-# Compare two BENCH_*.json reports; fails on >20% ns/op regression
-# (override per entry with -tol NAME=FRAC through EXTRA).
-# Usage: make benchcmp BASE=BENCH_PR8.json [NEW=BENCH_PR9.json]
-BASE ?= BENCH_PR8.json
-NEW ?= BENCH_PR9.json
-benchcmp:
-	$(GO) run ./cmd/benchreport -compare -old $(BASE) -new $(NEW)
-
-# Capture CPU + allocation pprof profiles of one suite entry (default:
-# the E2 counting run, the repo's end-to-end hot path — its profile now
-# lands in the batched refinement pass and the masked schedule
-# generator; see DESIGN.md decision 15). See README "Profiling" for how
-# to read the artifacts.
-# Usage: make profile [BENCH=E2Count] [PROFDIR=profiles]
-BENCH ?= E2Count
+# CPU and allocation pprof profiles of root-package benchmarks (default: the
+# n=96 counting run, the repo's end-to-end hot path). The test binary lands
+# beside the profiles, for `go tool pprof`. See README "Profiling".
+# Usage: make profile [BENCH=<regexp>] [PROFDIR=profiles]
+BENCH ?= BenchmarkE2RoundsVsN/n=96
 PROFDIR ?= profiles
 profile:
-	$(GO) run ./cmd/benchreport -bench '$(BENCH)' \
-		-cpuprofile $(PROFDIR)/cpu.pprof -memprofile $(PROFDIR)/mem.pprof
+	mkdir -p $(PROFDIR)
+	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -o $(PROFDIR)/anondyn.test \
+		-cpuprofile $(PROFDIR)/cpu.pprof -memprofile $(PROFDIR)/mem.pprof .
 
 # The raw testing.B entries (one per reproduction experiment).
 gobench:

@@ -43,11 +43,16 @@ func countOnce(b *testing.B, s anondyn.Schedule, n int, cfg anondyn.Config) *ano
 	return res
 }
 
+// BenchmarkE2RoundsVsN is one full counting run per size. n = 24 … 96
+// track how the history-tree layer scales past E2's sweep; n=96 is the
+// run `make profile` captures. The CompactVHT row is the n=192
+// configuration, with the resident set bounded as any run that large
+// would keep it.
 func BenchmarkE2RoundsVsN(b *testing.B) {
-	for _, n := range []int{4, 8, 12, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	e2 := func(name string, n int, compact bool) {
+		b.Run(name, func(b *testing.B) {
 			s := anondyn.RandomConnected(n, 0.3, 1)
-			cfg := anondyn.Config{Mode: anondyn.ModeLeader, MaxLevels: 3*n + 6}
+			cfg := anondyn.Config{Mode: anondyn.ModeLeader, MaxLevels: 3*n + 6, CompactVHT: compact}
 			var rounds int
 			for i := 0; i < b.N; i++ {
 				rounds = countOnce(b, s, n, cfg).Stats.Rounds
@@ -56,6 +61,10 @@ func BenchmarkE2RoundsVsN(b *testing.B) {
 			b.ReportMetric(float64(rounds)/float64(n*n*n), "rounds/n³")
 		})
 	}
+	for _, n := range []int{4, 8, 12, 16, 24, 48, 96} {
+		e2(fmt.Sprintf("n=%d", n), n, false)
+	}
+	e2("CompactVHT/n=192", 192, true)
 }
 
 func BenchmarkE3MessageBits(b *testing.B) {

@@ -59,7 +59,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fine       = fs.Bool("fine", false, "fine-grained resets (Section 5 'Optimized running time')")
 		batch      = fs.Int("batch", 0, "batch up to this many observations per Edge message (Section 6 tradeoff)")
 		keepAll    = fs.Bool("keepall", false, "ablation: disable the Section 3.4 spanning-tree restriction")
-		eager      = fs.Bool("eager", false, "skip the confirmation window (pseudocode-literal termination)")
 		traceFlag  = fs.Bool("trace", false, "print a per-round protocol trace and summary")
 		compact    = fs.Bool("compact", false, "release consumed VHT levels (O(active view) memory; incompatible with faulty resets that rewind far)")
 		faultsFlag = fs.String("faults", "", "fault plan layered over the adversary, e.g. spike:8:0 or cut:3:20,storm:1:0:2 (see internal/faults)")
@@ -70,7 +69,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	spec, err := buildSpec(*n, *protocol, *topology, *density, *seed, *blockT,
-		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll, *eager,
+		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll,
 		*compact, *faultsFlag, *faultSeed, *deadline)
 	if err != nil {
 		fmt.Fprintln(stderr, "cadn: invalid usage:", err)
@@ -87,7 +86,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 // Any error it returns is a usage error (exit status 2).
 func buildSpec(n int, protocol, topology string, density float64, seed int64, blockT int,
 	leaderless bool, inputsFlag string, halt bool, bitLimit int,
-	fine bool, batch int, keepAll, eager bool,
+	fine bool, batch int, keepAll bool,
 	compact bool, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
 	spec := service.JobSpec{
 		N:          n,
@@ -102,7 +101,6 @@ func buildSpec(n int, protocol, topology string, density float64, seed int64, bl
 		Fine:       fine,
 		Batch:      batch,
 		KeepAll:    keepAll,
-		Eager:      eager,
 		CompactVHT: compact,
 		Faults:     faultsSpec,
 		FaultSeed:  faultSeed,

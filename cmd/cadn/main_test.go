@@ -62,10 +62,9 @@ func TestRunVariants(t *testing.T) {
 				s.Seed = 3
 			})
 		}},
-		{name: "keepall-eager", spec: func(t *testing.T) service.JobSpec {
+		{name: "keepall", spec: func(t *testing.T) service.JobSpec {
 			return specFor(t, 4, "random", func(s *service.JobSpec) {
 				s.KeepAll = true
-				s.Eager = true
 				s.Density = 0.5
 				s.Seed = 4
 			})
@@ -186,7 +185,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 			a := ok
 			tt.mut(&a)
 			_, err := buildSpec(a.n, a.protocol, a.topology, a.density, a.seed, a.blockT,
-				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false, false,
+				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false,
 				false, a.faults, a.faultSeed, a.deadlineMS)
 			if tt.wantErr == "" {
 				if err != nil {
@@ -295,6 +294,7 @@ func TestExitCodes(t *testing.T) {
 		{name: "removed-privatevht", args: []string{"-n", "4", "-privatevht"}, want: 2},
 		{name: "removed-arith", args: []string{"-n", "4", "-arith", "big"}, want: 2},
 		{name: "removed-scheduler", args: []string{"-n", "4", "-scheduler", "parallel"}, want: 2},
+		{name: "removed-eager", args: []string{"-n", "4", "-eager"}, want: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -107,7 +107,7 @@ func TestEveryCliFlagIsDocumented(t *testing.T) {
 		path     string
 		minFlags int
 	}{
-		{filepath.Join("cmd", "cadn", "main.go"), 20},
+		{filepath.Join("cmd", "cadn", "main.go"), 19},
 		{filepath.Join("cmd", "cadnd", "main.go"), 12},
 	} {
 		flags := parseFlagNames(t, cmd.path)

@@ -3,26 +3,10 @@ package bench
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// sweepWorkers overrides the sweep pool size; 0 (the default) means
-// GOMAXPROCS. Set it via SetSweepWorkers / SuiteOptions.Workers — sweeps on
-// a shared or single-core host can be throttled (or forced serial with 1)
-// without touching GOMAXPROCS for the code under measurement.
-var sweepWorkers atomic.Int32
-
-// SetSweepWorkers sets the sweep pool size and returns the previous value
-// so callers can restore it. w <= 0 restores the GOMAXPROCS default.
-func SetSweepWorkers(w int) int {
-	if w < 0 {
-		w = 0
-	}
-	return int(sweepWorkers.Swap(int32(w)))
-}
-
-// sweep runs fn(i) for every i in [0, points) across a bounded worker pool
-// and returns the first error in index order. Sweep points must be
+// sweep runs fn(i) for every i in [0, points) across a pool of GOMAXPROCS
+// workers and returns the first error in index order. Sweep points must be
 // independent and deterministically seeded by their index, and must write
 // their result into a pre-indexed slot; the assembled table is then
 // byte-identical to a sequential run regardless of scheduling.
@@ -30,16 +14,7 @@ func sweep(points int, fn func(i int) error) error {
 	if points <= 0 {
 		return nil
 	}
-	workers := int(sweepWorkers.Load())
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > points {
-		workers = points
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), points)
 	errs := make([]error, points)
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup

@@ -19,6 +19,11 @@ import (
 // failover material.
 var ErrRejected = errors.New("cluster: spec rejected by backend")
 
+// ErrBackpressure marks a backend that refused a job because its queue is
+// full (HTTP 429): it is busy, not failing, so the coordinator fails over
+// without charging its circuit breaker.
+var ErrBackpressure = errors.New("cluster: backend queue full")
+
 // ErrJobLost marks a job that vanished between submission and its
 // terminal poll — the signature of a backend restart. The coordinator
 // retries it on the next replica.
@@ -106,6 +111,8 @@ func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.JobS
 		return st, json.NewDecoder(resp.Body).Decode(&st)
 	case resp.StatusCode == http.StatusBadRequest:
 		return st, fmt.Errorf("%w: %s", ErrRejected, apiErrorText(resp.Body))
+	case resp.StatusCode == http.StatusTooManyRequests:
+		return st, fmt.Errorf("%w: %s", ErrBackpressure, apiErrorText(resp.Body))
 	default:
 		return st, fmt.Errorf("cluster: submit status %d: %s", resp.StatusCode, apiErrorText(resp.Body))
 	}

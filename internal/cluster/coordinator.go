@@ -400,6 +400,10 @@ func (c *Coordinator) runUnique(ctx context.Context, spec service.JobSpec, hash 
 				return Outcome{}, err
 			case ctx.Err() != nil:
 				return Outcome{}, ctx.Err()
+			case errors.Is(err, ErrBackpressure):
+				// A full queue is load, not ill health: fail over to the
+				// next replica without charging this backend's breaker.
+				lastErr = err
 			default:
 				// Transport failure, lost job, 5xx, attempt timeout, or a
 				// cancellation by a dying backend: charge the breaker and

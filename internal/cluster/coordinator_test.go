@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"context"
+	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,6 +150,59 @@ func TestCoordinatorBreakerShortCircuits(t *testing.T) {
 	}
 	if deadHealth == nil || !deadHealth.BreakerOpen || deadHealth.BreakerOpens != 1 {
 		t.Fatalf("health misreports the dead backend: %+v", health)
+	}
+}
+
+// TestCoordinatorBackpressureKeepsBreakerClosed pins that a full queue is
+// load, not failure: a backend that answers 429 on more jobs than the
+// breaker threshold sends each to the replica and keeps its circuit closed.
+func TestCoordinatorBackpressureKeepsBreakerClosed(t *testing.T) {
+	var refused atomic.Int64
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			refused.Add(1)
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			_, _ = io.WriteString(w, `{"error":"service: job queue full"}`)
+			return
+		}
+		_, _ = io.WriteString(w, `{"status":"ok"}`)
+	}))
+	defer busy.Close()
+	busyAddr := busy.Listener.Addr().String()
+	live := newBackend(t, 2, "")
+	const threshold = 3
+	c, err := NewCoordinator(Config{
+		Backends:         []string{busyAddr, live.Addr()},
+		Replicas:         2,
+		ProbeInterval:    -1,
+		BreakerThreshold: threshold,
+		BreakerCooldown:  time.Minute, // an opened circuit would stay open
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for _, spec := range specsWithPrimary(t, c, busyAddr, 2*threshold) {
+		out, err := c.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Backend != live.Addr() || out.Attempts != 2 {
+			t.Fatalf("outcome backend=%s attempts=%d, want the replica after 2 attempts", out.Backend, out.Attempts)
+		}
+	}
+	if got := refused.Load(); got != 2*threshold {
+		t.Fatalf("busy backend saw %d submissions, want %d: its breaker skipped it", got, 2*threshold)
+	}
+	for _, h := range c.Health() {
+		if h.Name == busyAddr && (h.BreakerOpen || h.ConsecutiveFailures != 0 || h.BreakerOpens != 0) {
+			t.Fatalf("backpressure charged the breaker: %+v", h)
+		}
+	}
+	if m := c.MetricsSnapshot(); m.BreakerSkips != 0 || m.Failovers != 2*threshold {
+		t.Fatalf("metrics: %+v", m)
 	}
 }
 

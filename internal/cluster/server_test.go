@@ -170,6 +170,8 @@ func TestClusterServerRejectsUnknownFields(t *testing.T) {
 		{"/v1/sweep", `{"specs":[{"n":4},{"n":5,"private_vht":true}]}`, "private_vht"},
 		{"/v1/jobs", `{"n":4,"scheduler":"parallel"}`, "scheduler"},
 		{"/v1/sweep", `{"specs":[{"n":4,"scheduler":"sequential"}]}`, "scheduler"},
+		{"/v1/jobs", `{"n":4,"eager":true}`, "eager"},
+		{"/v1/sweep", `{"specs":[{"n":4},{"n":5,"eager":true}]}`, "eager"},
 	} {
 		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -41,15 +41,6 @@ type Config struct {
 	// DiamBound is the known upper bound D on the dynamic diameter,
 	// required in leaderless mode and ignored otherwise.
 	DiamBound int
-	// EagerTermination makes the leader output as soon as the cardinality
-	// solver resolves, skipping the confirmation window (see
-	// Process.mainLoop). Eager termination matches the paper's pseudocode
-	// literally but relies on the view-robustness of the FOCS 2022
-	// counting black box, which this reproduction's solver does not have:
-	// a process entering an error phase during the very last level can go
-	// unnoticed and skew the count. Leave it off unless benchmarking the
-	// raw pseudocode.
-	EagerTermination bool
 	// FineGrainedReset enables the Section 5 "Optimized running time"
 	// refinement: errors and resets reference the index of the accepted
 	// message that went wrong rather than a whole level, so a reset rewinds
@@ -96,6 +87,14 @@ type Config struct {
 	// Recorder, if non-nil, receives instrumentation events (resets,
 	// accepted messages, per-level ID assignments). Nil disables recording.
 	Recorder *Recorder
+
+	// eager makes the leader output as soon as the solver resolves,
+	// skipping the confirmation window (see Process.mainLoop), as the
+	// paper's pseudocode does. It relies on the view-robustness of the
+	// FOCS 2022 counting black box, which this solver lacks, and returns a
+	// wrong count on a pinned in-model schedule; only tests set it, as the
+	// negative control of the window (confirmation_test.go).
+	eager bool
 }
 
 // Validate checks the configuration against the inputs it will run with.

@@ -19,7 +19,7 @@ func TestConfirmationWindowDelaysOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	eager, err := Run(s, leaderInputs(n),
-		Config{Mode: ModeLeader, EagerTermination: true, MaxLevels: 3*n + 6}, RunOptions{})
+		Config{Mode: ModeLeader, MaxLevels: 3*n + 6, eager: true}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,6 +32,44 @@ func TestConfirmationWindowDelaysOutput(t *testing.T) {
 	// The resolution level reported must be the same in both modes.
 	if confirmed.Stats.Levels != eager.Stats.Levels {
 		t.Errorf("levels differ: %d vs %d", confirmed.Stats.Levels, eager.Stats.Levels)
+	}
+}
+
+// spikeSchedule is a random dense prefix of a seed-dependent length
+// followed by a shifting path, a schedule that makes processes vanish into
+// error phases at arbitrary points.
+func spikeSchedule(n int, seed int64) dynnet.Schedule {
+	cut := 10 + int(seed%40)
+	return dynnet.NewFunc(n, func(round int) *dynnet.Multigraph {
+		if round <= cut {
+			return dynnet.RandomConnected(n, 0.8, rand.New(rand.NewSource(seed*997+int64(round))))
+		}
+		return dynnet.NewShiftingPath(n).Graph(round + int(seed))
+	})
+}
+
+// TestEagerCountsWrongOnSpike pins why the confirmation window exists and
+// why eager termination is not a product option: on this in-model spike
+// schedule (fine-grained resets, n=5, seed 24) the leader resolves on a
+// level-1 VHT that is missing a class, and only the window lets the error
+// reach it before it outputs.
+func TestEagerCountsWrongOnSpike(t *testing.T) {
+	const n = 5
+	cfg := Config{Mode: ModeLeader, FineGrainedReset: true, MaxLevels: 3*n + 10}
+	window, err := Run(spikeSchedule(n, 24), leaderInputs(n), cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.eager = true
+	eager, err := Run(spikeSchedule(n, 24), leaderInputs(n), cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if window.N != 5 || window.Stats.Rounds != 183 {
+		t.Errorf("window: counted %d at round %d, want 5 at round 183", window.N, window.Stats.Rounds)
+	}
+	if eager.N != 6 || eager.Stats.Rounds != 43 {
+		t.Errorf("eager: counted %d at round %d, want the wrong 6 at round 43", eager.N, eager.Stats.Rounds)
 	}
 }
 
@@ -52,15 +90,7 @@ func TestAdversarialSoakNeverWrong(t *testing.T) {
 			return dynnet.NewRandomConnected(n, 0.8, seed)
 		},
 		"shifting-path": func(n int, _ int64) dynnet.Schedule { return dynnet.NewShiftingPath(n) },
-		"spike": func(n int, seed int64) dynnet.Schedule {
-			cut := 10 + int(seed%40)
-			return dynnet.NewFunc(n, func(round int) *dynnet.Multigraph {
-				if round <= cut {
-					return dynnet.RandomConnected(n, 0.8, rand.New(rand.NewSource(seed*997+int64(round))))
-				}
-				return dynnet.NewShiftingPath(n).Graph(round + int(seed))
-			})
-		},
+		"spike":         spikeSchedule,
 		"double-spike": func(n int, seed int64) dynnet.Schedule {
 			return dynnet.NewFunc(n, func(round int) *dynnet.Multigraph {
 				phase := (round / 25) % 2

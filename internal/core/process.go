@@ -297,7 +297,7 @@ func (p *Process) mainLoop() (any, error) {
 					resolvedRound: p.tr.Round(),
 					diamEstimate:  p.diamEstimate,
 				}
-				if p.cfg.EagerTermination {
+				if p.cfg.eager {
 					return p.emitPending()
 				}
 			}

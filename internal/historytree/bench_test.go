@@ -48,11 +48,12 @@ func BenchmarkSolver(b *testing.B) {
 }
 
 // BenchmarkSolverFromScratch replays the protocol's real access pattern —
-// the leader re-solves after every completed level — through the
-// from-scratch Count, the behaviour before the incremental solver.
+// the leader re-solves after every completed level — through a
+// from-scratch solve: the big.Int Count (the exactness witness and
+// fallback) and, under modular/, the default multi-modular CountModular.
 func BenchmarkSolverFromScratch(b *testing.B) {
-	for _, n := range []int{8, 16, 32} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	bench := func(name string, n int, count func(*Tree, int) (CountResult, error)) {
+		b.Run(name, func(b *testing.B) {
 			s := dynnet.NewRandomConnected(n, 0.3, 1)
 			inputs := make([]Input, n)
 			inputs[0].Leader = true
@@ -64,7 +65,7 @@ func BenchmarkSolverFromScratch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for l := 0; l <= 3*n; l++ {
-					res, err := Count(run.Tree, l)
+					res, err := count(run.Tree, l)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -75,11 +76,17 @@ func BenchmarkSolverFromScratch(b *testing.B) {
 			}
 		})
 	}
+	for _, n := range []int{8, 16, 32} {
+		bench(fmt.Sprintf("n=%d", n), n, Count)
+	}
+	for _, n := range []int{16, 24} {
+		bench(fmt.Sprintf("modular/n=%d", n), n, CountModular)
+	}
 }
 
 // BenchmarkSolverIncremental is the same per-level access pattern through
-// the persistent Solver; BENCH_PR2.json tracks its ratio to
-// BenchmarkSolverFromScratch.
+// the persistent Solver; its ratio to BenchmarkSolverFromScratch at the
+// same n is the incremental solver's saving.
 func BenchmarkSolverIncremental(b *testing.B) {
 	for _, n := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

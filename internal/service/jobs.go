@@ -148,16 +148,21 @@ func (j *Job) setState(s JobState) {
 
 // finish transitions the job to a terminal state, records the outcome, and
 // releases waiters and subscribers. It is a no-op if the job already
-// terminated (e.g. cancelled while the worker was finishing).
-func (j *Job) finish(s JobState, r *Result, errMsg string) bool {
+// terminated (e.g. cancelled while the worker was finishing). Otherwise it
+// adds one to each counter before releasing waiters, so whoever sees the
+// job terminal also sees it counted.
+func (j *Job) finish(s JobState, r *Result, errMsg string, counters ...*atomic.Int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.finishLocked(s, r, errMsg)
+	j.finishLocked(s, r, errMsg, counters...)
 }
 
-func (j *Job) finishLocked(s JobState, r *Result, errMsg string) bool {
+func (j *Job) finishLocked(s JobState, r *Result, errMsg string, counters ...*atomic.Int64) {
 	if j.state.Terminal() {
-		return false
+		return
+	}
+	for _, c := range counters {
+		c.Add(1)
 	}
 	j.state = s
 	j.result = r
@@ -169,7 +174,6 @@ func (j *Job) finishLocked(s JobState, r *Result, errMsg string) bool {
 		close(ch)
 	}
 	close(j.done)
-	return true
 }
 
 // traceHook adapts the engine's trace callback into progress events.
@@ -332,10 +336,9 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	}
 	if hit {
 		m.Metrics.CacheHits.Add(1)
-		m.Metrics.JobsCompleted.Add(1)
 		job.CacheHit = true
 		job.rounds.Store(int64(r.Stats.Rounds))
-		job.finish(JobDone, r, "")
+		job.finish(JobDone, r, "", &m.Metrics.JobsCompleted)
 		m.jobs[job.ID] = job
 		return job, nil
 	}
@@ -400,11 +403,8 @@ func (m *Manager) Cancel(id string) error {
 	default:
 		// Still queued: terminate in place, holding the lock so the worker
 		// cannot concurrently flip the job to running.
-		cancelled := job.finishLocked(JobCancelled, nil, "cancelled before start")
+		job.finishLocked(JobCancelled, nil, "cancelled before start", &m.Metrics.JobsCancelled)
 		job.mu.Unlock()
-		if cancelled {
-			m.Metrics.JobsCancelled.Add(1)
-		}
 		return nil
 	}
 }
@@ -449,26 +449,17 @@ func (m *Manager) runJob(job *Job) {
 		r := NewResult(res)
 		m.cache.Put(job.Hash, r)
 		m.storeWrite(job.Hash, r)
-		if job.finish(JobDone, r, "") {
-			m.Metrics.JobsCompleted.Add(1)
-		}
+		job.finish(JobDone, r, "", &m.Metrics.JobsCompleted)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if job.finish(JobCancelled, nil, "cancelled") {
-			m.Metrics.JobsCancelled.Add(1)
-		}
+		job.finish(JobCancelled, nil, "cancelled", &m.Metrics.JobsCancelled)
 	case errors.Is(err, engine.ErrWatchdog):
 		// The job's own deadline fired: the spec's fault plan wedged the
 		// run. This is a structured failure (the spec promised an answer
 		// within DeadlineMS and the protocol could not deliver one), not a
 		// cancellation — the error text carries the rounds/limit detail.
-		if job.finish(JobFailed, nil, err.Error()) {
-			m.Metrics.JobsFailed.Add(1)
-			m.Metrics.JobsDeadlined.Add(1)
-		}
+		job.finish(JobFailed, nil, err.Error(), &m.Metrics.JobsFailed, &m.Metrics.JobsDeadlined)
 	default:
-		if job.finish(JobFailed, nil, err.Error()) {
-			m.Metrics.JobsFailed.Add(1)
-		}
+		job.finish(JobFailed, nil, err.Error(), &m.Metrics.JobsFailed)
 	}
 }
 

@@ -206,7 +206,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		// Backpressure, not ill health: the client should retry shortly
+		// (a coordinator fails over without charging this backend).
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "%v", err)
 	default:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -251,6 +252,57 @@ func TestServerEndToEnd(t *testing.T) {
 	t.Fatalf("goroutines leaked: baseline %d, now %d\n%s", baseline, runtime.NumGoroutine(), buf[:n])
 }
 
+// TestServerQueueFullIs429 pins the backpressure answer: a full queue is
+// HTTP 429 with Retry-After, not a 5xx that a coordinator would charge to
+// the backend's health.
+func TestServerQueueFullIs429(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Workers: 1, CacheSize: 4, QueueSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	base := "http://" + srv.Addr()
+	post := func(body string) (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp, string(msg)
+	}
+	resp, msg := post(longSpecJSON)
+	var long JobStatus
+	if err := json.Unmarshal([]byte(msg), &long); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("long job: status %d body %s", resp.StatusCode, msg)
+	}
+	defer func() {
+		req, _ := http.NewRequest(http.MethodDelete, base+"/v1/jobs/"+long.ID, nil)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	}()
+	// The long job holds the one worker, or still waits in the one queue
+	// slot; quick jobs fill the slot and then overflow it.
+	for seed := 1; seed <= 3; seed++ {
+		resp, msg := post(fmt.Sprintf(`{"n":5,"seed":%d}`, seed))
+		if resp.StatusCode == http.StatusTooManyRequests {
+			if got := resp.Header.Get("Retry-After"); got != "1" || !strings.Contains(msg, "queue full") {
+				t.Fatalf("429 with Retry-After %q body %s", got, msg)
+			}
+			return
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d body %s", seed, resp.StatusCode, msg)
+		}
+	}
+	t.Fatal("a full queue never answered 429")
+}
+
 // TestServerRejectsUnknownFields guards the API contract: a typo in a spec
 // field, or a field the spec no longer has, is a 400 naming the field, not
 // a silently defaulted knob.
@@ -270,6 +322,7 @@ func TestServerRejectsUnknownFields(t *testing.T) {
 		"arithmetic":  `{"n":4,"arithmetic":"big"}`,
 		"private_vht": `{"n":4,"private_vht":true}`,
 		"scheduler":   `{"n":4,"scheduler":"parallel"}`,
+		"eager":       `{"n":4,"eager":true}`,
 	} {
 		resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
 			bytes.NewReader([]byte(body)))

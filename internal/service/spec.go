@@ -53,8 +53,8 @@ type JobSpec struct {
 	// Θ(n³ log n) bits). Unlike CompactVHT this is a semantic knob:
 	// answers agree (pinned by the cross-protocol equivalence suite) but
 	// rounds and bit accounting differ, so the spec hash keeps it. The
-	// congested-only extensions (halt, fine, batch, keepAll, eager,
-	// compact, the isolator adversary) are rejected under "linear".
+	// congested-only extensions (halt, fine, batch, keepAll, compact, the
+	// isolator adversary) are rejected under "linear".
 	Protocol string `json:"protocol,omitempty"`
 	// Topology selects the adversary (see Topologies). "isolator" is the
 	// strongly adaptive worst case; the rest are oblivious schedules.
@@ -79,8 +79,6 @@ type JobSpec struct {
 	Batch int `json:"batch,omitempty"`
 	// KeepAll disables the Section 3.4 spanning-tree restriction (ablation).
 	KeepAll bool `json:"keepAll,omitempty"`
-	// Eager skips the confirmation window (pseudocode-literal termination).
-	Eager bool `json:"eager,omitempty"`
 	// MaxRounds caps the run; 0 derives the default O(T·n³ log n) budget.
 	MaxRounds int `json:"maxRounds,omitempty"`
 	// CompactVHT enables history-level compaction: consumed VHT levels are
@@ -189,8 +187,6 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("batch is congested-only (the linear protocol already ships whole views)")
 		case s.KeepAll:
 			return fmt.Errorf("keepAll is congested-only (the linear protocol has no virtual network)")
-		case s.Eager:
-			return fmt.Errorf("eager is congested-only (the linear protocol has no confirmation window)")
 		case s.CompactVHT:
 			return fmt.Errorf("compact is congested-only (linear views must stay whole to be broadcast)")
 		case s.Topology == "isolator":
@@ -319,7 +315,6 @@ func (s JobSpec) config() core.Config {
 		FineGrainedReset: s.Fine,
 		BatchSize:        s.Batch,
 		KeepAllLinks:     s.KeepAll,
-		EagerTermination: s.Eager,
 		CompactVHT:       s.CompactVHT,
 	}
 	if s.Leaderless {
