@@ -114,18 +114,12 @@ func BenchmarkE5DiamEstimate(b *testing.B) {
 	}
 }
 
+// BenchmarkE17ProtocolTradeoff runs both protocols at E17's small
+// n-points. linear/n=32 has the shape of the repo benchmark's
+// linear-random workload (density 0.3) and is the linear path's profiling
+// home: make profile BENCH='BenchmarkE17ProtocolTradeoff/linear/n=32'.
 func BenchmarkE17ProtocolTradeoff(b *testing.B) {
-	for _, n := range []int{6, 10} {
-		s := anondyn.RandomConnected(n, 0.3, 17)
-		b.Run(fmt.Sprintf("congested/n=%d", n), func(b *testing.B) {
-			cfg := anondyn.Config{Mode: anondyn.ModeLeader, MaxLevels: 3*n + 6}
-			var res *anondyn.RunResult
-			for i := 0; i < b.N; i++ {
-				res = countOnce(b, s, n, cfg)
-			}
-			b.ReportMetric(float64(res.Stats.Rounds), "rounds")
-			b.ReportMetric(float64(res.Stats.MaxMessageBits), "max-bits")
-		})
+	lin := func(n int, s anondyn.Schedule) {
 		b.Run(fmt.Sprintf("linear/n=%d", n), func(b *testing.B) {
 			var res *anondyn.RunResult
 			for i := 0; i < b.N; i++ {
@@ -142,6 +136,20 @@ func BenchmarkE17ProtocolTradeoff(b *testing.B) {
 			b.ReportMetric(float64(res.Stats.MaxMessageBits), "max-bits")
 		})
 	}
+	for _, n := range []int{6, 10} {
+		s := anondyn.RandomConnected(n, 0.3, 17)
+		b.Run(fmt.Sprintf("congested/n=%d", n), func(b *testing.B) {
+			cfg := anondyn.Config{Mode: anondyn.ModeLeader, MaxLevels: 3*n + 6}
+			var res *anondyn.RunResult
+			for i := 0; i < b.N; i++ {
+				res = countOnce(b, s, n, cfg)
+			}
+			b.ReportMetric(float64(res.Stats.Rounds), "rounds")
+			b.ReportMetric(float64(res.Stats.MaxMessageBits), "max-bits")
+		})
+		lin(n, s)
+	}
+	lin(32, anondyn.RandomConnected(32, 0.3, 1))
 }
 
 func BenchmarkE7TokenForwarding(b *testing.B) {

@@ -20,11 +20,14 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -142,15 +145,15 @@ func run(spec service.JobSpec, showTree, traceOn bool, w io.Writer) error {
 
 	if spec.Leaderless {
 		fmt.Fprintf(w, "frequencies (shares of minimal size %d):\n", res.Frequencies.MinSize)
-		for in, share := range res.Frequencies.Shares {
-			fmt.Fprintf(w, "  input %s: %d/%d\n", in, share, res.Frequencies.MinSize)
+		for _, in := range inputOrder(res.Frequencies.Shares) {
+			fmt.Fprintf(w, "  input %s: %d/%d\n", in, res.Frequencies.Shares[in], res.Frequencies.MinSize)
 		}
 	} else {
 		fmt.Fprintf(w, "n = %d\n", res.N)
 		if len(res.Multiset) > 0 {
 			fmt.Fprintln(w, "input multiset:")
-			for in, c := range res.Multiset {
-				fmt.Fprintf(w, "  %s: %d\n", in, c)
+			for _, in := range inputOrder(res.Multiset) {
+				fmt.Fprintf(w, "  %s: %d\n", in, res.Multiset[in])
 			}
 		}
 	}
@@ -177,4 +180,18 @@ func run(spec service.JobSpec, showTree, traceOn bool, w io.Writer) error {
 		fmt.Fprint(w, anondyn.RenderTree(res.VHT))
 	}
 	return nil
+}
+
+// inputOrder returns m's inputs in print order: non-leader inputs before
+// the leader's, values ascending.
+func inputOrder(m map[anondyn.Input]int) []anondyn.Input {
+	return slices.SortedFunc(maps.Keys(m), func(a, b anondyn.Input) int {
+		if a.Leader != b.Leader {
+			if a.Leader {
+				return 1
+			}
+			return -1
+		}
+		return cmp.Compare(a.Value, b.Value)
+	})
 }

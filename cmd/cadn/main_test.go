@@ -205,8 +205,8 @@ func TestValidateFlagCombinations(t *testing.T) {
 
 // TestProtocolGoldenOutput pins the exact CLI output of both protocol
 // backends on one fixed seed — the user-visible face of the rounds-vs-bits
-// tradeoff. Multiset lines are map-ordered, so they are sorted before the
-// comparison; everything else must match byte for byte.
+// tradeoff — and of a leaderless three-value run, byte for byte: the
+// multiset and frequency lines come out in input order.
 func TestProtocolGoldenOutput(t *testing.T) {
 	tests := []struct {
 		name string
@@ -237,6 +237,19 @@ solver: calls=2 primes=2 crtRecons=1 evictions=0 witnessFalls=0
 sharing: applies=35 hits=131 forks=0
 `,
 		},
+		{
+			name: "leaderless",
+			args: []string{"-n", "6", "-leaderless", "-inputs", "0,0,1,1,2,2"},
+			want: `frequencies (shares of minimal size 3):
+  input 0: 1/3
+  input 1: 1/3
+  input 2: 1/3
+rounds=284 levels=2 resets=0 finalDiamEstimate=6
+messages=1704 maxMessageBits=32 totalBits=43680
+solver: calls=3 primes=2 crtRecons=1 evictions=0 witnessFalls=0
+sharing: applies=46 hits=230 forks=0
+`,
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -244,13 +257,8 @@ sharing: applies=35 hits=131 forks=0
 			if code := realMain(tt.args, &out, &errOut); code != 0 {
 				t.Fatalf("exit code %d (stderr: %s)", code, errOut.String())
 			}
-			got := strings.Split(out.String(), "\n")
-			// Lines 2 and 3 are the two multiset entries; order them.
-			if len(got) > 3 && got[2] > got[3] {
-				got[2], got[3] = got[3], got[2]
-			}
-			if joined := strings.Join(got, "\n"); joined != tt.want {
-				t.Fatalf("output mismatch:\n got: %q\nwant: %q", joined, tt.want)
+			if got := out.String(); got != tt.want {
+				t.Fatalf("output mismatch:\n got: %q\nwant: %q", got, tt.want)
 			}
 		})
 	}

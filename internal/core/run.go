@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"anondyn/internal/dynnet"
@@ -330,13 +331,5 @@ func sameFrequencies(a, b *historytree.FrequencyResult) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.MinSize != b.MinSize || len(a.Shares) != len(b.Shares) {
-		return false
-	}
-	for in, s := range a.Shares {
-		if b.Shares[in] != s {
-			return false
-		}
-	}
-	return true
+	return a.MinSize == b.MinSize && maps.Equal(a.Shares, b.Shares)
 }

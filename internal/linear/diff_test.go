@@ -17,8 +17,8 @@ import (
 // backend (internal/core) and the linear backend run the same schedules —
 // the full PR 5 fault matrix — and must produce identical answers.
 // Congested runs carry the full invariant checker; linear answers are
-// verified against ground truth with check.VerifyAnswer. Both protocols'
-// bit accounting flows through wire.SizeOf, so every subtest also logs the
+// verified against ground truth with check.VerifyAnswer. Both protocols
+// bill their messages' exact wire sizes, so every subtest also logs the
 // measured rounds-vs-bits tradeoff the E17 experiment tabulates.
 
 // matrixSchedules is the number of random base schedules every fault-matrix
@@ -131,8 +131,8 @@ func assertSameAnswer(t *testing.T, congested, lin *core.RunResult) {
 	}
 }
 
-// assertBitAccounting asserts both runs carried honest wire.SizeOf-based
-// accounting, and logs the measured rounds-vs-bits tradeoff.
+// assertBitAccounting asserts both runs carried bit accounting, and logs
+// the measured rounds-vs-bits tradeoff.
 func assertBitAccounting(t *testing.T, congested, lin *core.RunResult) {
 	t.Helper()
 	for name, res := range map[string]*core.RunResult{"congested": congested, "linear": lin} {

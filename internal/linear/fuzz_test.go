@@ -23,7 +23,9 @@ import (
 //   - out-of-model runs must fail detectably under both: a structured
 //     error, or an answer the oracle rejects — never a panic, never an
 //     unbounded run (rounds are capped, no wall-clock watchdog, so the
-//     target stays deterministic).
+//     target stays deterministic);
+//   - in either case, every linear message's bit size must equal that of
+//     its canonical wire.View (linear.RunCheckingBits).
 func FuzzProtocolEquivalence(f *testing.F) {
 	f.Add(5, uint8(50), int64(7), 1, "", false)
 	f.Add(5, uint8(50), int64(7), 2, "spike:5:30", false)
@@ -84,7 +86,7 @@ func FuzzProtocolEquivalence(f *testing.F) {
 				if leaderless {
 					cfg.DiamBound = n * T
 				}
-				return linear.Run(mkSched(), inputs, cfg, opts)
+				return linear.RunCheckingBits(t, mkSched(), inputs, cfg, opts)
 			}
 			cfg := core.Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
 			if leaderless {

@@ -7,10 +7,13 @@
 // Views are hash-consed through a run-shared interner (structurally
 // identical classes get one dense ID), so a message is a set of class IDs
 // plus the sender's current class; its honest wire cost is still the
-// canonical serialization of the whole view (internal/wire.View), which
-// the engine accounts through wire.SizeOf. The result: Θ(T·n) rounds
-// against the congested protocol's O(T·n³ log n), paid for with messages
-// that grow to Θ(n³ log n) bits — the tradeoff experiment E17 measures.
+// canonical serialization of the whole view (internal/wire.View). Each
+// process computes that size exactly from per-level counts it keeps
+// current as classes arrive and from run-wide canonical ranks, without
+// rendering the view (sizer.go); the tests check every message against
+// wire.View. The result: Θ(T·n) rounds against the congested protocol's
+// O(T·n³ log n), paid for with messages that grow to Θ(n³ log n) bits —
+// the tradeoff experiment E17 measures.
 //
 // Both modes of the congested backend are supported, with decision rules
 // derived from the solver black box rather than the FOCS 2022 "cut"
@@ -37,6 +40,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
 	"anondyn/internal/core"
@@ -124,6 +128,15 @@ func defaultMaxRounds(n int, cfg Config) int {
 // out-of-model schedules that break the diameter bound fail with a
 // structured error instead of a silent disagreement.
 func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions) (*core.RunResult, error) {
+	return run(s, inputs, cfg, opts, nil)
+}
+
+// run is Run with an optional hook that sees every message, with the
+// run's interner, before it is sent; an error from the hook fails the
+// sending process. Tests use it to check each message's size against the
+// canonical wire.View.
+func run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions,
+	check func(*interner, *viewMsg) error) (*core.RunResult, error) {
 	n := s.N()
 	if err := cfg.Validate(inputs); err != nil {
 		return nil, err
@@ -136,7 +149,7 @@ func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.Ru
 	procs := make([]engine.Coroutine, n)
 	leaderPID := -1
 	for i, in := range inputs {
-		p := &process{itn: itn, cfg: cfg, input: in}
+		p := &process{itn: itn, cfg: cfg, input: in, check: check}
 		procs[i] = engine.CoroutineFunc(p.run)
 		if in.Leader {
 			leaderPID = i
@@ -207,12 +220,12 @@ func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.Ru
 		if len(out.Outputs) != n {
 			return nil, fmt.Errorf("linear: %d of %d leaderless processes produced output", len(out.Outputs), n)
 		}
-		var first *core.Outcome
-		for _, oc := range out.Outputs {
-			if first == nil {
-				first = oc
-				continue
-			}
+		// The result is the lowest PID's outcome: views differ at their
+		// top levels, so another process's tree and solver statistics
+		// would differ too.
+		first := out.Outputs[0]
+		for pid := 1; pid < n; pid++ {
+			oc := out.Outputs[pid]
 			if !sameFrequencies(first.Frequencies, oc.Frequencies) {
 				return nil, errors.New("linear: leaderless processes disagree on frequencies")
 			}
@@ -236,13 +249,5 @@ func sameFrequencies(a, b *historytree.FrequencyResult) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.MinSize != b.MinSize || len(a.Shares) != len(b.Shares) {
-		return false
-	}
-	for in, s := range a.Shares {
-		if b.Shares[in] != s {
-			return false
-		}
-	}
-	return true
+	return a.MinSize == b.MinSize && maps.Equal(a.Shares, b.Shares)
 }

@@ -112,6 +112,32 @@ func TestLinearLeaderless(t *testing.T) {
 	}
 }
 
+// TestLinearLeaderlessResultIsLowestPID pins which outcome a leaderless
+// run returns: process 0's. Views, and so trees, differ between processes
+// at their top levels, so repeated runs of one spec must render the same
+// tree.
+func TestLinearLeaderlessResultIsLowestPID(t *testing.T) {
+	inputs := []historytree.Input{{Value: 0}, {Value: 0}, {Value: 1}, {Value: 1}, {Value: 2}, {Value: 2}}
+	n := len(inputs)
+	cfg := linear.Config{Mode: core.ModeLeaderless, DiamBound: n, MaxLevels: 3*n + 8}
+	var want string
+	for i := range 8 {
+		res, err := linear.Run(dynnet.NewRandomConnected(n, 0.3, 1), inputs, cfg, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VHT != res.Outputs[0].VHT {
+			t.Fatalf("run %d returned another process's tree than process 0's", i)
+		}
+		got := historytree.RenderASCII(res.VHT)
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Fatalf("run %d rendered\n%s\nrun 0 rendered\n%s", i, got, want)
+		}
+	}
+}
+
 func TestLinearBlockSimulation(t *testing.T) {
 	n := 5
 	for _, T := range []int{2, 4} {

@@ -2,25 +2,26 @@ package linear
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"anondyn/internal/core"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
 	"anondyn/internal/ints"
-	"anondyn/internal/wire"
 )
 
 // classInfo describes one hash-consed history-tree class: its level, its
 // parent class, the multiset of classes it heard from during its block
-// (with multiplicities) and, for level-0 classes, the input.
+// (with multiplicities) and, for level-0 classes, the input. fixed caches
+// the class's position-independent wire bytes (see fixedBytes).
 type classInfo struct {
 	level  int32
 	parent int32 // class ID of the parent; -1 for level-0 classes
 	reds   []redRef
 	input  historytree.Input
+	fixed  int32
 }
 
 type redRef struct {
@@ -34,13 +35,23 @@ type redRef struct {
 // nodes" step of the full-information protocol — realized without
 // re-encoding entire subtrees into every message. ID assignment order
 // depends on the order in which processes run, so nothing observable may
-// depend on the numeric IDs; the canonical view serialization orders
-// classes by content instead (see buildView).
+// depend on the numeric IDs; message sizes order classes by content
+// instead, through the canonical ranks of sizer.go.
+//
+// A run's processes take turns on the engine's one inline runner, so the
+// interner is only ever used by one process at a time and takes no lock;
+// it must not be shared between concurrent runs.
 type interner struct {
-	mu     sync.Mutex
 	byKey  map[string]int32
 	infos  []classInfo
-	keyBuf []byte // mu-guarded key-rendering scratch
+	keyBuf []byte // key-rendering scratch
+
+	// The canonical rank tables (see rankLevel): the class IDs at each
+	// level, each class's rank within its level, and per level the class
+	// count at its last ranking.
+	levels [][]int32
+	rank   []int32
+	ranked []int
 }
 
 func newInterner() *interner {
@@ -49,12 +60,24 @@ func newInterner() *interner {
 
 // intern returns the class ID for the given description, registering it
 // if new and taking ownership of the reds slice. reds must be in
-// canonical (sorted by src) order.
-func (in *interner) intern(ci classInfo) int32 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
+// canonical (sorted by src) order. A deeper class's parent and red
+// sources must sit exactly one level up: the engine's lock-step refines
+// every process at the same rounds, and the canonical ranks rely on it,
+// so intern fails rather than assume it.
+func (in *interner) intern(ci classInfo) (int32, error) {
+	if ci.level > 0 {
+		if l := in.infos[ci.parent].level; l != ci.level-1 {
+			return -1, fmt.Errorf("linear: class at level %d has its parent at level %d", ci.level, l)
+		}
+		for _, r := range ci.reds {
+			if l := in.infos[r.src].level; l != ci.level-1 {
+				return -1, fmt.Errorf("linear: class at level %d heard a class at level %d; processes left lock-step",
+					ci.level, l)
+			}
+		}
+	}
 	// Injective byte rendering ('|' and '*' never occur inside a decimal
-	// field), built in a lock-guarded scratch buffer so lookups of known
+	// field), built in a reused scratch buffer so lookups of known
 	// classes allocate nothing.
 	buf := in.keyBuf[:0]
 	buf = ints.AppendInt(buf, int(ci.level))
@@ -73,29 +96,27 @@ func (in *interner) intern(ci classInfo) int32 {
 	buf = ints.AppendInt(buf, int(ci.input.Value))
 	in.keyBuf = buf
 	if id, ok := in.byKey[string(buf)]; ok {
-		return id
+		return id, nil
 	}
 	id := int32(len(in.infos))
+	ci.fixed = int32(fixedBytes(ci))
 	in.infos = append(in.infos, ci)
 	in.byKey[string(buf)] = id
-	return id
-}
-
-// snapshot returns a read-only prefix of the registered classInfos.
-// Entries are never mutated after registration and appends never write
-// below the returned length, so the snapshot may be read without the
-// lock.
-func (in *interner) snapshot() []classInfo {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.infos[:len(in.infos):len(in.infos)]
+	for int(ci.level) >= len(in.levels) {
+		in.levels = append(in.levels, nil)
+		in.ranked = append(in.ranked, 0)
+	}
+	in.levels[ci.level] = append(in.levels[ci.level], id)
+	in.rank = append(in.rank, -1)
+	return id, nil
 }
 
 // viewMsg is the full-information engine message: an immutable snapshot
 // of the sender's class-ID set plus the sender's current class. The bits
-// field carries the canonical wire size (computed once at send time via
-// wire.SizeOf over the class-ordered wire.View), which the engine's
-// SizeOf hook reports for congestion accounting.
+// field carries the exact size of the canonical wire.View encoding of
+// that set, computed once at send time from the sender's running view
+// sums without rendering the view (view.bits); the engine's SizeOf hook
+// reports it for congestion accounting.
 type viewMsg struct {
 	classes []int32
 	self    int32
@@ -111,27 +132,14 @@ func sizeOfMessage(m engine.Message) int {
 	return 0
 }
 
-// idSet is a growable bitset over dense class IDs.
-type idSet struct{ bits []uint64 }
-
-func (s *idSet) has(id int32) bool {
-	w := int(id >> 6)
-	return w < len(s.bits) && s.bits[w]>>(uint(id)&63)&1 == 1
-}
-
-func (s *idSet) add(id int32) {
-	w := int(id >> 6)
-	for w >= len(s.bits) {
-		s.bits = append(s.bits, 0)
-	}
-	s.bits[w] |= 1 << (uint(id) & 63)
-}
-
 // process is one full-information participant.
 type process struct {
 	itn   *interner
 	cfg   Config
 	input historytree.Input
+	// check, when non-nil, sees every message before it is sent; an error
+	// fails the process. Tests use it to compare sizes with the oracle.
+	check func(*interner, *viewMsg) error
 
 	solveTime  time.Duration
 	solveCalls int
@@ -143,16 +151,22 @@ type process struct {
 // its mode's decision rule.
 func (p *process) run(tr *engine.Transport) (any, error) {
 	T := p.cfg.blockT()
-	self := p.itn.intern(classInfo{level: 0, parent: -1, input: p.input})
-	classes := []int32{self}
-	var have idSet
-	have.add(self)
+	self, err := p.itn.intern(classInfo{level: 0, parent: -1, input: p.input})
+	if err != nil {
+		return nil, err
+	}
+	var v view
+	v.add(p.itn, self)
 	heard := make(map[int32]int32)
 
 	for {
 		for j := 0; j < T; j++ {
-			msg := &viewMsg{classes: classes[:len(classes):len(classes)], self: self}
-			msg.bits = wire.SizeOf(buildView(p.itn.snapshot(), msg.classes, msg.self))
+			msg := &viewMsg{classes: v.ids[:len(v.ids):len(v.ids)], self: self, bits: v.bits(p.itn, self)}
+			if p.check != nil {
+				if err := p.check(p.itn, msg); err != nil {
+					return nil, err
+				}
+			}
 			msgs, err := tr.SendAndReceive(msg)
 			if err != nil {
 				return nil, err
@@ -163,9 +177,8 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 					return nil, fmt.Errorf("linear: unexpected message %T", raw)
 				}
 				for _, id := range m.classes {
-					if !have.has(id) {
-						have.add(id)
-						classes = append(classes, id)
+					if !v.holds(id) { // inlined: most IDs are known
+						v.add(p.itn, id)
 					}
 				}
 				heard[m.self]++
@@ -178,18 +191,18 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 		}
 		sort.Slice(reds, func(i, j int) bool { return reds[i].src < reds[j].src })
 		clear(heard)
-		self = p.itn.intern(classInfo{level: level, parent: self, reds: reds})
-		if !have.has(self) {
-			have.add(self)
-			classes = append(classes, self)
+		self, err = p.itn.intern(classInfo{level: level, parent: self, reds: reds})
+		if err != nil {
+			return nil, err
 		}
+		v.add(p.itn, self)
 
 		depth := int(level)
 		if p.cfg.MaxLevels > 0 && depth > p.cfg.MaxLevels {
 			return nil, fmt.Errorf("linear: view reached %d levels without a decision (MaxLevels %d)",
 				depth, p.cfg.MaxLevels)
 		}
-		oc, err := p.decide(depth, classes, tr)
+		oc, err := p.decide(depth, v.levels, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -201,14 +214,14 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 
 // decide applies the mode's decision rule at the current block depth and
 // returns a non-nil Outcome once the process can output.
-func (p *process) decide(depth int, classes []int32, tr *engine.Transport) (*core.Outcome, error) {
+func (p *process) decide(depth int, levels [][]int32, tr *engine.Transport) (*core.Outcome, error) {
 	T := p.cfg.blockT()
 	switch p.cfg.Mode {
 	case core.ModeLeader:
 		if !p.input.Leader {
 			return nil, nil
 		}
-		tree, err := p.materialize(classes)
+		tree, err := p.materialize(levels)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +259,7 @@ func (p *process) decide(depth int, classes []int32, tr *engine.Transport) (*cor
 		if depth < lag {
 			return nil, nil
 		}
-		tree, err := p.materialize(classes)
+		tree, err := p.materialize(levels)
 		if err != nil {
 			return nil, err
 		}
@@ -308,123 +321,37 @@ func chainComplete(t *historytree.Tree, depth int) int {
 	return depth
 }
 
-// materialize builds a historytree.Tree from the class-ID set. Global
-// class IDs become node IDs; views are closed under parents and red
-// sources by construction (whole views are merged), so the lookups
-// cannot miss.
-func (p *process) materialize(classes []int32) (*historytree.Tree, error) {
-	infos := p.itn.snapshot()
-	ids := append([]int32(nil), classes...)
-	// Order by level, then ID, so parents precede children.
-	sort.Slice(ids, func(i, j int) bool {
-		li, lj := infos[ids[i]].level, infos[ids[j]].level
-		if li != lj {
-			return li < lj
-		}
-		return ids[i] < ids[j]
-	})
+// materialize builds a historytree.Tree from a view's per-level class
+// IDs, level by level so that parents precede children, and by ID within
+// a level. Global class IDs become node IDs; views are closed under
+// parents and red sources by construction (whole views are merged), so
+// the lookups cannot miss.
+func (p *process) materialize(levels [][]int32) (*historytree.Tree, error) {
 	t := historytree.New()
-	for _, id := range ids {
-		ci := infos[id]
-		parent := t.Root()
-		if ci.parent >= 0 {
-			parent = t.NodeByID(int(ci.parent))
-			if parent == nil {
-				return nil, fmt.Errorf("linear: view not closed under parents (class %d)", id)
+	for _, level := range levels {
+		for _, id := range slices.Sorted(slices.Values(level)) {
+			ci := p.itn.infos[id]
+			parent := t.Root()
+			if ci.parent >= 0 {
+				parent = t.NodeByID(int(ci.parent))
+				if parent == nil {
+					return nil, fmt.Errorf("linear: view not closed under parents (class %d)", id)
+				}
 			}
-		}
-		node, err := t.AddChild(int(id), parent, ci.input)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range ci.reds {
-			src := t.NodeByID(int(r.src))
-			if src == nil {
-				return nil, fmt.Errorf("linear: view not closed under red sources (class %d)", id)
-			}
-			if err := t.AddRed(node, src, int(r.mult)); err != nil {
+			node, err := t.AddChild(int(id), parent, ci.input)
+			if err != nil {
 				return nil, err
+			}
+			for _, r := range ci.reds {
+				src := t.NodeByID(int(r.src))
+				if src == nil {
+					return nil, fmt.Errorf("linear: view not closed under red sources (class %d)", id)
+				}
+				if err := t.AddRed(node, src, int(r.mult)); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
 	return t, nil
-}
-
-// buildView renders a class-ID set as a canonical wire.View: levels
-// ascending, level-0 classes ordered by input, deeper classes by
-// (parent position, red list); positions are the resulting indices.
-// Hash-consing makes the within-level keys unique, so the order — and
-// therefore the encoding and its size — depends only on the abstract
-// view, not on interner ID assignment order.
-func buildView(infos []classInfo, ids []int32, self int32) *wire.View {
-	maxLevel := int32(0)
-	for _, id := range ids {
-		if l := infos[id].level; l > maxLevel {
-			maxLevel = l
-		}
-	}
-	buckets := make([][]int32, maxLevel+1)
-	for _, id := range ids {
-		l := infos[id].level
-		buckets[l] = append(buckets[l], id)
-	}
-	pos := make(map[int32]int32, len(ids))
-	out := &wire.View{Classes: make([]wire.ViewClass, 0, len(ids))}
-	for level, bucket := range buckets {
-		cand := make([]wire.ViewClass, len(bucket))
-		for i, id := range bucket {
-			ci := infos[id]
-			vc := wire.ViewClass{Level: int32(level), Parent: -1}
-			if ci.parent >= 0 {
-				vc.Parent = pos[ci.parent]
-			} else {
-				vc.Leader = ci.input.Leader
-				vc.Value = ci.input.Value
-			}
-			if len(ci.reds) > 0 {
-				vc.Reds = make([]wire.ViewRed, len(ci.reds))
-				for j, r := range ci.reds {
-					vc.Reds[j] = wire.ViewRed{Src: pos[r.src], Mult: r.mult}
-				}
-				sort.Slice(vc.Reds, func(a, b int) bool { return vc.Reds[a].Src < vc.Reds[b].Src })
-			}
-			cand[i] = vc
-		}
-		order := make([]int, len(bucket))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool { return lessViewClass(cand[order[a]], cand[order[b]]) })
-		for _, oi := range order {
-			pos[bucket[oi]] = int32(len(out.Classes))
-			out.Classes = append(out.Classes, cand[oi])
-		}
-	}
-	out.Self = pos[self]
-	return out
-}
-
-// lessViewClass is the canonical within-level order: by input for level
-// 0, by (parent position, red list) for deeper levels. Same-level classes
-// never compare equal — the interner guarantees identical content means
-// identical ID, and each ID appears once.
-func lessViewClass(a, b wire.ViewClass) bool {
-	if a.Level == 0 {
-		if a.Leader != b.Leader {
-			return a.Leader
-		}
-		return a.Value < b.Value
-	}
-	if a.Parent != b.Parent {
-		return a.Parent < b.Parent
-	}
-	for i := 0; i < len(a.Reds) && i < len(b.Reds); i++ {
-		if a.Reds[i].Src != b.Reds[i].Src {
-			return a.Reds[i].Src < b.Reds[i].Src
-		}
-		if a.Reds[i].Mult != b.Reds[i].Mult {
-			return a.Reds[i].Mult < b.Reds[i].Mult
-		}
-	}
-	return len(a.Reds) < len(b.Reds)
 }

@@ -13,8 +13,11 @@ import (
 // the worst case — which is exactly the tradeoff the E17 experiment
 // measures. The encoding is canonical (content-ordered, minimal varints),
 // so equal abstract views encode to identical bytes regardless of which
-// process or run produced them; SizeOf therefore reports congestion
-// numbers independent of the order in which processes built their views.
+// process or run produced them, and its size does not depend on the order
+// in which processes built their views. Encode, DecodeView and SizeBits
+// are the definition of a message's cost: internal/linear computes that
+// size without building a View, and its tests check every message
+// against SizeBits.
 
 // ViewRed is one red multi-edge of a view class: the position (index into
 // View.Classes) of the source class one level up, and the multiplicity
@@ -241,20 +244,4 @@ func DecodeView(buf []byte) (*View, int, error) {
 	}
 	v.Self = int32(self)
 	return v, off, nil
-}
-
-// SizeOf measures any protocol message box in bits: the congested
-// protocol's Message values by the label+varint codec, and the linear
-// protocol's *View full-information messages by the canonical view codec.
-// Boxes of neither kind measure 0 bits (the engine's convention for
-// unsized messages). This is the single sizing entry point both
-// protocols' congestion accounting flows through.
-func SizeOf(box any) int {
-	if v, ok := box.(*View); ok {
-		return v.SizeBits()
-	}
-	if m, ok := FromBox(box); ok {
-		return SizeBits(m)
-	}
-	return 0
 }

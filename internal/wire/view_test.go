@@ -54,9 +54,6 @@ func TestViewRoundTrip(t *testing.T) {
 	if bits := v.SizeBits(); bits != 8*len(buf) {
 		t.Fatalf("SizeBits = %d, encoded length says %d", bits, 8*len(buf))
 	}
-	if bits := SizeOf(v); bits != v.SizeBits() {
-		t.Fatalf("SizeOf(view) = %d, want %d", bits, v.SizeBits())
-	}
 }
 
 func TestViewDecodeRejectsMalformed(t *testing.T) {
@@ -97,18 +94,5 @@ func TestViewDecodeRejectsMalformed(t *testing.T) {
 		if _, _, err := DecodeView(buf[:cut]); err == nil {
 			t.Fatalf("decode accepted a %d-byte truncation of a %d-byte view", cut, len(buf))
 		}
-	}
-}
-
-func TestSizeOfDispatch(t *testing.T) {
-	m := Edge(3, 4, 2)
-	if got, want := SizeOf(m), SizeBits(m); got != want {
-		t.Fatalf("SizeOf(Message) = %d, want %d", got, want)
-	}
-	if got, want := SizeOf(&m), SizeBits(m); got != want {
-		t.Fatalf("SizeOf(*Message) = %d, want %d", got, want)
-	}
-	if got := SizeOf("not a protocol message"); got != 0 {
-		t.Fatalf("SizeOf(unknown box) = %d, want 0", got)
 	}
 }
