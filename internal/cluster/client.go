@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"anondyn/internal/service"
@@ -23,6 +24,27 @@ var ErrRejected = errors.New("cluster: spec rejected by backend")
 // full (HTTP 429): it is busy, not failing, so the coordinator fails over
 // without charging its circuit breaker.
 var ErrBackpressure = errors.New("cluster: backend queue full")
+
+// backpressureError is ErrBackpressure with the delay the backend asked
+// for in its 429's Retry-After header; retryAfter is 0 when the header
+// was absent or not a number of seconds.
+type backpressureError struct {
+	retryAfter time.Duration
+	msg        string
+}
+
+func (e *backpressureError) Error() string { return ErrBackpressure.Error() + ": " + e.msg }
+
+func (e *backpressureError) Unwrap() error { return ErrBackpressure }
+
+// retryAfter reads a Retry-After header given in seconds; 0 otherwise.
+func retryAfter(h http.Header) time.Duration {
+	secs, err := strconv.Atoi(h.Get("Retry-After"))
+	if err != nil || secs < 0 {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
+}
 
 // ErrJobLost marks a job that vanished between submission and its
 // terminal poll — the signature of a backend restart. The coordinator
@@ -89,7 +111,8 @@ func (c *Client) Metrics(ctx context.Context) (service.MetricsSnapshot, error) {
 }
 
 // Submit POSTs the spec to /v1/jobs. A 400 is returned as ErrRejected
-// (permanent); 5xx and transport errors are retryable.
+// (permanent), a 429 as ErrBackpressure carrying its Retry-After; 5xx and
+// transport errors are retryable.
 func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.JobStatus, error) {
 	var st service.JobStatus
 	body, err := json.Marshal(spec)
@@ -112,7 +135,7 @@ func (c *Client) Submit(ctx context.Context, spec service.JobSpec) (service.JobS
 	case resp.StatusCode == http.StatusBadRequest:
 		return st, fmt.Errorf("%w: %s", ErrRejected, apiErrorText(resp.Body))
 	case resp.StatusCode == http.StatusTooManyRequests:
-		return st, fmt.Errorf("%w: %s", ErrBackpressure, apiErrorText(resp.Body))
+		return st, &backpressureError{retryAfter: retryAfter(resp.Header), msg: apiErrorText(resp.Body)}
 	default:
 		return st, fmt.Errorf("cluster: submit status %d: %s", resp.StatusCode, apiErrorText(resp.Body))
 	}

@@ -354,11 +354,24 @@ func (c *Coordinator) runUnique(ctx context.Context, spec service.JobSpec, hash 
 
 	attempts := 0
 	var lastErr error
+	var backoff time.Duration // the longest delay a busy replica asked for
 	// Two passes over the replica chain: the first respects open
 	// breakers; the second (reached only if every owner was skipped or
 	// failed) ignores them — a last resort so a fleet that just came back
 	// is usable before the next probe closes the circuits.
 	for pass := 0; pass < 2; pass++ {
+		if backoff > 0 {
+			// Some replica refused with backpressure: a second pass at
+			// once would meet the same full queue, so first wait out the
+			// longest delay the refusals asked for.
+			timer := time.NewTimer(min(backoff, c.cfg.AttemptTimeout))
+			select {
+			case <-ctx.Done():
+				timer.Stop()
+				return Outcome{}, ctx.Err()
+			case <-timer.C:
+			}
+		}
 		for _, name := range owners {
 			b := c.backends[name]
 			if pass == 0 && !b.breaker.allow(time.Now()) {
@@ -403,7 +416,14 @@ func (c *Coordinator) runUnique(ctx context.Context, spec service.JobSpec, hash 
 			case errors.Is(err, ErrBackpressure):
 				// A full queue is load, not ill health: fail over to the
 				// next replica without charging this backend's breaker.
+				// A refusal without a usable Retry-After asks for 1 s.
 				lastErr = err
+				wait := time.Second
+				var bp *backpressureError
+				if errors.As(err, &bp) && bp.retryAfter > 0 {
+					wait = bp.retryAfter
+				}
+				backoff = max(backoff, wait)
 			default:
 				// Transport failure, lost job, 5xx, attempt timeout, or a
 				// cancellation by a dying backend: charge the breaker and

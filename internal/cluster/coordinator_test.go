@@ -2,10 +2,13 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,6 +206,63 @@ func TestCoordinatorBackpressureKeepsBreakerClosed(t *testing.T) {
 	}
 	if m := c.MetricsSnapshot(); m.BreakerSkips != 0 || m.Failovers != 2*threshold {
 		t.Fatalf("metrics: %+v", m)
+	}
+}
+
+// TestCoordinatorWaitsOutBackpressure pins that the coordinator honours
+// Retry-After: a lone replica that answers one 429 asking for 1 s, then
+// accepts, gets its second attempt only after that second, and a context
+// that expires during the wait ends the job with its error and no second
+// attempt.
+func TestCoordinatorWaitsOutBackpressure(t *testing.T) {
+	live := newBackend(t, 2, "")
+	target, err := url.Parse("http://" + live.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	var submits, refuse atomic.Int64
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			submits.Add(1)
+			if refuse.Add(-1) >= 0 {
+				w.Header().Set("Retry-After", "1")
+				w.WriteHeader(http.StatusTooManyRequests)
+				_, _ = io.WriteString(w, `{"error":"service: job queue full"}`)
+				return
+			}
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer replica.Close()
+	c, err := NewCoordinator(Config{Backends: []string{replica.Listener.Addr().String()}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	refuse.Store(1)
+	start := time.Now()
+	out, err := c.Run(context.Background(), service.JobSpec{N: 5, Topology: "cycle", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); out.Attempts != 2 || waited < time.Second {
+		t.Fatalf("done after %d attempts in %v, want 2 attempts after at least 1s", out.Attempts, waited)
+	}
+	if out.Status.State != service.JobDone || out.Status.Result == nil || out.Status.Result.N != 5 {
+		t.Fatalf("outcome %+v, want a count of 5", out.Status)
+	}
+
+	refuse.Store(1)
+	submits.Store(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := c.Run(ctx, service.JobSpec{N: 5, Topology: "cycle", Seed: 2}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run returned %v, want the context's deadline error", err)
+	}
+	if got := submits.Load(); got != 1 {
+		t.Fatalf("replica saw %d submissions, want 1: the wait did not end with the context", got)
 	}
 }
 

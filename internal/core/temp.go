@@ -102,8 +102,13 @@ func (tv *tempVHT) cloneInto(dst *tempVHT) {
 }
 
 // root returns the root of the tree containing the node with the given ID
-// (FindRoot in Listing 5). It returns nil if the ID is unknown.
+// (FindRoot in Listing 5). It returns nil if the ID is unknown, or if tv
+// is nil: a reset cleared the level under construction, which only an
+// out-of-model schedule can follow with an Edge or Done for that level.
 func (tv *tempVHT) root(id int) *tempNode {
+	if tv == nil {
+		return nil
+	}
 	n := tv.nodes[id]
 	if n == nil {
 		return nil

@@ -86,7 +86,7 @@ func FuzzProtocolEquivalence(f *testing.F) {
 				if leaderless {
 					cfg.DiamBound = n * T
 				}
-				return linear.RunCheckingBits(t, mkSched(), inputs, cfg, opts)
+				return linear.RunCheckingAll(t, mkSched(), inputs, cfg, opts)
 			}
 			cfg := core.Config{Mode: mode, BlockT: T, MaxLevels: 3*n + 8}
 			if leaderless {

@@ -5,15 +5,16 @@
 // schedules and fault plans, but a protocol that broadcasts each
 // process's entire view every round instead of O(log n)-bit messages.
 // Views are hash-consed through a run-shared interner (structurally
-// identical classes get one dense ID), so a message is a set of class IDs
-// plus the sender's current class; its honest wire cost is still the
-// canonical serialization of the whole view (internal/wire.View). Each
-// process computes that size exactly from per-level counts it keeps
-// current as classes arrive and from run-wide canonical ranks, without
-// rendering the view (sizer.go); the tests check every message against
-// wire.View. The result: Θ(T·n) rounds against the congested protocol's
-// O(T·n³ log n), paid for with messages that grow to Θ(n³ log n) bits —
-// the tradeoff experiment E17 measures.
+// identical classes get one dense ID), so a message is a bit set of class
+// IDs plus the sender's current class, which a receiver merges a word at
+// a time; its honest wire cost is still the canonical serialization of
+// the whole view (internal/wire.View). Each process computes that size
+// exactly from per-level counts it keeps current as classes arrive and
+// from run-wide canonical ranks, without rendering the view (sizer.go);
+// the tests check every message against wire.View. The result: Θ(T·n)
+// rounds against the congested protocol's O(T·n³ log n), paid for with
+// messages that grow to Θ(n³ log n) bits — the tradeoff experiment E17
+// measures.
 //
 // Both modes of the congested backend are supported, with decision rules
 // derived from the solver black box rather than the FOCS 2022 "cut"
@@ -31,6 +32,11 @@
 //     identical across processes. Every process scans exactly those c and
 //     outputs the first resolved frequency vector — all at the same
 //     round, which Run verifies.
+//
+// The solver's answer at c reads only levels 0..c, and a view only grows,
+// so each process memoizes its answer at every c and re-solves only the
+// candidates at or above the lowest level that has gained a class since
+// (process.scan); the tests re-derive every scan from scratch.
 //
 // Run returns the same *core.RunResult as the congested backend, so the
 // service, CLI and bench layers handle both protocols uniformly.
@@ -128,15 +134,25 @@ func defaultMaxRounds(n int, cfg Config) int {
 // out-of-model schedules that break the diameter bound fail with a
 // structured error instead of a silent disagreement.
 func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions) (*core.RunResult, error) {
-	return run(s, inputs, cfg, opts, nil)
+	return run(s, inputs, cfg, opts, hooks{})
 }
 
-// run is Run with an optional hook that sees every message, with the
-// run's interner, before it is sent; an error from the hook fails the
-// sending process. Tests use it to check each message's size against the
-// canonical wire.View.
+// hooks are the test oracles' view into a run: each non-nil hook sees its
+// event in the process that raises it, and an error from a hook fails
+// that process. Run sets none.
+type hooks struct {
+	// send sees every message, with the run's interner, before it is
+	// sent.
+	send func(*interner, *viewMsg) error
+	// scan sees every candidate scan of decide as it ends: the process,
+	// its view, the completeness bound, and the last candidate the scan
+	// visited; the answers it took are p.memo[:last+1].
+	scan func(p *process, v *view, bound, last int) error
+}
+
+// run is Run with test hooks.
 func run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions,
-	check func(*interner, *viewMsg) error) (*core.RunResult, error) {
+	h hooks) (*core.RunResult, error) {
 	n := s.N()
 	if err := cfg.Validate(inputs); err != nil {
 		return nil, err
@@ -149,7 +165,7 @@ func run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.Ru
 	procs := make([]engine.Coroutine, n)
 	leaderPID := -1
 	for i, in := range inputs {
-		p := &process{itn: itn, cfg: cfg, input: in, check: check}
+		p := &process{itn: itn, cfg: cfg, input: in, hooks: h}
 		procs[i] = engine.CoroutineFunc(p.run)
 		if in.Leader {
 			leaderPID = i

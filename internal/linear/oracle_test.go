@@ -2,11 +2,14 @@ package linear
 
 import (
 	"fmt"
+	"maps"
+	"math/bits"
 	"math/rand/v2"
 	"slices"
 	"sort"
 	"testing"
 
+	"anondyn/internal/core"
 	"anondyn/internal/historytree"
 	"anondyn/internal/wire"
 )
@@ -92,7 +95,89 @@ func lessViewClass(a, b wire.ViewClass) bool {
 
 // oracleBits is the size the oracle gives a message.
 func oracleBits(in *interner, m *viewMsg) int {
-	return buildView(in.infos, m.classes, m.self).SizeBits()
+	return buildView(in.infos, members(m.set), m.self).SizeBits()
+}
+
+// members expands a class set into its class IDs, ascending: the class
+// list buildView renders.
+func members(s classSet) []int32 {
+	var ids []int32
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return ids
+}
+
+// freshScan is the decision oracle: the candidate scan as decide ran it
+// before answers were memoized, on a tree materialized from the view. It
+// recomputes the completeness bound with chainComplete and re-solves
+// every candidate the scan visited from scratch, and fails unless the
+// bound and each memoized answer match and the scan stopped where the
+// fresh answers say it should.
+func freshScan(p *process, v *view, bound, last int) error {
+	tree, err := p.materialize(v.levels)
+	if err != nil {
+		return err
+	}
+	depth := len(v.levels) - 1
+	limit := depth
+	if p.cfg.Mode == core.ModeLeaderless {
+		T := p.cfg.blockT()
+		limit -= (p.cfg.DiamBound + T - 1) / T
+	}
+	if want := chainComplete(tree, limit); bound != want {
+		return fmt.Errorf("linear: a depth-%d scan bounded at candidate %d, chainComplete at %d", depth, bound, want)
+	}
+	for c := 0; c <= last; c++ {
+		var fresh answer
+		if p.cfg.Mode == core.ModeLeader {
+			fresh.count, fresh.err = historytree.CountModular(tree, c)
+		} else {
+			fresh.freq, fresh.err = historytree.FrequenciesModular(tree, c)
+		}
+		if err := sameAnswer(&p.memo[c], &fresh); err != nil {
+			return fmt.Errorf("linear: depth %d, candidate %d: %w", depth, c, err)
+		}
+		stops := fresh.err != nil || fresh.resolved()
+		if c < last && stops {
+			return fmt.Errorf("linear: a depth-%d scan passed candidate %d, which settles it", depth, c)
+		}
+		if c == last && !stops && last < bound {
+			return fmt.Errorf("linear: a depth-%d scan stopped at unsettled candidate %d of %d", depth, c, bound)
+		}
+	}
+	return nil
+}
+
+// sameAnswer compares a memoized answer with a fresh one.
+func sameAnswer(memo, fresh *answer) error {
+	switch {
+	case (memo.err == nil) != (fresh.err == nil):
+		return fmt.Errorf("memoized error %v, fresh error %v", memo.err, fresh.err)
+	case memo.count.Known != fresh.count.Known || memo.count.N != fresh.count.N ||
+		!maps.Equal(memo.count.Multiset, fresh.count.Multiset):
+		return fmt.Errorf("memoized count %+v, fresh %+v", memo.count, fresh.count)
+	case memo.freq.Known != fresh.freq.Known || memo.freq.MinSize != fresh.freq.MinSize ||
+		!maps.Equal(memo.freq.Shares, fresh.freq.Shares):
+		return fmt.Errorf("memoized frequencies %+v, fresh %+v", memo.freq, fresh.freq)
+	}
+	return nil
+}
+
+// chainComplete returns the deepest candidate c ≤ depth such that every
+// node at levels 0..c-1 of t has at least one child: the completeness
+// bound view.complete keeps from the view's per-level lists.
+func chainComplete(t *historytree.Tree, depth int) int {
+	for l := 0; l < depth; l++ {
+		for _, v := range t.Level(l) {
+			if len(v.Children) == 0 {
+				return l
+			}
+		}
+	}
+	return depth
 }
 
 // synthClass interns a new random class at level k: an input at level
@@ -221,9 +306,9 @@ func TestLinearViewBitsBandEdges(t *testing.T) {
 		var parent, red, self bool
 		compare := func(name string, in *interner, v *view, s int32) {
 			t.Helper()
-			oracle := buildView(in.infos, v.ids, s)
+			oracle := buildView(in.infos, members(v.have), s)
 			if got, want := v.bits(in, s), oracle.SizeBits(); got != want {
-				t.Fatalf("edge %d, %s: a %d-class view sized %d bits, oracle %d", edge, name, len(v.ids), got, want)
+				t.Fatalf("edge %d, %s: a %d-class view sized %d bits, oracle %d", edge, name, v.n, got, want)
 			}
 			p, r, sf := crossings(oracle, edge)
 			parent, red, self = parent || p, red || r, self || sf

@@ -1,9 +1,9 @@
 package linear
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"anondyn/internal/core"
@@ -59,11 +59,11 @@ func newInterner() *interner {
 }
 
 // intern returns the class ID for the given description, registering it
-// if new and taking ownership of the reds slice. reds must be in
-// canonical (sorted by src) order. A deeper class's parent and red
-// sources must sit exactly one level up: the engine's lock-step refines
-// every process at the same rounds, and the canonical ranks rely on it,
-// so intern fails rather than assume it.
+// if new with its own copy of the reds, so callers may build them in
+// scratch. reds must be in canonical (sorted by src) order. A deeper
+// class's parent and red sources must sit exactly one level up: the
+// engine's lock-step refines every process at the same rounds, and the
+// canonical ranks rely on it, so intern fails rather than assume it.
 func (in *interner) intern(ci classInfo) (int32, error) {
 	if ci.level > 0 {
 		if l := in.infos[ci.parent].level; l != ci.level-1 {
@@ -99,6 +99,7 @@ func (in *interner) intern(ci classInfo) (int32, error) {
 		return id, nil
 	}
 	id := int32(len(in.infos))
+	ci.reds = slices.Clone(ci.reds)
 	ci.fixed = int32(fixedBytes(ci))
 	in.infos = append(in.infos, ci)
 	in.byKey[string(buf)] = id
@@ -112,15 +113,15 @@ func (in *interner) intern(ci classInfo) (int32, error) {
 }
 
 // viewMsg is the full-information engine message: an immutable snapshot
-// of the sender's class-ID set plus the sender's current class. The bits
+// of the sender's class set plus the sender's current class. The bits
 // field carries the exact size of the canonical wire.View encoding of
 // that set, computed once at send time from the sender's running view
 // sums without rendering the view (view.bits); the engine's SizeOf hook
 // reports it for congestion accounting.
 type viewMsg struct {
-	classes []int32
-	self    int32
-	bits    int
+	set  classSet
+	self int32
+	bits int
 }
 
 // sizeOfMessage is the engine SizeOf hook: viewMsg sizes are precomputed
@@ -137,13 +138,30 @@ type process struct {
 	itn   *interner
 	cfg   Config
 	input historytree.Input
-	// check, when non-nil, sees every message before it is sent; an error
-	// fails the process. Tests use it to compare sizes with the oracle.
-	check func(*interner, *viewMsg) error
+	hooks hooks
+
+	reds []redRef // refinement scratch
+	// memo[c] is the last solver answer at candidate c; those below the
+	// view's dirty watermark are current.
+	memo []answer
 
 	solveTime  time.Duration
 	solveCalls int
 }
+
+// answer is one solver answer at a completeness candidate: the count in
+// leader mode, the frequencies leaderless, or the solver's error.
+type answer struct {
+	count historytree.CountResult
+	freq  historytree.FrequencyResult
+	err   error
+}
+
+// resolved reports whether the answer settles the candidate scan.
+func (a *answer) resolved() bool { return a.count.Known || a.freq.Known }
+
+// bySrc orders reds by source class.
+func bySrc(a, b redRef) int { return cmp.Compare(a.src, b.src) }
 
 // run is the process coroutine: per block of T real rounds it broadcasts
 // its current view every round, merges everything it hears, then refines
@@ -161,9 +179,9 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 
 	for {
 		for j := 0; j < T; j++ {
-			msg := &viewMsg{classes: v.ids[:len(v.ids):len(v.ids)], self: self, bits: v.bits(p.itn, self)}
-			if p.check != nil {
-				if err := p.check(p.itn, msg); err != nil {
+			msg := &viewMsg{set: slices.Clone(v.have), self: self, bits: v.bits(p.itn, self)}
+			if p.hooks.send != nil {
+				if err := p.hooks.send(p.itn, msg); err != nil {
 					return nil, err
 				}
 			}
@@ -176,22 +194,18 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 				if !ok {
 					return nil, fmt.Errorf("linear: unexpected message %T", raw)
 				}
-				for _, id := range m.classes {
-					if !v.holds(id) { // inlined: most IDs are known
-						v.add(p.itn, id)
-					}
-				}
+				v.merge(p.itn, m.set)
 				heard[m.self]++
 			}
 		}
 		level := int32(tr.Round() / T)
-		reds := make([]redRef, 0, len(heard))
+		p.reds = p.reds[:0]
 		for src, mult := range heard {
-			reds = append(reds, redRef{src: src, mult: mult})
+			p.reds = append(p.reds, redRef{src: src, mult: mult})
 		}
-		sort.Slice(reds, func(i, j int) bool { return reds[i].src < reds[j].src })
+		slices.SortFunc(p.reds, bySrc)
 		clear(heard)
-		self, err = p.itn.intern(classInfo{level: level, parent: self, reds: reds})
+		self, err = p.itn.intern(classInfo{level: level, parent: self, reds: p.reds})
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +216,7 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 			return nil, fmt.Errorf("linear: view reached %d levels without a decision (MaxLevels %d)",
 				depth, p.cfg.MaxLevels)
 		}
-		oc, err := p.decide(depth, v.levels, tr)
+		oc, err := p.decide(depth, &v, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -214,111 +228,115 @@ func (p *process) run(tr *engine.Transport) (any, error) {
 
 // decide applies the mode's decision rule at the current block depth and
 // returns a non-nil Outcome once the process can output.
-func (p *process) decide(depth int, levels [][]int32, tr *engine.Transport) (*core.Outcome, error) {
-	T := p.cfg.blockT()
+func (p *process) decide(depth int, v *view, tr *engine.Transport) (*core.Outcome, error) {
+	var bound int
 	switch p.cfg.Mode {
 	case core.ModeLeader:
 		if !p.input.Leader {
 			return nil, nil
 		}
-		tree, err := p.materialize(levels)
-		if err != nil {
-			return nil, err
-		}
 		// Scan completeness candidates from the shallowest up: the first
 		// prefix that resolves the system has maximum slack, i.e. is the
 		// most likely to be genuinely complete. If the depth condition
-		// fails, wait for more blocks instead of trusting deeper (less
-		// settled) prefixes.
-		limit := chainComplete(tree, depth)
-		for c := 0; c <= limit; c++ {
-			res, err := p.countAt(tree, c)
-			if err != nil {
-				// Levels wrongly assumed complete; not settled yet.
-				break
-			}
-			if !res.Known {
-				continue
-			}
-			if depth >= c+res.N {
-				return &core.Outcome{
-					N: res.N, Multiset: res.Multiset, VHT: tree,
-					Levels: depth, FinalRound: tr.Round(),
-					Solver: historytree.SolverStats{Calls: p.solveCalls, SolveTime: p.solveTime},
-				}, nil
-			}
-			break
-		}
-		return nil, nil
+		// below fails, wait for more blocks instead of trusting deeper
+		// (less settled) prefixes.
+		bound = v.complete(depth)
 	case core.ModeLeaderless:
 		// Only prefixes a full diameter bound behind the frontier are
 		// provably complete AND provably present in every process's view,
 		// so scanning exactly those keeps all processes in lockstep: they
 		// resolve the same c at the same block and output together.
+		T := p.cfg.blockT()
 		lag := (p.cfg.DiamBound + T - 1) / T
 		if depth < lag {
 			return nil, nil
 		}
-		tree, err := p.materialize(levels)
-		if err != nil {
+		bound = v.complete(depth - lag)
+	default:
+		return nil, fmt.Errorf("linear: unknown mode %d", p.cfg.Mode)
+	}
+	c, a, tree, err := p.scan(v, bound)
+	if err != nil || a == nil || (p.cfg.Mode == core.ModeLeader && depth < c+a.count.N) {
+		return nil, err
+	}
+	if tree == nil {
+		if tree, err = p.materialize(v.levels); err != nil {
 			return nil, err
 		}
-		limit := depth - lag
-		if cc := chainComplete(tree, limit); cc < limit {
-			limit = cc
-		}
-		for c := 0; c <= limit; c++ {
-			res, err := p.frequenciesAt(tree, c)
-			if err != nil {
-				break
-			}
-			if !res.Known {
-				continue
-			}
-			return &core.Outcome{
-				Frequencies: &res, VHT: tree,
-				Levels: depth, FinalRound: tr.Round(), FinalDiamEstimate: p.cfg.DiamBound,
-				Solver: historytree.SolverStats{Calls: p.solveCalls, SolveTime: p.solveTime},
-			}, nil
-		}
-		return nil, nil
 	}
-	return nil, fmt.Errorf("linear: unknown mode %d", p.cfg.Mode)
+	oc := &core.Outcome{
+		VHT: tree, Levels: depth, FinalRound: tr.Round(),
+		Solver: historytree.SolverStats{Calls: p.solveCalls, SolveTime: p.solveTime},
+	}
+	if p.cfg.Mode == core.ModeLeader {
+		oc.N, oc.Multiset = a.count.N, a.count.Multiset
+	} else {
+		freq := a.freq
+		oc.Frequencies, oc.FinalDiamEstimate = &freq, p.cfg.DiamBound
+	}
+	return oc, nil
 }
 
-// countAt runs the counting solver with timing accounted to the process.
-func (p *process) countAt(tree *historytree.Tree, c int) (historytree.CountResult, error) {
-	start := time.Now()
-	res, err := historytree.CountModular(tree, c)
-	p.solveTime += time.Since(start)
-	p.solveCalls++
-	return res, err
-}
-
-// frequenciesAt runs the frequency solver with timing accounted to the
-// process.
-func (p *process) frequenciesAt(tree *historytree.Tree, c int) (historytree.FrequencyResult, error) {
-	start := time.Now()
-	res, err := historytree.FrequenciesModular(tree, c)
-	p.solveTime += time.Since(start)
-	p.solveCalls++
-	return res, err
-}
-
-// chainComplete returns the deepest candidate c ≤ depth such that every
-// node at levels 0..c-1 has at least one child in the view — a necessary
-// condition for levels 0..c to be complete (every true class is refined
-// by its members every block), checked before the solver runs so
-// structurally incomplete prefixes are never assumed complete.
-func chainComplete(t *historytree.Tree, depth int) int {
-	for l := 0; l < depth; l++ {
-		for _, v := range t.Level(l) {
-			if len(v.Children) == 0 {
-				return l
+// scan walks the completeness candidates c = 0..bound from the
+// shallowest up and returns the first whose answer resolves, or a nil
+// answer if none does before one errs (its levels were wrongly assumed
+// complete, so deeper ones are not settled either) or the bound ends the
+// scan.
+//
+// The answer at c reads only levels 0..c of the view: the solver sees
+// only those levels, and materialize orders each level by class ID, so
+// the same class sets give the same tree prefix. A view only grows, so
+// an answer memoized below the dirty watermark is the answer a fresh
+// solve would give. The view is materialized only on the first miss, and
+// that tree is returned (nil when every answer came from the memo).
+func (p *process) scan(v *view, bound int) (int, *answer, *historytree.Tree, error) {
+	var tree *historytree.Tree
+	c := 0
+	for ; c <= bound; c++ {
+		if c >= v.dirty {
+			if tree == nil {
+				var err error
+				if tree, err = p.materialize(v.levels); err != nil {
+					return 0, nil, nil, err
+				}
 			}
+			a := p.solve(tree, c)
+			if c < len(p.memo) {
+				p.memo[c] = a
+			} else {
+				p.memo = append(p.memo, a)
+			}
+		}
+		if a := &p.memo[c]; a.err != nil || a.resolved() {
+			break
 		}
 	}
-	return depth
+	last := min(c, bound)
+	v.dirty = max(v.dirty, last+1)
+	if p.hooks.scan != nil {
+		if err := p.hooks.scan(p, v, bound, last); err != nil {
+			return 0, nil, nil, err
+		}
+	}
+	if c > bound || p.memo[c].err != nil {
+		return c, nil, tree, nil
+	}
+	return c, &p.memo[c], tree, nil
+}
+
+// solve runs the mode's from-scratch solver at candidate c, with timing
+// accounted to the process.
+func (p *process) solve(tree *historytree.Tree, c int) answer {
+	start := time.Now()
+	var a answer
+	if p.cfg.Mode == core.ModeLeader {
+		a.count, a.err = historytree.CountModular(tree, c)
+	} else {
+		a.freq, a.err = historytree.FrequenciesModular(tree, c)
+	}
+	p.solveTime += time.Since(start)
+	p.solveCalls++
+	return a
 }
 
 // materialize builds a historytree.Tree from a view's per-level class

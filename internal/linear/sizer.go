@@ -8,46 +8,103 @@ import (
 	"anondyn/internal/historytree"
 )
 
-// This file sizes messages exactly as their canonical wire.View encoding
-// (internal/wire/view.go) without rendering it: rendering and sorting the
-// whole view on every send would dominate the run. The oracle tests check
-// every message against wire.View.SizeBits.
+// This file keeps a process's view and sizes messages exactly as their
+// canonical wire.View encoding (internal/wire/view.go) without rendering
+// it: rendering and sorting the whole view on every send would dominate
+// the run. The oracle tests check every message against
+// wire.View.SizeBits.
 
 // view is one process's class set with the running sums its message size
-// is computed from. Every class at level k+1 has its parent at level k,
-// so len(levels[k+1]) counts the parent references into level k.
+// is computed from and the per-level bookkeeping its decisions read.
+// Every class at level k+1 has its parent at level k, so
+// len(levels[k+1]) counts the parent references into level k.
 type view struct {
-	ids    []int32   // every class, in arrival order: the message payload
-	have   []bool    // have[id]: v holds class id
-	levels [][]int32 // the class IDs at each level
+	have   classSet  // every class v holds; a message carries a snapshot
+	levels [][]int32 // the class IDs at each level, in arrival order
+	n      int       // the number of classes
 	fixed  int       // Σ position-independent bytes of the classes
 	reds   []int     // reds[k]: red references into level k
 	pos    []int32   // scratch of positions
+
+	// The decision bookkeeping (process.decide): the classes that have a
+	// child in v, their count per level, and the dirty watermark of the
+	// process's memo: its answers at candidates below dirty are current.
+	// The answer at c reads levels 0..c, so add lowers dirty to the level
+	// of every class it adds; a candidate scan raises it past the
+	// candidates it visited.
+	parents  classSet
+	parented []int
+	dirty    int
 }
 
-// holds reports whether v holds class id.
-func (v *view) holds(id int32) bool { return int(id) < len(v.have) && v.have[id] }
+// A classSet holds class IDs as bits: bit id%64 of word id/64.
+type classSet []uint64
+
+// holds reports whether s holds class id.
+func (s classSet) holds(id int32) bool {
+	w := int(id >> 6)
+	return w < len(s) && s[w]&(1<<(id&63)) != 0
+}
+
+// insert adds class id to s, growing it as needed.
+func (s *classSet) insert(id int32) {
+	if w := int(id>>6) + 1; w > len(*s) {
+		*s = append(*s, make([]uint64, w-len(*s))...)
+	}
+	(*s)[id>>6] |= 1 << (id & 63)
+}
 
 // add inserts class id into v unless v already holds it.
 func (v *view) add(in *interner, id int32) {
-	if v.holds(id) {
+	if v.have.holds(id) {
 		return
 	}
-	if int(id) >= len(v.have) {
-		v.have = append(v.have, make([]bool, len(in.infos)-len(v.have))...)
-	}
-	v.have[id] = true
-	v.ids = append(v.ids, id)
+	v.have.insert(id)
+	v.n++
 	ci := &in.infos[id]
 	for int(ci.level) >= len(v.levels) {
 		v.levels = append(v.levels, nil)
 		v.reds = append(v.reds, 0)
+		v.parented = append(v.parented, 0)
 	}
 	v.levels[ci.level] = append(v.levels[ci.level], id)
 	v.fixed += int(ci.fixed)
 	if ci.level > 0 {
 		v.reds[ci.level-1] += len(ci.reds)
+		if !v.parents.holds(ci.parent) {
+			v.parents.insert(ci.parent)
+			v.parented[ci.level-1]++
+		}
 	}
+	v.dirty = min(v.dirty, int(ci.level))
+}
+
+// merge adds every class of set that v lacks: a word at a time, so a
+// delivery costs one word per 64 classes plus the classes it brings.
+func (v *view) merge(in *interner, set classSet) {
+	for w, word := range set {
+		if w < len(v.have) {
+			word &^= v.have[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			v.add(in, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+}
+
+// complete returns the deepest candidate c ≤ depth such that every class
+// of v at levels 0..c-1 has a child in v — a necessary condition for
+// levels 0..c to be complete (every true class is refined by its members
+// every block), checked before the solver runs so structurally
+// incomplete prefixes are never assumed complete. A class has a child in
+// v exactly when a class of v one level deeper names it as parent.
+func (v *view) complete(depth int) int {
+	for l := 0; l < depth; l++ {
+		if v.parented[l] < len(v.levels[l]) {
+			return l
+		}
+	}
+	return depth
 }
 
 // bits returns the size in bits of the canonical wire.View encoding of v
@@ -59,7 +116,7 @@ func (v *view) add(in *interner, id int32) {
 // positions lie inside one length band cost count × length; only a level
 // that a band edge falls in needs per-reference positions.
 func (v *view) bits(in *interner, self int32) int {
-	b := uvarintLen(len(v.ids)) + v.fixed
+	b := uvarintLen(v.n) + v.fixed
 	selfLevel := int(in.infos[self].level)
 	off := 0
 	for k, ids := range v.levels {
@@ -156,7 +213,7 @@ func (in *interner) rankLevel(k int) {
 		for j, r := range ci.reds {
 			key.reds[j] = redRef{src: in.rank[r.src], mult: r.mult}
 		}
-		slices.SortFunc(key.reds, func(a, b redRef) int { return cmp.Compare(a.src, b.src) })
+		slices.SortFunc(key.reds, bySrc)
 		keys[i] = key
 	}
 	slices.SortFunc(keys, cmpRankKey)
