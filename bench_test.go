@@ -294,8 +294,11 @@ func BenchmarkE13BatchingTradeoff(b *testing.B) {
 	}
 }
 
+// BenchmarkE14AdaptiveAdversary counts against the Isolator with the leader
+// at 0; n=32 is the congested-isolator shape of the repo benchmark and the
+// isolator's profiling home (see README "Profiling").
 func BenchmarkE14AdaptiveAdversary(b *testing.B) {
-	for _, n := range []int{4, 8} {
+	for _, n := range []int{4, 8, 32} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			cfg := anondyn.Config{Mode: anondyn.ModeLeader, MaxLevels: 3*n + 8}
 			var res *anondyn.RunResult

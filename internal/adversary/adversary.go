@@ -22,9 +22,16 @@ import (
 // round. It keeps the network connected at every round, as the Section 3
 // algorithm requires, so the protocol must still terminate — after driving
 // DiamEstimate to its Θ(n) ceiling (Lemma 4.7).
+//
+// The path scratch and the returned graph are reused every round (the
+// engine reads a graph only until the next Graph call), so an Isolator
+// serves one run at a time.
 type Isolator struct {
 	n      int
 	target int
+
+	order, middle []int
+	g             *dynnet.Multigraph
 }
 
 var _ engine.AdaptiveSchedule = (*Isolator)(nil)
@@ -33,7 +40,7 @@ var _ engine.AdaptiveSchedule = (*Isolator)(nil)
 // the given target process (usually the leader) farthest from the
 // highest-priority message.
 func NewIsolator(n, target int) *Isolator {
-	return &Isolator{n: n, target: target}
+	return &Isolator{n: n, target: target, g: dynnet.NewMultigraph(n)}
 }
 
 // N implements engine.AdaptiveSchedule.
@@ -57,29 +64,29 @@ func (a *Isolator) Graph(_ int, sent []engine.Message) *dynnet.Multigraph {
 
 	// Path layout: holders of the top message first, then the remaining
 	// processes, with the target at the far end.
-	holders := make([]int, 0, a.n)
-	middle := make([]int, 0, a.n)
+	order, middle := a.order[:0], a.middle[:0]
 	for pid, raw := range sent {
 		if pid == a.target {
 			continue
 		}
 		m, ok := wire.FromBox(raw)
 		if ok && top >= 0 && core.Compare(m, topMsg) == 0 {
-			holders = append(holders, pid)
+			order = append(order, pid)
 			continue
 		}
 		middle = append(middle, pid)
 	}
-	order := append(holders, middle...)
+	order = append(order, middle...)
 	if a.target < a.n {
 		order = append(order, a.target)
 	}
+	a.order, a.middle = order, middle
 
-	g := dynnet.NewMultigraph(a.n)
+	a.g.Reset(a.n)
 	for i := 0; i+1 < len(order); i++ {
-		g.MustAddLink(order[i], order[i+1], 1)
+		a.g.MustAddLink(order[i], order[i+1], 1)
 	}
-	return g
+	return a.g
 }
 
 // DiamSpiker is the reset-forcing adversary: it serves a complete graph

@@ -43,6 +43,33 @@ func TestIsolatorGraphsAreConnectedPaths(t *testing.T) {
 	}
 }
 
+// TestIsolatorSteadyStateAllocs pins the Isolator's per-round cost at zero
+// allocations once its path scratch and graph have grown: it runs every
+// round of the paper's worst case, and a fresh graph and three slices per
+// round once made it the run's main allocator.
+func TestIsolatorSteadyStateAllocs(t *testing.T) {
+	const n = 32
+	edge, null := wire.Edge(1, 2, 3), wire.Null()
+	sent := make([]engine.Message, n)
+	for pid := range sent {
+		sent[pid] = &null
+		if pid%5 == 1 {
+			sent[pid] = &edge
+		}
+	}
+	a := NewIsolator(n, 0)
+	a.Graph(1, sent).CanonicalLinks()
+	allocs := testing.AllocsPerRun(100, func() {
+		g := a.Graph(2, sent)
+		if g.LinkCount() != n-1 {
+			t.Fatalf("path on %d has %d links", n, g.LinkCount())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Isolator.Graph allocated %.1f objects per round, want 0", allocs)
+	}
+}
+
 func TestCountingSurvivesIsolator(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8} {
 		rec := core.NewRecorder()

@@ -20,20 +20,20 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 
 	"anondyn/internal/core"
 	"anondyn/internal/historytree"
 )
 
 // Checker validates protocol invariants live (as recorder events arrive)
-// and post-hoc (Verify). It is safe for concurrent use.
+// and post-hoc (Verify). Its live checks run on the run's goroutine, one
+// event at a time (a run is single-threaded, see package engine), so it
+// holds no lock.
 type Checker struct {
 	n      int
 	inputs []historytree.Input
 	rec    *core.Recorder
 
-	mu         sync.Mutex
 	lastDiam   int
 	lastBegin  int
 	resets     int
@@ -76,8 +76,6 @@ func maxResets(n int) int {
 // ObserveReset implements core.RecorderObserver: estimates must strictly
 // double, stay ≤ 4n, and fire at most logarithmically often.
 func (c *Checker) ObserveReset(newDiam int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.resets++
 	if newDiam < 2 {
 		c.violatef("reset %d announced diameter estimate %d < 2", c.resets, newDiam)
@@ -99,8 +97,6 @@ func (c *Checker) ObserveReset(newDiam int) {
 // ObserveBeginRound implements core.RecorderObserver: level begin rounds
 // are recorded by a single process and real rounds only move forward.
 func (c *Checker) ObserveBeginRound(round int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if round < 1 {
 		c.violatef("level begin recorded at round %d < 1", round)
 	}
@@ -113,8 +109,6 @@ func (c *Checker) ObserveBeginRound(round int) {
 // ObserveLevelDone implements core.RecorderObserver: completions must
 // reference a real process and a plausible level/ID.
 func (c *Checker) ObserveLevelDone(level, pid, id int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if pid < 0 || pid >= c.n {
 		c.violatef("level %d completed by out-of-range process %d", level, pid)
 	}
@@ -127,10 +121,9 @@ func (c *Checker) ObserveLevelDone(level, pid, id int) {
 }
 
 // Err returns the violations accumulated by the live checks so far, or
-// nil. It may be called mid-run.
+// nil. It may be called mid-run from the run's goroutine (a Trace hook or
+// an observer callback), or after the run.
 func (c *Checker) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if len(c.violations) == 0 {
 		return nil
 	}

@@ -337,12 +337,15 @@ func (c *Coordinator) Run(ctx context.Context, spec service.JobSpec) (Outcome, e
 
 // runUnique executes one deduplicated spec under the in-flight bound.
 func (c *Coordinator) runUnique(ctx context.Context, spec service.JobSpec, hash string) (Outcome, error) {
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-ctx.Done():
-		return Outcome{}, ctx.Err()
+	if err := c.acquire(ctx); err != nil {
+		return Outcome{}, err
 	}
+	held := true
+	defer func() {
+		if held {
+			<-c.sem
+		}
+	}()
 	c.metrics.JobsRouted.Add(1)
 	start := time.Now()
 
@@ -363,7 +366,11 @@ func (c *Coordinator) runUnique(ctx context.Context, spec service.JobSpec, hash 
 		if backoff > 0 {
 			// Some replica refused with backpressure: a second pass at
 			// once would meet the same full queue, so first wait out the
-			// longest delay the refusals asked for.
+			// longest delay the refusals asked for. The wait gives its
+			// in-flight slot back, so a busy fleet does not stall
+			// unrelated jobs.
+			<-c.sem
+			held = false
 			timer := time.NewTimer(min(backoff, c.cfg.AttemptTimeout))
 			select {
 			case <-ctx.Done():
@@ -371,6 +378,10 @@ func (c *Coordinator) runUnique(ctx context.Context, spec service.JobSpec, hash 
 				return Outcome{}, ctx.Err()
 			case <-timer.C:
 			}
+			if err := c.acquire(ctx); err != nil {
+				return Outcome{}, err
+			}
+			held = true
 		}
 		for _, name := range owners {
 			b := c.backends[name]
@@ -441,6 +452,17 @@ func (c *Coordinator) runUnique(ctx context.Context, spec service.JobSpec, hash 
 		lastErr = fmt.Errorf("cluster: no backend available")
 	}
 	return Outcome{}, fmt.Errorf("cluster: spec %s failed on all %d replica(s): %w", hash[:12], len(owners), lastErr)
+}
+
+// acquire takes one of the MaxInFlight execution slots, or fails with
+// ctx's error.
+func (c *Coordinator) acquire(ctx context.Context) error {
+	select {
+	case c.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // msSince renders a duration since start in milliseconds.

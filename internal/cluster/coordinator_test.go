@@ -266,6 +266,71 @@ func TestCoordinatorWaitsOutBackpressure(t *testing.T) {
 	}
 }
 
+// TestCoordinatorBackpressureWaitFreesSlot pins that a job waiting out a
+// Retry-After holds no in-flight slot: with one slot, job A meets a 429
+// asking for 1 s, and job B, submitted during A's wait, finishes well
+// before that second is over; A still completes on its second attempt.
+func TestCoordinatorBackpressureWaitFreesSlot(t *testing.T) {
+	live := newBackend(t, 2, "")
+	target, err := url.Parse("http://" + live.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	var refuse atomic.Int64
+	refuse.Store(1)
+	refused := make(chan struct{})
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && refuse.Add(-1) >= 0 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			_, _ = io.WriteString(w, `{"error":"service: job queue full"}`)
+			close(refused)
+			return
+		}
+		proxy.ServeHTTP(w, r)
+	}))
+	defer replica.Close()
+	c, err := NewCoordinator(Config{
+		Backends:      []string{replica.Listener.Addr().String()},
+		MaxInFlight:   1,
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	type result struct {
+		out Outcome
+		err error
+	}
+	a := make(chan result, 1)
+	go func() {
+		out, err := c.Run(context.Background(), service.JobSpec{N: 5, Topology: "cycle", Seed: 1})
+		a <- result{out, err}
+	}()
+	<-refused
+	start := time.Now()
+	outB, err := c.Run(context.Background(), service.JobSpec{N: 5, Topology: "cycle", Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("job B took %v behind job A's backpressure wait, want under 1s", took)
+	}
+	if outB.Status.State != service.JobDone || outB.Attempts != 1 {
+		t.Fatalf("job B: %d attempts, state %s", outB.Attempts, outB.Status.State)
+	}
+	ra := <-a
+	if ra.err != nil {
+		t.Fatal(ra.err)
+	}
+	if ra.out.Attempts != 2 || ra.out.Status.State != service.JobDone {
+		t.Fatalf("job A: %d attempts, state %s; want done after 2", ra.out.Attempts, ra.out.Status.State)
+	}
+}
+
 // TestCoordinatorCoalescesDuplicates pins exactly-once within a burst:
 // eight concurrent submissions of one spec produce exactly one execution;
 // every other outcome is either coalesced onto it or a cache hit.

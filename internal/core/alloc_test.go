@@ -22,6 +22,9 @@ func (f *loopTransport) SendAndReceive(engine.Message) ([]engine.Message, error)
 	f.round++
 	return f.replies, nil
 }
+func (f *loopTransport) Relay(m engine.Message, steps, hold int, wake func(engine.Message) bool) (engine.Message, error) {
+	return stepRelay(f.SendAndReceive, m, steps, hold, wake)
+}
 func (f *loopTransport) Round() int { return f.round }
 func (f *loopTransport) PID() int   { return 1 }
 

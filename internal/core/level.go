@@ -291,10 +291,6 @@ func (p *Process) recordPrimary() bool {
 // once per group (first arrival); every member then points its temp and lg
 // at the shared structures.
 func (p *Process) resetLevelState(level int) error {
-	if g := p.group; g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
 	mutate, err := p.opGate(opSetup, int64(level), 0, 0)
 	if err != nil {
 		return err

@@ -2,48 +2,20 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"anondyn/internal/wire"
 )
 
-// broadcastStep is BroadcastStep (Listing 3 lines 20–26): send the current
-// message, then keep the highest-priority message among it and everything
-// received. Receiving a Halt message immediately switches the process into
-// the termination forwarding of Section 5.
-func (p *Process) broadcastStep(m wire.Message) (wire.Message, error) {
-	top, err := p.broadcastStepPtr(p.boxFor(m))
-	return *top, err
-}
-
-// broadcastStepPtr is broadcastStep threading immutable heap boxes instead
-// of message values: the multi-round loops below feed each round's result
-// pointer straight back in, so a steady-state round moves no 48-byte
-// structs and compares boxes by identity (see receiveTopPtr). On error the
-// input box is returned, mirroring the value form.
-func (p *Process) broadcastStepPtr(mp *wire.Message) (*wire.Message, error) {
-	top, err := p.receiveTopPtr(mp)
-	if err != nil {
-		return mp, err
-	}
-	if top.Label == wire.LabelHalt && mp.Label != wire.LabelHalt {
-		return top, p.haltForward(*top)
-	}
-	return top, nil
-}
-
 // broadcastPhase is BroadcastPhase (Listing 3 lines 28–38): DiamEstimate
-// broadcast steps, then dispatch on the surviving message. Error and Reset
-// results are handled and reported as restart=true.
+// broadcast steps, relayed by the engine (see relay), then dispatch on the
+// surviving message. Error and Reset results are handled and reported as
+// restart=true.
 func (p *Process) broadcastPhase(m wire.Message) (wire.Message, bool, error) {
-	mp := p.boxFor(m)
-	for i := 0; i < p.diamEstimate; i++ {
-		var err error
-		mp, err = p.broadcastStepPtr(mp)
-		if err != nil {
-			return *mp, false, err
-		}
+	top, err := p.relay(m, p.diamEstimate, false)
+	if err != nil {
+		return top, false, err
 	}
-	top := *mp
 	switch top.Label {
 	case wire.LabelError:
 		if err := p.handleError(top); err != nil {
@@ -111,29 +83,19 @@ func (p *Process) leaderReset(target int) error {
 // message arrives, then join that reset. The target is a level in the basic
 // algorithm and a journal index under fine-grained resets.
 func (p *Process) broadcastError(target int) error {
-	mp := p.boxFor(wire.Error(int64(target)))
-	for mp.Label != wire.LabelReset {
-		var err error
-		mp, err = p.broadcastStepPtr(mp)
-		if err != nil {
-			return err
-		}
+	reset, err := p.relay(wire.Error(int64(target)), math.MaxInt, true)
+	if err != nil {
+		return err
 	}
-	return p.broadcastReset(*mp)
+	return p.broadcastReset(reset)
 }
 
 // broadcastReset is BroadcastReset (Listing 6 lines 29–41): forward the
 // reset until the globally agreed final round StartingRound+NewDiam, then
 // perform the rollback.
 func (p *Process) broadcastReset(m wire.Message) error {
-	final := int(m.B + m.C)
-	mp := p.boxFor(m)
-	for p.tr.Round() < final {
-		var err error
-		mp, err = p.broadcastStepPtr(mp)
-		if err != nil {
-			return err
-		}
+	if _, err := p.relay(m, int(m.B+m.C)-p.tr.Round(), false); err != nil {
+		return err
 	}
 	return p.performReset(int(m.A), int(m.C))
 }

@@ -42,6 +42,10 @@ func (f *fakeTransport) SendAndReceive(m engine.Message) ([]engine.Message, erro
 	return out, nil
 }
 
+func (f *fakeTransport) Relay(m engine.Message, steps, hold int, wake func(engine.Message) bool) (engine.Message, error) {
+	return stepRelay(f.SendAndReceive, m, steps, hold, wake)
+}
+
 func (f *fakeTransport) Round() int { return f.round }
 func (f *fakeTransport) PID() int   { return 0 }
 
@@ -55,12 +59,14 @@ func newUnitProcess(t *testing.T, tr transport, leader bool) *Process {
 	return p
 }
 
+// A one-step relay is Listing 3's BroadcastStep.
+
 func TestBroadcastStepKeepsHighestPriority(t *testing.T) {
 	tr := newFakeTransport(t,
 		[]wire.Message{wire.Null(), wire.Done(4), wire.Edge(1, 2, 3)},
 	)
 	p := newUnitProcess(t, tr, false)
-	top, err := p.broadcastStep(wire.Done(9))
+	top, err := p.relay(wire.Done(9), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +78,7 @@ func TestBroadcastStepKeepsHighestPriority(t *testing.T) {
 func TestBroadcastStepKeepsOwnOnLowerPriorityTraffic(t *testing.T) {
 	tr := newFakeTransport(t, []wire.Message{wire.Null(), wire.Begin(7)})
 	p := newUnitProcess(t, tr, false)
-	top, err := p.broadcastStep(wire.Done(2))
+	top, err := p.relay(wire.Done(2), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func TestHaltForwardUnwinds(t *testing.T) {
 	)
 	p := newUnitProcess(t, tr, false)
 	p.cfg.SimultaneousHalt = true
-	_, err := p.broadcastStep(wire.Null())
+	_, err := p.relay(wire.Null(), 1, false)
 	var h *haltedError
 	if !errors.As(err, &h) {
 		t.Fatalf("err = %v, want haltedError", err)

@@ -33,27 +33,19 @@ type Process struct {
 	forkedFrom *shareGroup
 
 	tr transport
-	// trEng is tr's concrete value when it is a plain *engine.Transport
-	// (every run without the block simulation): the broadcast hot path
-	// calls it directly, saving an interface dispatch per round per
-	// process. nil under blockTransport, which falls back to tr.
-	trEng *engine.Transport
 
 	// rxBuf is the wire-message conversion scratch of sendAndReceive,
 	// reused across rounds (see the validity-window note there); rxRaw is
 	// the engine's last raw delivery slice, retained so boxFor can recycle
 	// the received heap boxes at the next send (read strictly before the
-	// next SendAndReceive, inside the engine's validity window).
-	rxBuf []wire.Message
-	rxRaw []engine.Message
-	// txLast / txBoxed cache the last sent message and its heap box, so
-	// re-broadcasting an unchanged message does not re-allocate (see
-	// sendAndReceive); txCache is a small ring of recently created boxes
-	// behind them, covering re-originated proposals across phases. Every
-	// box is immutable once published (see boxFor), which is what lets
-	// the broadcast loop thread bare pointers between rounds.
-	txLast      wire.Message
-	txBoxed     *wire.Message
+	// next engine call, inside the engine's validity window). relayTop is
+	// the last relay's result box, and txCache a small ring of recently
+	// created boxes, covering re-originated proposals across phases. Every
+	// box is immutable once published (see boxFor), so the engine may hold
+	// on to any of them.
+	rxBuf       []wire.Message
+	rxRaw       []engine.Message
+	relayTop    *wire.Message
 	txCache     [4]txBox
 	txCacheNext int
 
@@ -171,7 +163,10 @@ func (e *haltedError) Error() string {
 }
 
 // Run implements engine.Coroutine.
-func (p *Process) Run(tr *engine.Transport) (any, error) {
+func (p *Process) Run(tr *engine.Transport) (any, error) { return p.runOn(tr) }
+
+// runOn runs the protocol over tr and turns a Halt unwind into an Outcome.
+func (p *Process) runOn(tr transport) (any, error) {
 	out, err := p.run(tr)
 	var h *haltedError
 	if errors.As(err, &h) {
@@ -203,7 +198,6 @@ func (p *Process) run(tr transport) (any, error) {
 			}
 		}()
 	}
-	p.trEng, _ = tr.(*engine.Transport)
 	p.initialize()
 	if p.cfg.Mode == ModeLeaderless {
 		return p.mainLoopLeaderless()
@@ -290,7 +284,7 @@ func (p *Process) mainLoop() (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if res.Known && p.vhtCompleteNow() {
+			if res.Known && vhtComplete(p.vht, p.currentLevel) {
 				p.pending = &pendingOutput{
 					res:           res,
 					levels:        p.currentLevel,
@@ -340,12 +334,10 @@ func (p *Process) maybeCompact() {
 		// bound, so no member's solver (or reset headroom) is outrun.
 		// CompactLevels no-ops on bounds it already covers, so repeated
 		// calls at the same level are free.
-		g.mu.Lock()
 		g.keeps[p.member] = keep
-		if k := g.minKeepLocked(); k > 1 {
+		if k := g.minKeep(); k > 1 {
 			g.tree.CompactLevels(k)
 		}
-		g.mu.Unlock()
 		return
 	}
 	if keep > 1 {
@@ -380,21 +372,11 @@ func (p *Process) emitPending() (any, error) {
 // countNow evaluates the persistent incremental Solver after a completed
 // level.
 func (p *Process) countNow() (historytree.CountResult, error) {
-	if g := p.group; g != nil {
-		// The solver memoizes balance pairs on the tree and the level graph
-		// compresses paths on lookup: "reads" of shared state mutate it.
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
 	return p.solver.CountAt(p.vht, p.currentLevel)
 }
 
 // frequenciesNow is countNow's leaderless counterpart.
 func (p *Process) frequenciesNow() (historytree.FrequencyResult, error) {
-	if g := p.group; g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
 	return p.solver.FrequenciesAt(p.vht, p.currentLevel)
 }
 
@@ -424,24 +406,9 @@ func vhtComplete(t *historytree.Tree, levels int) bool {
 	return true
 }
 
-// vhtCompleteNow is vhtComplete on the process's tree, holding the group
-// lock when the tree is shared (another member's error phase may lag the
-// group, so its applyAccepted can be in flight).
-func (p *Process) vhtCompleteNow() bool {
-	if g := p.group; g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
-	return vhtComplete(p.vht, p.currentLevel)
-}
-
 // vhtHasNode reports whether the process's tree has a node with the given
-// ID, holding the group lock when the tree is shared.
+// ID.
 func (p *Process) vhtHasNode(id int) bool {
-	if g := p.group; g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-	}
 	return p.vht.NodeByID(id) != nil
 }
 
@@ -559,19 +526,9 @@ func (p *Process) constructLevel() (levelControl, error) {
 
 // applyAccepted applies an accepted Edge, Done, or Input message to the
 // process state. It is shared by the live path (record=true) and by the
-// journal replay of fine-grained resets (record=false).
-//
-// Under sharing, the whole message is one critical section — not each
-// operation. A coarser lock is required for correctness, not just
-// simplicity: a member verifying the first pair of a batch must not observe
-// a state where another member has already applied later pairs the
-// verifier's own private bookkeeping (ID adoption, observation pruning)
-// has not caught up with.
+// journal replay of fine-grained resets (record=false). Under sharing, the
+// whole message runs without another member's interleaving (see share.go).
 func (p *Process) applyAccepted(accepted wire.Message, record bool) error {
-	if g := p.group; g != nil {
-		g.mu.Lock()
-		defer g.mu.Unlock() // g stays valid even if a fork clears p.group
-	}
 	switch accepted.Label {
 	case wire.LabelEdge, wire.LabelEdgeBatch:
 		if record && p.recordPrimary() {

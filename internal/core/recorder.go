@@ -1,19 +1,17 @@
 package core
 
-import "sync"
-
-// Recorder collects instrumentation from a protocol run. All methods are
-// safe for concurrent use (processes run on separate goroutines) and all
-// are nil-receiver-safe, so production code paths can call them
-// unconditionally.
+// Recorder collects instrumentation from a protocol run. A run is
+// single-threaded (see package engine), so the processes record one at a
+// time on the run's goroutine and the recorder needs no lock; read its
+// accessors from that goroutine (an observer callback) or after the run
+// returns. All methods are nil-receiver-safe, so production code paths can
+// call them unconditionally.
 //
 // Recording uses the engine's process indices, which are invisible to the
 // protocol logic itself; the recorder exists so tests can check global
 // invariants (Lemma 4.4's ID-to-cardinality consistency, Lemma 4.7's reset
 // bound) without altering protocol behaviour.
 type Recorder struct {
-	mu sync.Mutex
-
 	resets         int
 	acceptedEdges  int
 	acceptedDones  int
@@ -29,9 +27,8 @@ type Recorder struct {
 // RecorderObserver receives instrumentation events live, as the run
 // produces them, so external checkers (internal/check) can validate
 // invariants round by round rather than only post-hoc. Observers are
-// invoked outside the recorder's lock — from whichever goroutine produced
-// the event — so implementations must do their own synchronization, and
-// may safely call back into the recorder's accessors.
+// invoked on the run's goroutine, after the recorder has recorded the
+// event, and may call back into the recorder's accessors.
 type RecorderObserver interface {
 	// ObserveReset fires when the leader initiates a reset phase; newDiam
 	// is the doubled diameter estimate the reset announces.
@@ -51,8 +48,6 @@ func (r *Recorder) SetObserver(o RecorderObserver) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.obs = o
 }
 
@@ -65,12 +60,9 @@ func (r *Recorder) noteReset(newDiam int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.resets++
 	r.diamHistory = append(r.diamHistory, newDiam)
-	obs := r.obs
-	r.mu.Unlock()
-	if obs != nil {
+	if obs := r.obs; obs != nil {
 		obs.ObserveReset(newDiam)
 	}
 }
@@ -79,8 +71,6 @@ func (r *Recorder) noteAccepted(label acceptKind) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	switch label {
 	case acceptEdge:
 		r.acceptedEdges++
@@ -95,11 +85,8 @@ func (r *Recorder) noteBeginRound(round int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	r.beginRounds = append(r.beginRounds, round)
-	obs := r.obs
-	r.mu.Unlock()
-	if obs != nil {
+	if obs := r.obs; obs != nil {
 		obs.ObserveBeginRound(round)
 	}
 }
@@ -108,7 +95,6 @@ func (r *Recorder) noteLevelDone(level, pid, id int) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
 	if r.idsAtLevel[level] == nil {
 		r.idsAtLevel[level] = make(map[int]int)
 	}
@@ -116,9 +102,7 @@ func (r *Recorder) noteLevelDone(level, pid, id int) {
 	if level+1 > r.levelsBuilt {
 		r.levelsBuilt = level + 1
 	}
-	obs := r.obs
-	r.mu.Unlock()
-	if obs != nil {
+	if obs := r.obs; obs != nil {
 		obs.ObserveLevelDone(level, pid, id)
 	}
 }
@@ -136,8 +120,6 @@ func (r *Recorder) Resets() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.resets
 }
 
@@ -146,8 +128,6 @@ func (r *Recorder) DiamHistory() []int {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]int(nil), r.diamHistory...)
 }
 
@@ -158,8 +138,6 @@ func (r *Recorder) Accepted() (edges, dones, inputs int) {
 	if r == nil {
 		return 0, 0, 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.acceptedEdges, r.acceptedDones, r.acceptedInputs
 }
 
@@ -169,8 +147,6 @@ func (r *Recorder) IDsAtLevel(level int) map[int]int {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[int]int, len(r.idsAtLevel[level]))
 	for pid, id := range r.idsAtLevel[level] {
 		out[pid] = id
@@ -183,7 +159,5 @@ func (r *Recorder) BeginRounds() []int {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return append([]int(nil), r.beginRounds...)
 }

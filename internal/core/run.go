@@ -113,22 +113,32 @@ type RunOptions struct {
 // wires a Recorder if none was supplied, and verifies cross-process
 // agreement on the answer before returning.
 func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts RunOptions) (*RunResult, error) {
-	return run(engine.Config{Schedule: s}, s.N(), inputs, cfg, opts, true)
+	return run(engine.Config{Schedule: s}, s.N(), inputs, cfg, opts, oracle{})
 }
 
 // RunAdaptive is Run against a reactive (strongly adaptive) adversary that
 // chooses each round's multigraph after seeing the messages in flight.
 func RunAdaptive(a engine.AdaptiveSchedule, inputs []historytree.Input, cfg Config, opts RunOptions) (*RunResult, error) {
-	return run(engine.Config{Adaptive: a}, a.N(), inputs, cfg, opts, true)
+	return run(engine.Config{Adaptive: a}, a.N(), inputs, cfg, opts, oracle{})
 }
 
-// run executes the protocol. share enables cross-process structural
-// sharing (DESIGN.md decision 15); the exported entry points always ask
-// for it, and the sharing equivalence tests pass false to run the
-// private per-process path they compare against. Sharing is skipped
-// regardless for single-process runs and under FineGrainedReset, whose
-// journal replay re-applies messages the shared state already holds.
-func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts RunOptions, share bool) (*RunResult, error) {
+// oracle selects the test-only reference paths of run; the exported entry
+// points pass the zero value.
+type oracle struct {
+	// private turns cross-process structural sharing (DESIGN.md decision
+	// 15) off: the per-process path the sharing equivalence tests compare
+	// against. Sharing is skipped regardless for single-process runs and
+	// under FineGrainedReset, whose journal replay re-applies messages the
+	// shared state already holds.
+	private bool
+	// wrap, if non-nil, wraps every process's engine transport, beneath
+	// the block simulation: the relay differential tests install a
+	// stepwise Relay there.
+	wrap func(transport) transport
+}
+
+// run executes the protocol.
+func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts RunOptions, o oracle) (*RunResult, error) {
 	if err := cfg.Validate(inputs); err != nil {
 		return nil, err
 	}
@@ -142,7 +152,7 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 	procs := make([]engine.Coroutine, n)
 	leaderPID := -1
 	var grp *shareGroup
-	if share && n > 1 && !cfg.FineGrainedReset {
+	if !o.private && n > 1 && !cfg.FineGrainedReset {
 		grp = newShareGroup(cfg, n)
 	}
 	for i, in := range inputs {
@@ -151,6 +161,11 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 			pr.group, pr.member = grp, i
 		}
 		procs[i] = pr
+		if o.wrap != nil {
+			procs[i] = engine.CoroutineFunc(func(tr *engine.Transport) (any, error) {
+				return pr.runOn(o.wrap(tr))
+			})
+		}
 		if in.Leader {
 			leaderPID = i
 		}
@@ -162,6 +177,7 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 	}
 	ecfg.Deadline = opts.Deadline
 	ecfg.SizeOf = newSizeMemo()
+	ecfg.Priority = priority
 	ecfg.BitLimit = opts.BitLimit
 	ecfg.Trace = opts.Trace
 	if cfg.Mode == ModeLeader && !cfg.SimultaneousHalt {

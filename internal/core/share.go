@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"anondyn/internal/historytree"
 )
@@ -32,17 +31,16 @@ import (
 // divergent message past the acknowledgment comparison, and the protocol
 // recovers through its normal reset machinery.
 //
-// Locking. The group mutex guards every access to the shared structures,
-// including reads: the solver's balance-pair extraction memoizes on the
-// tree, and the level graph's union-find compresses paths on lookup, so
-// "read-only" protocol steps mutate shared memory. The critical sections
-// are whole protocol actions (one applyAccepted, one level setup, one
-// solver evaluation), never single operations — interleaving two members'
-// half-applied acceptances would let a verification read state the matching
-// mutation has not produced yet. Between acceptances no lock is needed for
-// the engine's lockstep reads: a member reaches its post-acceptance code
-// only after its own (locked) pass over the acceptance's ops, which
-// serializes after the mutating pass.
+// No locks. A run is single-threaded (see package engine): members run one
+// at a time, each from one engine call to its next, so a member's protocol
+// action (one applyAccepted, one level setup, one solver evaluation) is
+// never interleaved with another's. That granularity is what correctness
+// needs: a member verifying the first pair of a batch must not observe a
+// state where another member has already applied later pairs its own
+// bookkeeping has not caught up with. Even "read-only" steps mutate the
+// shared structures (the solver memoizes balance pairs on the tree, and
+// the level graph's union-find compresses paths on lookup), which is safe
+// for the same reason.
 //
 // Resets stay in-model. All non-error processes perform a level reset at
 // the same globally agreed round, but an error-phase process stops
@@ -52,7 +50,6 @@ import (
 // them. A truncate record that differs from the process's own is
 // divergence, handled by the same fork path.
 type shareGroup struct {
-	mu   sync.Mutex
 	tree *historytree.Tree
 	temp tempVHT
 	lg   levelGraph
@@ -123,8 +120,8 @@ func newShareGroup(cfg Config, n int) *shareGroup {
 	return g
 }
 
-// opGate funnels one structural operation through the log. It must be
-// called with the group mutex held. The return reports whether the caller
+// opGate funnels one structural operation through the log. The return
+// reports whether the caller
 // must perform the mutation itself: true at first arrival (the record was
 // appended) and after a fork (the caller went private and p.group is nil);
 // false when the log verified the operation was already applied. The error
@@ -157,8 +154,7 @@ func (p *Process) opGate(kind opKind, a, b, c int64) (bool, error) {
 // forkFromGroup detaches a diverged member by replaying the operation log
 // up to the member's own cursor into process-owned storage, then clears
 // p.group so every subsequent operation runs on private state with opGate
-// short-circuiting. Must be called with the group mutex held (the caller's
-// deferred unlock still works — it captured the group pointer).
+// short-circuiting.
 //
 // Replaying — rather than cloning the live shared structures — makes the
 // fork exact: the cursor-bounded prefix is precisely the sequence of
@@ -192,8 +188,7 @@ func (p *Process) forkFromGroup() error {
 
 // rebuildAt replays ops[:upTo] from scratch: a fresh tree (seeded exactly
 // as newShareGroup seeds the shared one) plus the caller's scratch forest
-// and level graph. Must be called with the group mutex held. The replay
-// mirrors the mutate branches of acceptInput, updateTempVHT, updateVHT,
+// and level graph. The replay mirrors the mutate branches of acceptInput, updateTempVHT, updateVHT,
 // resetLevelState, and performLevelReset; the fresh-ID counter is
 // reconstructed by counting ID-consuming ops, with opTruncate records
 // restoring it to the logged post-reset value.
@@ -291,8 +286,6 @@ func (g *shareGroup) rebuildAt(cfg Config, upTo int, temp *tempVHT, lg *levelGra
 // rec means this member joined a different reset than the group — it forks
 // and the caller truncates its private copy.
 func (g *shareGroup) truncate(p *Process, resetLevel, newDiam, finalRound, freshID int) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if c := g.tree.CompactedLevels(); c > 0 && resetLevel <= c {
 		return fmt.Errorf("core: reset to level %d outran the CompactVHT lag (levels 1..%d released); disable CompactVHT under faulty schedules", resetLevel, c)
 	}
@@ -324,8 +317,6 @@ func (g *shareGroup) truncate(p *Process, resetLevel, newDiam, finalRound, fresh
 // different reset (or compaction released the target), the member stays
 // private; rejoining is an optimization, never a requirement.
 func (g *shareGroup) rejoin(p *Process, resetLevel, newDiam, finalRound, freshID int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if c := g.tree.CompactedLevels(); c > 0 && resetLevel <= c {
 		return
 	}
@@ -334,7 +325,7 @@ func (g *shareGroup) rejoin(p *Process, resetLevel, newDiam, finalRound, freshID
 		if g.ops[i] == rec {
 			g.lastOp[p.member] = i + 1
 			g.hits++
-			g.attachLocked(p)
+			g.attach(p)
 			return
 		}
 		if g.ops[i].kind == opTruncate {
@@ -348,13 +339,13 @@ func (g *shareGroup) rejoin(p *Process, resetLevel, newDiam, finalRound, freshID
 	g.lastOp[p.member] = len(g.ops)
 	g.applies++
 	g.tree.TruncateLevels(resetLevel)
-	g.attachLocked(p)
+	g.attach(p)
 }
 
-// attachLocked re-activates a member on the shared structures. The stale
+// attach re-activates a member on the shared structures. The stale
 // compaction bound is reset to 0 (no compaction) until the member's next
 // maybeCompact report.
-func (g *shareGroup) attachLocked(p *Process) {
+func (g *shareGroup) attach(p *Process) {
 	g.active[p.member] = true
 	g.keeps[p.member] = 0
 	p.group = g
@@ -364,15 +355,13 @@ func (g *shareGroup) attachLocked(p *Process) {
 // leave marks a member inactive (terminated or unwound), releasing its
 // compaction constraint.
 func (g *shareGroup) leave(member int) {
-	g.mu.Lock()
 	g.active[member] = false
-	g.mu.Unlock()
 }
 
-// minKeepLocked is the deepest level every active member allows compaction
+// minKeep is the deepest level every active member allows compaction
 // to release up to — the group-wide CompactLevels bound. Members that have
 // not reported yet hold it at 0 (no compaction), which is conservative.
-func (g *shareGroup) minKeepLocked() int {
+func (g *shareGroup) minKeep() int {
 	keep := 0
 	first := true
 	for m, a := range g.active {
@@ -389,7 +378,5 @@ func (g *shareGroup) minKeepLocked() int {
 
 // statsSnapshot returns the log counters for RunStats.
 func (g *shareGroup) statsSnapshot() (applies, hits int64, forks int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.applies, g.hits, g.forks
 }

@@ -28,7 +28,7 @@ func runPair(t *testing.T, s dynnet.Schedule, inputs []historytree.Input, cfg Co
 	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
-	private, err := run(engine.Config{Schedule: s}, s.N(), inputs, cfg, opts, false)
+	private, err := run(engine.Config{Schedule: s}, s.N(), inputs, cfg, opts, oracle{private: true})
 	if err != nil {
 		t.Fatalf("private run: %v", err)
 	}
@@ -222,9 +222,7 @@ func TestSharedVHTForkOnDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// p1 "accepted" a different edge: mismatch at the opTemp gate.
-	g.mu.Lock()
 	mutate, err := p1.opGate(opTemp, 0, 1, 2)
-	g.mu.Unlock()
 	if err != nil {
 		t.Fatalf("fork must succeed: %v", err)
 	}
@@ -308,9 +306,7 @@ func TestSharedVHTForkAfterCompaction(t *testing.T) {
 		t.Fatal("compaction did not engage")
 	}
 	// p1 diverges at its next op (the group logged level 2's setup there).
-	g.mu.Lock()
 	_, err := p1.opGate(opTemp, 9, 9, 9)
-	g.mu.Unlock()
 	if err != nil {
 		t.Fatalf("fork after compaction must succeed via replay: %v", err)
 	}
@@ -379,9 +375,7 @@ func TestSharedVHTRejoinAfterFork(t *testing.T) {
 	if err := p0.applyAccepted(wire.Edge(0, 1, 1), false); err != nil {
 		t.Fatal(err)
 	}
-	g.mu.Lock()
 	_, err := p1.opGate(opTemp, 0, 1, 2) // divergence: p1 forks
-	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,16 +403,12 @@ func TestSharedVHTRejoinAfterFork(t *testing.T) {
 	}
 	// A rejoin attempt for a reset that differs from the group's record
 	// must leave the member private.
-	g.mu.Lock()
 	if _, err := p1.opGate(opTemp, 0, 1, 1); err != nil { // p1 logs an op...
-		g.mu.Unlock()
 		t.Fatal(err)
 	}
 	if _, err := p0.opGate(opTemp, 0, 1, 3); err != nil { // ...p0 diverges
-		g.mu.Unlock()
 		t.Fatal(err)
 	}
-	g.mu.Unlock()
 	if err := g.truncate(p1, 1, 4, 80, 2); err != nil {
 		t.Fatal(err)
 	}

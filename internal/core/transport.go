@@ -12,6 +12,7 @@ import (
 // T-union-connected extension.
 type transport interface {
 	SendAndReceive(m engine.Message) ([]engine.Message, error)
+	Relay(m engine.Message, steps, hold int, wake func(engine.Message) bool) (engine.Message, error)
 	Round() int
 	PID() int
 }
@@ -23,7 +24,9 @@ var _ transport = (*engine.Transport)(nil)
 // which the process re-sends the same message and accumulates everything it
 // receives, then treats the union as a single delivery. Running the
 // unmodified protocol on top is equivalent to running it on the dynamic
-// network 𝒢* = (G*₁, G*₍T+1₎, …), which is connected.
+// network 𝒢* = (G*₁, G*₍T+1₎, …), which is connected. A relay step is one
+// virtual round, so Relay holds each step for T real rounds and the engine
+// folds the whole block's deliveries, checking wake only at block ends.
 type blockTransport struct {
 	inner transport
 	t     int
@@ -51,6 +54,11 @@ func (b *blockTransport) SendAndReceive(m engine.Message) ([]engine.Message, err
 	return acc, nil
 }
 
+// Relay runs each step over one block of T real rounds.
+func (b *blockTransport) Relay(m engine.Message, steps, hold int, wake func(engine.Message) bool) (engine.Message, error) {
+	return b.inner.Relay(m, steps, hold*b.t, wake)
+}
+
 // Round returns the number of completed virtual rounds.
 func (b *blockTransport) Round() int { return b.inner.Round() / b.t }
 
@@ -71,65 +79,23 @@ var (
 	boxedNull = &nullValue
 )
 
-// broadcast sends m (through the box cache) and returns the raw engine
-// deliveries. The returned slice is retained in rxRaw so boxFor can recycle
-// the received boxes at the next send; it is read strictly before the next
-// SendAndReceive, inside the engine's inbox validity window.
-func (p *Process) broadcast(m wire.Message) ([]engine.Message, error) {
-	// Boxing m into the engine.Message interface heap-allocates. Priority
-	// broadcast re-sends the same message for up to Θ(n²) consecutive
-	// rounds, so reusing the previous round's box when the value is
-	// unchanged removes one allocation per process per round — formerly a
-	// third of the simulation's total allocation count. When the value did
-	// change, boxFor still usually avoids the allocation by adopting a box
-	// received last round (broadcasts mostly echo a received message). A
-	// box is never mutated (the struct is copied into it), so the engine
-	// may keep referencing it after a newer message replaces it.
-	if p.txBoxed == nil || !wire.Equal(p.txLast, m) {
-		p.txBoxed = p.boxFor(m)
-		p.txLast = m
-	}
-	return p.send()
-}
-
-// broadcastPtr is broadcast for a message already held in an immutable heap
-// box (one minted by boxFor, delivered by the engine, or allocated by
-// receiveTopPtr's fallback — never a pointer to a caller's local). In the
-// broadcast steady state the caller re-sends the box it adopted last round,
-// so the unchanged-message check is a single pointer comparison; a box with
-// a merely equal value keeps the currently published box, preserving box
-// identity for the engine's pointer-keyed size memo.
-func (p *Process) broadcastPtr(mp *wire.Message) ([]engine.Message, error) {
-	if p.txBoxed == nil || (p.txBoxed != mp && !wire.Equal(*p.txBoxed, *mp)) {
-		p.txBoxed = mp
-		p.txLast = *mp
-	}
-	return p.send()
-}
-
-// send transmits the cached box and retains the raw deliveries in rxRaw.
-func (p *Process) send() ([]engine.Message, error) {
-	var raw []engine.Message
-	var err error
-	if p.trEng != nil {
-		raw, err = p.trEng.SendAndReceive(p.txBoxed)
-	} else {
-		raw, err = p.tr.SendAndReceive(p.txBoxed)
-	}
+// sendAndReceive broadcasts a protocol message for one round and converts
+// the received engine messages back to wire messages.
+//
+// Boxing m into the engine.Message interface heap-allocates, so boxFor
+// reuses an existing box where it can: the rounds that go through here
+// mostly re-send one message (the leader's Null wait, Halt forwarding) or
+// echo a received one. A box is never mutated (the struct is copied into
+// it), so the engine may keep referencing it after a newer message
+// replaces it. The raw deliveries are retained in rxRaw so boxFor can
+// recycle the received boxes at the next send; they are read strictly
+// before the next engine call, inside the engine's inbox validity window.
+func (p *Process) sendAndReceive(m wire.Message) ([]wire.Message, error) {
+	raw, err := p.tr.SendAndReceive(p.boxFor(m))
 	if err != nil {
 		return nil, err
 	}
 	p.rxRaw = raw
-	return raw, nil
-}
-
-// sendAndReceive broadcasts a protocol message and converts the received
-// engine messages back to wire messages.
-func (p *Process) sendAndReceive(m wire.Message) ([]wire.Message, error) {
-	raw, err := p.broadcast(m)
-	if err != nil {
-		return nil, err
-	}
 	// The converted slice is scratch reused across rounds: no caller
 	// retains it past its next sendAndReceive (mirroring the engine's
 	// inbox validity window), so the per-round allocation would be waste.
@@ -148,72 +114,91 @@ func (p *Process) sendAndReceive(m wire.Message) ([]wire.Message, error) {
 	return out, nil
 }
 
-// receiveTopPtr broadcasts the boxed message *mp and folds the deliveries
-// into the highest-priority message among it and everything received, in a
-// single pass over the raw engine messages. Broadcast steps dominate the
-// protocol's rounds and only need that maximum, so skipping the
-// materialized []wire.Message conversion (and its second scan) measurably
-// shortens the hot loop.
-//
-// The returned pointer is always an immutable heap box (the sent box, a
-// received engine box, or a fresh copy of a value-boxed maximum), so the
-// caller may feed it straight back into the next round: one origination
-// propagates through the network as a single shared box, and after its
-// wave has passed, every comparison in this loop is settled by pointer
-// identity alone.
-func (p *Process) receiveTopPtr(mp *wire.Message) (*wire.Message, error) {
-	raw, err := p.broadcastPtr(mp)
+// relay runs up to steps BroadcastSteps (Listing 3 lines 20–26) from m as
+// one engine priority broadcast (engine.Transport.Relay): the engine sends
+// the held message every round and keeps the highest-priority message among
+// it and everything received, by Compare. A received Halt ends the relay
+// early and switches the process into the termination forwarding of
+// Section 5, unless m is itself a Halt; broadcastError also ends it at a
+// Reset (stopAtReset).
+func (p *Process) relay(m wire.Message, steps int, stopAtReset bool) (wire.Message, error) {
+	var wake func(engine.Message) bool
+	switch {
+	case stopAtReset:
+		wake = wakeOnResetOrHalt
+	case m.Label != wire.LabelHalt:
+		wake = wakeOnHalt
+	}
+	top, err := p.tr.Relay(p.boxFor(m), steps, 1, wake)
+	// The engine routed rounds for other processes meanwhile: the last raw
+	// delivery is out of its validity window, and the relay's result is
+	// the box worth recycling next (see boxFor).
+	p.rxRaw = nil
 	if err != nil {
-		return mp, err
+		return m, err
 	}
-	// broadcastPtr published a box holding a value equal to *mp (usually mp
-	// itself); seeding top with the published box lets deliveries that
-	// relay it — every neighbor, in steady-state broadcast — settle on the
-	// pointer comparison below without touching the fields.
-	top := p.txBoxed
-	// topv shadows *top so the per-delivery comparisons below read a
-	// stack-resident copy instead of chasing the box pointer ~degree times
-	// per round; it is refreshed whenever top moves.
-	topv := *top
-	for _, r := range raw {
-		pm, ok := r.(*wire.Message)
+	pm, ok := top.(*wire.Message)
+	if !ok {
+		// Value-boxed result from a stub transport (never the engine).
+		wm, ok := wire.FromBox(top)
 		if !ok {
-			// Value-boxed delivery from a stub transport (never the engine).
-			wm, ok := wire.FromBox(r)
-			if !ok {
-				return mp, fmt.Errorf("core: received non-protocol message %T", r)
-			}
-			if Higher(wm, topv) {
-				// Copy into a fresh box: the result may be re-broadcast and
-				// pointer-cached downstream, so it must never alias mutable
-				// storage. Cold path — the engine always delivers pointers.
-				hp := new(wire.Message)
-				*hp = wm
-				top, topv = hp, wm
-			}
-			continue
+			return m, fmt.Errorf("core: relayed non-protocol message %T", top)
 		}
-		// An equal message can never be strictly higher, so the struct
-		// comparison spares the full priority comparison for boxes that
-		// arrive with equal values under distinct identities (wave fronts).
-		if pm == top || wire.Equal(*pm, topv) {
-			continue
-		}
-		if Higher(*pm, topv) {
-			top, topv = pm, *pm
-		}
+		pm = &wm
 	}
-	return top, nil
+	p.relayTop = pm
+	if pm.Label == wire.LabelHalt && m.Label != wire.LabelHalt {
+		return *pm, p.haltForward(*pm)
+	}
+	return *pm, nil
+}
+
+// label returns a delivered message's label (LabelNull's zero value for a
+// non-protocol message).
+func label(m engine.Message) wire.Label {
+	if pm, ok := m.(*wire.Message); ok {
+		return pm.Label
+	}
+	wm, _ := wire.FromBox(m)
+	return wm.Label
+}
+
+// wakeOnHalt ends a relay at a Halt; wakeOnResetOrHalt also at a Reset.
+func wakeOnHalt(m engine.Message) bool { return label(m) == wire.LabelHalt }
+
+func wakeOnResetOrHalt(m engine.Message) bool {
+	l := label(m)
+	return l == wire.LabelHalt || l == wire.LabelReset
+}
+
+// priority is Compare on engine message boxes: the engine.Config.Priority
+// that relays fold by. Two deliveries of one box compare equal by pointer.
+func priority(a, b engine.Message) int {
+	pa, okA := a.(*wire.Message)
+	pb, okB := b.(*wire.Message)
+	if okA && okB {
+		if pa == pb {
+			return 0
+		}
+		return Compare(*pa, *pb)
+	}
+	wa, _ := wire.FromBox(a)
+	wb, _ := wire.FromBox(b)
+	return Compare(wa, wb)
 }
 
 // boxFor returns an immutable heap box holding m, preferring an existing
-// box over a fresh allocation: the shared Null box, a recently created box
-// (txCache — a process re-proposes the same Edge/Done at the start of every
-// broadcast phase until it is accepted, so its own origination repeats many
-// times), or one received last round.
+// box over a fresh allocation: the shared Null box, the last relay's result
+// (the leader's acknowledgment phase re-broadcasts it), a recently created
+// box (txCache — a process re-proposes the same Edge/Done at the start of
+// every broadcast phase until it is accepted, so its own origination
+// repeats many times), or one received last round.
 func (p *Process) boxFor(m wire.Message) *wire.Message {
 	if wire.Equal(m, nullValue) {
 		return boxedNull
+	}
+	if p.relayTop != nil && wire.Equal(*p.relayTop, m) {
+		return p.relayTop
 	}
 	for i := range p.txCache {
 		if p.txCache[i].box != nil && wire.Equal(p.txCache[i].m, m) {

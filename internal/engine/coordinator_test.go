@@ -93,6 +93,36 @@ func (c *coordinator) sendAndReceive(t *Transport, msg Message) ([]Message, erro
 	}
 }
 
+// relay is the stepwise reference for Transport.Relay: one sendAndReceive
+// per round, each step folding its deliveries in inbox order into the
+// highest message by Config.Priority, a message replacing the fold only
+// when strictly higher, and wake checked on the fold at every step's end.
+func (c *coordinator) relay(t *Transport, msg Message, steps, hold int, wake func(Message) bool) (Message, error) {
+	if c.cfg.Priority == nil {
+		return nil, errNoPriority
+	}
+	hold = max(hold, 1)
+	for s := 0; s < steps; s++ {
+		fold := msg
+		for h := 0; h < hold; h++ {
+			in, err := c.sendAndReceive(t, msg)
+			if err != nil {
+				return nil, err
+			}
+			for _, m := range in {
+				if c.cfg.Priority(m, fold) > 0 {
+					fold = m
+				}
+			}
+		}
+		msg = fold
+		if wake != nil && wake(msg) {
+			break
+		}
+	}
+	return msg, nil
+}
+
 func (c *coordinator) run(procs []Coroutine) (*Result, error) {
 	res := &Result{Outputs: make(map[int]any)}
 	var wg sync.WaitGroup

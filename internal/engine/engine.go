@@ -9,10 +9,20 @@
 // to the schedule, and accounts for message sizes so congestion bounds can
 // be asserted.
 //
+// Priority broadcast is an engine primitive: Transport.Relay parks the
+// process while the router forwards its message for it, each round folding
+// the neighbors' messages into the highest one by Config.Priority, and
+// resumes the process only once the broadcast is over. A relaying process
+// costs the router one pass over the round's links and costs no coroutine
+// switch.
+//
 // The runner executes every process as a pull coroutine, swept inline on
 // the caller's goroutine by direct coroutine switches: no worker goroutine,
-// no channel operation per round. A run is single-threaded; independent
-// runs parallelize at the job level.
+// no channel operation per round. A run is single-threaded: every process
+// coroutine, every Config hook (Schedule, Adaptive, SizeOf, Priority,
+// StopWhen, Trace) and every Relay wake condition runs on the goroutine
+// that called Run, one at a time. State shared by the processes of one run
+// therefore needs no locks. Independent runs parallelize at the job level.
 //
 // Execution is deterministic: rounds are strict barriers, the delivery
 // order within a round is the canonical link order of the multigraph, and
@@ -51,6 +61,10 @@ func (f CoroutineFunc) Run(t *Transport) (any, error) { return f(t) }
 // propagate it.
 var ErrStopped = errors.New("engine: run stopped")
 
+// errNoPriority is returned by Transport.Relay in a run without
+// Config.Priority.
+var errNoPriority = errors.New("engine: Relay needs Config.Priority")
+
 // ErrMaxRounds is reported by Run when the round budget was exhausted
 // before the stop condition held.
 var ErrMaxRounds = errors.New("engine: maximum round budget exhausted")
@@ -83,7 +97,9 @@ type AdaptiveSchedule interface {
 	// Graph returns the round-`round` multigraph given the messages sent
 	// this round; sent[pid] is process pid's message, or nil if it has
 	// terminated. The engine reuses the sent slice between rounds;
-	// implementations must not retain it past the call.
+	// implementations must not retain it past the call. The engine reads
+	// the returned graph only until the next Graph call, so an
+	// implementation may reuse one graph for every round.
 	Graph(round int, sent []Message) *dynnet.Multigraph
 }
 
@@ -111,6 +127,13 @@ type Config struct {
 	// BitLimit, when positive and SizeOf is set, aborts the run with a
 	// *BitLimitError as soon as any message exceeds it.
 	BitLimit int
+	// Priority orders messages for Transport.Relay: it returns a negative
+	// number, zero, or a positive number as a has lower, equal, or higher
+	// priority than b. "Lower than" must be a strict weak order, so equal
+	// priority is an equivalence and ranks are well defined. A relay keeps
+	// the first of several equal-priority messages, in delivery order.
+	// Priority is required by Relay and unused otherwise.
+	Priority func(a, b Message) int
 	// StopWhen, if non-nil, is evaluated at the end of every round on the
 	// outputs collected so far (keyed by process index); returning true
 	// cancels the remaining processes. If nil, the run continues until all
@@ -185,17 +208,24 @@ func RunContext(ctx context.Context, cfg Config, procs []Coroutine) (*Result, er
 type procState int
 
 const (
-	stateRunning procState = iota + 1
-	stateWaiting           // submitted this round, blocked on delivery
-	stateDone              // returned an output
+	stateRunning  procState = iota + 1
+	stateWaiting            // submitted this round, blocked on delivery
+	stateRelaying           // parked in Relay; the router sends for it
+	stateWoken              // Relay finished this round, not yet resumed
+	stateDone               // returned an output
 )
 
-// backend is the runner side of Transport.SendAndReceive: it records the
-// process's submission, blocks the process until the round is delivered, and
-// returns its inbox or ErrStopped. The runner is the only production
-// implementation; the equivalence oracle in coordinator_test.go is the other.
+// live reports whether a process in state s sends and receives this round.
+func (s procState) live() bool { return s == stateWaiting || s == stateRelaying }
+
+// backend is the runner side of the Transport calls: sendAndReceive records
+// the process's submission, blocks the process until the round is delivered,
+// and returns its inbox or ErrStopped; relay blocks it for a whole priority
+// broadcast. The runner is the only production implementation; the
+// equivalence oracle in coordinator_test.go is the other.
 type backend interface {
 	sendAndReceive(t *Transport, msg Message) ([]Message, error)
+	relay(t *Transport, msg Message, steps, hold int, wake func(Message) bool) (Message, error)
 }
 
 // Transport is the per-process communication endpoint handed to
@@ -222,8 +252,27 @@ func (t *Transport) Round() int { return t.round }
 // the run has been cancelled.
 //
 // The returned slice is valid only until this process's next
-// SendAndReceive call: the engine round-robins the backing storage between
-// rounds. Processes that need deliveries across rounds must copy them.
+// SendAndReceive or Relay call: the engine round-robins the backing storage
+// between rounds. Processes that need deliveries across rounds must copy
+// them.
 func (t *Transport) SendAndReceive(msg Message) ([]Message, error) {
 	return t.b.sendAndReceive(t, msg)
+}
+
+// Relay is priority broadcast (the paper's BroadcastStep, repeated): it
+// holds msg and runs up to steps steps of hold rounds each. Every round the
+// process sends its held message, exactly as a SendAndReceive call would;
+// during a step it folds every message it receives, in delivery order, into
+// the highest one by Config.Priority, a message replacing the fold only when
+// strictly higher; at the end of the step the fold becomes the held
+// message. Relay returns the fold after the last step, or after the first
+// step whose fold satisfies wake (nil never wakes). wake must be a pure
+// function of the message. Round advances by the rounds relayed. steps ≤ 0
+// returns msg at once; hold < 1 counts as 1.
+//
+// The process stays parked for the whole relay while the router forwards
+// for it, so a relaying round costs no coroutine switch. It returns
+// ErrStopped when the run is cancelled mid-relay.
+func (t *Transport) Relay(msg Message, steps, hold int, wake func(Message) bool) (Message, error) {
+	return t.b.relay(t, msg, steps, hold, wake)
 }

@@ -18,15 +18,16 @@ type procDone struct {
 
 // runner executes one pull coroutine (iter.Pull) per process, inline on the
 // caller's goroutine. Resuming a process is a direct coroutine switch: the
-// process runs until its next SendAndReceive submission and switches
-// straight back — no channel, no scheduler queueing, no goroutine ready/park
-// transitions — so the per-round cost is the protocol's own work plus the
-// shared routing.
+// process runs until its next SendAndReceive or Relay submission and
+// switches straight back — no channel, no scheduler queueing, no goroutine
+// ready/park transitions — so the per-round cost is the protocol's own work
+// plus the shared routing.
 //
 // Every round routes on the runner's goroutine while every live process is
-// parked, then resumes the waiting processes in pid order. Each return is
-// merged as it happens, so StopWhen and process errors stop the run
-// mid-sweep and the processes after the trigger are never resumed.
+// parked, then resumes in pid order the waiting processes and the relaying
+// ones whose relay just finished; a process still relaying stays parked.
+// Each return is merged as it happens, so StopWhen and process errors stop
+// the run mid-sweep and the processes after the trigger are never resumed.
 type runner struct {
 	cfg     Config
 	ctx     context.Context
@@ -83,12 +84,35 @@ func (r *runner) sendAndReceive(t *Transport, msg Message) ([]Message, error) {
 	}
 	r.state[t.pid] = stateWaiting
 	r.pending[t.pid] = msg
+	r.rt.dirty = true
 	if !r.yield[t.pid](struct{}{}) {
 		// The runner called stop: unwind.
 		return nil, ErrStopped
 	}
 	t.round++
 	return r.inbox[t.pid], nil
+}
+
+// relay hands the broadcast to the router and switches back to the runner,
+// which resumes the process only once the router has woken it.
+func (r *runner) relay(t *Transport, msg Message, steps, hold int, wake func(Message) bool) (Message, error) {
+	switch {
+	case r.stopping:
+		return nil, ErrStopped
+	case r.cfg.Priority == nil:
+		return nil, errNoPriority
+	case steps <= 0:
+		return msg, nil
+	}
+	r.state[t.pid] = stateRelaying
+	r.pending[t.pid] = msg
+	r.rt.startRelay(t.pid, msg, steps, hold, wake)
+	start := r.rt.round
+	if !r.yield[t.pid](struct{}{}) {
+		return nil, ErrStopped
+	}
+	t.round += r.rt.round - start
+	return r.rt.fold[t.pid], nil
 }
 
 // startProc creates the pull coroutine for one process. The body captures
@@ -107,17 +131,18 @@ func (r *runner) startProc(pid int) {
 // sweep runs one phase in pid order and reports whether the run must stop.
 // The start phase (out nil) creates and first resumes every process; a
 // deliver phase hands each waiting process its inbox from out and resumes
-// it. Each process runs to its next submission or returns. A process error
-// or a StopWhen hit stops the run and abandons the sweep.
+// it, and resumes each woken relay. Each process runs to its next
+// submission or returns. A process error or a StopWhen hit stops the run
+// and abandons the sweep.
 func (r *runner) sweep(out [][]Message, res *Result) bool {
 	for pid := range r.state {
 		switch {
 		case out == nil:
 			r.startProc(pid)
-		case r.state[pid] != stateWaiting:
-			continue
-		default:
+		case r.state[pid] == stateWaiting:
 			r.inbox[pid] = out[pid]
+		case r.state[pid] != stateWoken:
+			continue
 		}
 		r.state[pid] = stateRunning
 		if _, ok := r.next[pid](); ok {
@@ -155,7 +180,8 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 	// Round loop: every live process is parked with a submission, so the
 	// barrier holds by construction. A process resumed mid-sweep re-submits
 	// at its own index, which the sweep has already passed, so it is never
-	// redelivered within the round.
+	// redelivered within the round. A round that woke no process (every
+	// live one still relaying) needs no sweep.
 	for !stopped && r.alive > 0 {
 		if err := r.ctx.Err(); err != nil {
 			r.runErr = fmt.Errorf("engine: run cancelled: %w", context.Cause(r.ctx))
@@ -177,7 +203,9 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 			r.runErr = ErrMaxRounds
 			break
 		}
-		stopped = r.sweep(out, res)
+		if r.rt.ready > 0 {
+			stopped = r.sweep(out, res)
+		}
 	}
 
 	r.unwind(res)
@@ -185,14 +213,15 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 	return res, r.runErr
 }
 
-// unwind releases every parked process with a stop switch, which runs its
-// coroutine to completion synchronously; coroutines must return promptly on
-// ErrStopped. Outputs produced during the unwind (a process that completed
-// rather than propagate ErrStopped) are still collected.
+// unwind releases every parked process (waiting, relaying or woken) with a
+// stop switch, which runs its coroutine to completion synchronously;
+// coroutines must return promptly on ErrStopped. Outputs produced during
+// the unwind (a process that completed rather than propagate ErrStopped)
+// are still collected.
 func (r *runner) unwind(res *Result) {
 	r.stopping = true
 	for pid := range r.state {
-		if r.state[pid] != stateWaiting {
+		if s := r.state[pid]; s != stateWaiting && s != stateRelaying && s != stateWoken {
 			continue
 		}
 		r.state[pid] = stateDone
