@@ -63,7 +63,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		batch      = fs.Int("batch", 0, "batch up to this many observations per Edge message (Section 6 tradeoff)")
 		keepAll    = fs.Bool("keepall", false, "ablation: disable the Section 3.4 spanning-tree restriction")
 		traceFlag  = fs.Bool("trace", false, "print a per-round protocol trace and summary")
-		compact    = fs.Bool("compact", false, "release consumed VHT levels (O(active view) memory; incompatible with faulty resets that rewind far)")
 		faultsFlag = fs.String("faults", "", "fault plan layered over the adversary, e.g. spike:8:0 or cut:3:20,storm:1:0:2 (see internal/faults)")
 		faultSeed  = fs.Int64("faultseed", 0, "fault-plan RNG seed (only the drop fault consumes it)")
 		deadline   = fs.Int("deadline", 0, "watchdog deadline in milliseconds (0 = off; required for out-of-model fault plans)")
@@ -73,7 +72,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	spec, err := buildSpec(*n, *protocol, *topology, *density, *seed, *blockT,
 		*leaderless, *inputsFlag, *halt, *bitLimit, *fine, *batch, *keepAll,
-		*compact, *faultsFlag, *faultSeed, *deadline)
+		*faultsFlag, *faultSeed, *deadline)
 	if err != nil {
 		fmt.Fprintln(stderr, "cadn: invalid usage:", err)
 		return 2
@@ -90,7 +89,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 func buildSpec(n int, protocol, topology string, density float64, seed int64, blockT int,
 	leaderless bool, inputsFlag string, halt bool, bitLimit int,
 	fine bool, batch int, keepAll bool,
-	compact bool, faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
+	faultsSpec string, faultSeed int64, deadlineMS int) (service.JobSpec, error) {
 	spec := service.JobSpec{
 		N:          n,
 		Protocol:   protocol,
@@ -104,7 +103,6 @@ func buildSpec(n int, protocol, topology string, density float64, seed int64, bl
 		Fine:       fine,
 		Batch:      batch,
 		KeepAll:    keepAll,
-		CompactVHT: compact,
 		Faults:     faultsSpec,
 		FaultSeed:  faultSeed,
 		DeadlineMS: deadlineMS,
@@ -165,11 +163,6 @@ func run(spec service.JobSpec, showTree, traceOn bool, w io.Writer) error {
 		fmt.Fprintf(w, "solver: calls=%d primes=%d crtRecons=%d evictions=%d witnessFalls=%d\n",
 			res.Stats.SolverCalls, res.Stats.SolverPrimes, res.Stats.SolverCRTRecons,
 			res.Stats.SolverEvictions, res.Stats.SolverWitnessFalls)
-	}
-	if res.Stats.CompactedLevels > 0 {
-		fmt.Fprintf(w, "compaction: levels=%d nodesFreed=%d resident=%d peakResident=%d\n",
-			res.Stats.CompactedLevels, res.Stats.CompactedNodes,
-			res.Stats.ResidentNodes, res.Stats.PeakResidentNodes)
 	}
 	if res.Stats.SharedApplies > 0 {
 		fmt.Fprintf(w, "sharing: applies=%d hits=%d forks=%d\n",

@@ -186,7 +186,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 			tt.mut(&a)
 			_, err := buildSpec(a.n, a.protocol, a.topology, a.density, a.seed, a.blockT,
 				a.leaderless, a.inputs, a.halt, a.bitLimit, a.fine, a.batch, false,
-				false, a.faults, a.faultSeed, a.deadlineMS)
+				a.faults, a.faultSeed, a.deadlineMS)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -297,12 +297,12 @@ func TestExitCodes(t *testing.T) {
 		{name: "linear-success", args: []string{"-n", "4", "-protocol", "linear"}, want: 0},
 		{name: "unknown-protocol", args: []string{"-n", "4", "-protocol", "quantum"}, want: 2},
 		{name: "linear-halt", args: []string{"-n", "4", "-protocol", "linear", "-halt"}, want: 2},
-		{name: "linear-compact", args: []string{"-n", "4", "-protocol", "linear", "-compact"}, want: 2},
 		// Retired flags are unknown flags, hence usage errors.
 		{name: "removed-privatevht", args: []string{"-n", "4", "-privatevht"}, want: 2},
 		{name: "removed-arith", args: []string{"-n", "4", "-arith", "big"}, want: 2},
 		{name: "removed-scheduler", args: []string{"-n", "4", "-scheduler", "parallel"}, want: 2},
 		{name: "removed-eager", args: []string{"-n", "4", "-eager"}, want: 2},
+		{name: "removed-compact", args: []string{"-n", "4", "-compact"}, want: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -179,7 +179,7 @@ func VerifyAnswer(inputs []historytree.Input, res *core.RunResult) error {
 // differs from the big.Int witness's, in its Known flag or its answer.
 // It also rejects a run whose own solver fell back to the witness, which
 // means the modular backend failed to certify (DESIGN.md decision 12).
-// The run must have kept an uncompacted tree.
+// The run must have kept its tree.
 func VerifyWitness(res *core.RunResult) error {
 	if res == nil || res.VHT == nil {
 		return errors.New("check: no VHT to re-solve")

@@ -172,6 +172,8 @@ func TestClusterServerRejectsUnknownFields(t *testing.T) {
 		{"/v1/sweep", `{"specs":[{"n":4,"scheduler":"sequential"}]}`, "scheduler"},
 		{"/v1/jobs", `{"n":4,"eager":true}`, "eager"},
 		{"/v1/sweep", `{"specs":[{"n":4},{"n":5,"eager":true}]}`, "eager"},
+		{"/v1/jobs", `{"n":4,"compact":true}`, "compact"},
+		{"/v1/sweep", `{"specs":[{"n":4},{"n":5,"compact":true}]}`, "compact"},
 	} {
 		resp, err := http.Post(base+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
 	"anondyn/internal/wire"
@@ -60,5 +62,30 @@ func TestSetUpNewLevelAllocs(t *testing.T) {
 	}
 	if len(p.obsList) != 3 {
 		t.Fatalf("obsList has %d entries, want 3 (two foreign IDs + own cycle pair)", len(p.obsList))
+	}
+}
+
+// TestRunKeepsNoJournal pins that only fine-grained runs keep a message
+// journal: a leader run over a static n=24 path allocates about 3.5 MB
+// without one and 8.6 MB when every accepted message is journaled. The
+// first run warms the package's pools; the bound is on the second run's
+// TotalAlloc delta, the same under -race.
+func TestRunKeepsNoJournal(t *testing.T) {
+	const n = 24
+	s := dynnet.NewStatic(dynnet.Path(n))
+	cfg := Config{Mode: ModeLeader, MaxLevels: 3*n + 8}
+	count := func() {
+		res, err := Run(s, leaderInputs(n), cfg, RunOptions{})
+		if err != nil || res.N != n {
+			t.Fatalf("run: n=%v err=%v", res, err)
+		}
+	}
+	count()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	count()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 5e6 {
+		t.Fatalf("a static-path n=%d run allocated %.2f MB, want ≤ 5 MB", n, float64(got)/1e6)
 	}
 }

@@ -74,16 +74,6 @@ type Config struct {
 	// this many levels (0 = unlimited). Termination is guaranteed by the
 	// paper within 3n levels, so tests set this to catch divergence.
 	MaxLevels int
-	// CompactVHT enables history-level compaction (DESIGN.md decision 14):
-	// once the counting solver has consumed a level's balance equations and
-	// the protocol has moved a safety lag past it, the process releases the
-	// level's node and edge storage via historytree.CompactLevels, keeping
-	// resident memory O(active view) instead of O(rounds). The incremental
-	// solver replays from its recorded skeleton, so answers are unchanged.
-	// A reset that would rewind into compacted history aborts the process
-	// with a structured error; on fault-heavy schedules prefer leaving
-	// compaction off in leader mode.
-	CompactVHT bool
 	// Recorder, if non-nil, receives instrumentation events (resets,
 	// accepted messages, per-level ID assignments). Nil disables recording.
 	Recorder *Recorder

@@ -132,9 +132,6 @@ func (p *Process) performLevelReset(resetLevel, newDiam int) error {
 		g.rejoin(p, resetLevel, newDiam, p.tr.Round(), snap.nextFreshID)
 	}
 	if p.group == nil {
-		if c := p.vht.CompactedLevels(); c > 0 && resetLevel <= c {
-			return fmt.Errorf("core: reset to level %d outran the CompactVHT lag (levels 1..%d released); disable CompactVHT under faulty schedules", resetLevel, c)
-		}
 		p.vht.TruncateLevels(resetLevel)
 	}
 	p.myID = snap.myID
@@ -143,9 +140,6 @@ func (p *Process) performLevelReset(resetLevel, newDiam int) error {
 		if l > resetLevel {
 			delete(p.snapshots, l)
 		}
-	}
-	for len(p.journal) > 0 && p.journal[len(p.journal)-1].level >= resetLevel {
-		p.journal = p.journal[:len(p.journal)-1]
 	}
 	if resetLevel == 0 {
 		p.claimed = false
@@ -178,9 +172,6 @@ func (p *Process) performFineReset(index, newDiam int) error {
 	}
 	if !found {
 		return fmt.Errorf("core: no snapshot covers journal index %d", index)
-	}
-	if c := p.vht.CompactedLevels(); c > 0 && level <= c {
-		return fmt.Errorf("core: reset to level %d outran the CompactVHT lag (levels 1..%d released); disable CompactVHT under faulty schedules", level, c)
 	}
 	snap := p.snapshots[level]
 	p.myID = snap.myID

@@ -86,7 +86,7 @@ type Process struct {
 
 	// journal is the ordered log of accepted messages (Edge, Done, Input),
 	// agreed among non-error processes. Fine-grained resets rewind to a
-	// journal index and replay.
+	// journal index and replay; it stays empty in every other run.
 	journal []journalEntry
 
 	// resumeMidLevel is set by a fine-grained reset that rewound into the
@@ -186,18 +186,6 @@ func (p *Process) run(tr transport) (any, error) {
 		tr = &blockTransport{inner: tr, t: t}
 	}
 	p.tr = tr
-	if p.group != nil {
-		// Release this member's compaction constraint on exit, whether it
-		// terminated or was unwound by the engine. Re-read p.group at exit
-		// time: a fork clears it.
-		member := p.member
-		g := p.group
-		defer func() {
-			if p.group != nil {
-				g.leave(member)
-			}
-		}()
-	}
 	p.initialize()
 	if p.cfg.Mode == ModeLeaderless {
 		return p.mainLoopLeaderless()
@@ -299,49 +287,7 @@ func (p *Process) mainLoop() (any, error) {
 		if p.outputDue() {
 			return p.emitPending()
 		}
-		p.maybeCompact()
 		p.currentLevel++
-	}
-}
-
-// compactLag is the number of completed levels kept live behind the
-// construction frontier when CompactVHT is on. The protocol itself only
-// re-reads the previous level (setUpNewLevel) and level 0 (acceptInput,
-// answer extraction), so the lag exists purely as reset headroom in
-// leader mode; a reset that outruns it aborts with a structured error
-// (see performLevelReset). Late levels carry up to n classes each, so the
-// lag directly bounds resident memory at ≈ (lag+2)·n nodes — small enough
-// for the ≥4× reduction on deep runs, large enough that resets (which
-// target the level in construction or one just voided) stay inside it.
-const compactLag = 4
-
-// maybeCompact releases consumed history levels once they are compactLag
-// levels behind the construction frontier. Counting processes (the leader,
-// every leaderless process) additionally stay behind the solver's
-// consumption frontier, so its recorded replay skeleton always covers the
-// released region; non-leaders in leader mode never count and rely on the
-// lag alone.
-func (p *Process) maybeCompact() {
-	if !p.cfg.CompactVHT {
-		return
-	}
-	keep := p.currentLevel - compactLag
-	if p.input.Leader || p.cfg.Mode == ModeLeaderless {
-		keep = min(keep, p.solver.ConsumedLevel())
-	}
-	if g := p.group; g != nil {
-		// Shared tree: compact to the minimum over every active member's
-		// bound, so no member's solver (or reset headroom) is outrun.
-		// CompactLevels no-ops on bounds it already covers, so repeated
-		// calls at the same level are free.
-		g.keeps[p.member] = keep
-		if k := g.minKeep(); k > 1 {
-			g.tree.CompactLevels(k)
-		}
-		return
-	}
-	if keep > 1 {
-		p.vht.CompactLevels(keep)
 	}
 }
 
@@ -444,7 +390,6 @@ func (p *Process) mainLoopLeaderless() (any, error) {
 				Solver:            p.solverStats(),
 			}, nil
 		}
-		p.maybeCompact()
 		p.currentLevel++
 	}
 }
@@ -509,12 +454,16 @@ func (p *Process) constructLevel() (levelControl, error) {
 		if restart {
 			return levelRestart, nil
 		}
-		// Every acceptance is journaled — including the Level-end message.
-		// Journaling the End is what makes fine-grained reset indices
-		// unambiguous at level boundaries: "rewind to index i" must mean
-		// the same state (End pending vs. next level begun) to every
-		// process, or processes that missed the End acceptance desync.
-		p.journal = append(p.journal, journalEntry{msg: accepted, level: p.currentLevel})
+		// Under fine-grained resets every acceptance is journaled —
+		// including the Level-end message. Journaling the End is what
+		// makes reset indices unambiguous at level boundaries: "rewind to
+		// index i" must mean the same state (End pending vs. next level
+		// begun) to every process, or processes that missed the End
+		// acceptance desync. Nothing else reads the journal, so other
+		// runs keep none.
+		if p.cfg.FineGrainedReset {
+			p.journal = append(p.journal, journalEntry{msg: accepted, level: p.currentLevel})
+		}
 		if accepted.Label == wire.LabelEnd {
 			return levelDone, nil
 		}

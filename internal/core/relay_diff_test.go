@@ -47,7 +47,7 @@ func outcomeKey(oc *core.Outcome) string {
 	s := oc.Solver
 	s.SolveTime = 0
 	tree := ""
-	if oc.VHT != nil && oc.VHT.CompactedLevels() == 0 {
+	if oc.VHT != nil {
 		tree = historytree.CanonicalForm(oc.VHT)
 	}
 	return fmt.Sprintf("n=%d ms=%v fr=%+v levels=%d diam=%d round=%d solver=%+v tree=%q",
@@ -128,8 +128,6 @@ func diffCases(t *testing.T) []diffCase {
 		diffCase{"isolator", isolator, leaderInputs(m), core.Config{Mode: core.ModeLeader, MaxLevels: 3*m + 8}},
 		diffCase{"isolator/halt", isolator, leaderInputs(m),
 			core.Config{Mode: core.ModeLeader, SimultaneousHalt: true, MaxLevels: 3*m + 8}},
-		diffCase{"isolator/compact", isolator, leaderInputs(m),
-			core.Config{Mode: core.ModeLeader, CompactVHT: true, MaxLevels: 3*m + 8}},
 		diffCase{"spiker", spiker, leaderInputs(m), core.Config{Mode: core.ModeLeader, MaxLevels: 3*m + 8}},
 		diffCase{"spiker/fine-reset", spiker, leaderInputs(m),
 			core.Config{Mode: core.ModeLeader, FineGrainedReset: true, MaxLevels: 3*m + 8}},

@@ -54,14 +54,10 @@ type RunStats struct {
 	SharedApplies int64
 	SharedHits    int64
 	SharedForks   int
-	// History-tree residency counters of the deciding process (all zero
-	// when its tree was discarded, e.g. Halt mid-level): CompactedLevels is
-	// the deepest level released by CompactVHT compaction, CompactedNodes
-	// the total nodes released, ResidentNodes the nodes still live at
-	// termination, and PeakResidentNodes the lifetime high-water mark — the
-	// number the O(active view) memory claim is about.
-	CompactedLevels   int
-	CompactedNodes    int
+	// History-tree residency counters of the deciding process (both zero
+	// when its tree was discarded, e.g. Halt mid-level): ResidentNodes is
+	// the nodes live at termination and PeakResidentNodes the lifetime
+	// high-water mark.
 	ResidentNodes     int
 	PeakResidentNodes int
 }
@@ -288,8 +284,6 @@ func (st *RunStats) absorbTree(t *historytree.Tree) {
 	if t == nil {
 		return
 	}
-	st.CompactedLevels = t.CompactedLevels()
-	st.CompactedNodes = t.CompactedNodes()
 	st.ResidentNodes = t.NumNodes()
 	st.PeakResidentNodes = t.PeakResidentNodes()
 }

@@ -55,10 +55,8 @@ type shareGroup struct {
 	lg   levelGraph
 
 	ops    []opRec
-	lastOp []int  // per-member log cursor
-	active []bool // false once a member forked or finished
-	keeps  []int  // per-member CompactVHT keep bound (maybeCompact)
-	ids    []int  // scratch for opSetup root rebuilds
+	lastOp []int // per-member log cursor
+	ids    []int // scratch for opSetup root rebuilds
 
 	applies int64 // ops appended (first-arrival mutations)
 	hits    int64 // ops verified against the log
@@ -103,11 +101,6 @@ func newShareGroup(cfg Config, n int) *shareGroup {
 	g := &shareGroup{
 		tree:   historytree.New(),
 		lastOp: make([]int, n),
-		active: make([]bool, n),
-		keeps:  make([]int, n),
-	}
-	for i := range g.active {
-		g.active[i] = true
 	}
 	if !cfg.buildsInputLevel() {
 		if _, err := g.tree.AddChild(0, g.tree.Root(), historytree.Input{Leader: true}); err != nil {
@@ -160,16 +153,15 @@ func (p *Process) opGate(kind opKind, a, b, c int64) (bool, error) {
 // fork exact: the cursor-bounded prefix is precisely the sequence of
 // mutations this member verified or applied, so the rebuilt state is
 // byte-for-byte what a private run of this process would hold at the same
-// point. A clone would instead carry the other branch's partial ops for the
-// in-flight acceptance (fresh-ID collisions waiting to happen) and would be
-// impossible once compaction released shared history; the replay has
-// neither problem. Divergence is rare — a double broadcast failure that
-// slips a wrong message past the ack comparison, or any out-of-model fault
-// — so the O(log) rebuild cost is irrelevant.
+// point. A clone would instead carry the other branch's partial ops for
+// the in-flight acceptance: members that ran ahead of this one have
+// already appended and applied them, so the clone would hold nodes and
+// fresh IDs this member never assigned. Divergence is rare — a double
+// broadcast failure that slips a wrong message past the ack comparison, or
+// any out-of-model fault — so the O(log) rebuild cost is irrelevant.
 func (p *Process) forkFromGroup() error {
 	g := p.group
 	g.forks++
-	g.active[p.member] = false
 	p.group = nil
 	p.forkedFrom = g
 	tree, err := g.rebuildAt(p.cfg, g.lastOp[p.member], &p.tempScratch, &p.lgScratch)
@@ -286,9 +278,6 @@ func (g *shareGroup) rebuildAt(cfg Config, upTo int, temp *tempVHT, lg *levelGra
 // rec means this member joined a different reset than the group — it forks
 // and the caller truncates its private copy.
 func (g *shareGroup) truncate(p *Process, resetLevel, newDiam, finalRound, freshID int) error {
-	if c := g.tree.CompactedLevels(); c > 0 && resetLevel <= c {
-		return fmt.Errorf("core: reset to level %d outran the CompactVHT lag (levels 1..%d released); disable CompactVHT under faulty schedules", resetLevel, c)
-	}
 	rec := opRec{kind: opTruncate, a: int64(resetLevel), b: int64(newDiam), c: int64(finalRound), d: int64(freshID)}
 	for i := g.lastOp[p.member]; i < len(g.ops); i++ {
 		if g.ops[i] == rec {
@@ -314,12 +303,9 @@ func (g *shareGroup) truncate(p *Process, resetLevel, newDiam, finalRound, fresh
 // entirely in levels the truncation removes. The member resynchronizes like
 // a lagging cursor in truncate: ops between its fork point and the joint
 // truncate record touch only truncated levels. If the group recorded a
-// different reset (or compaction released the target), the member stays
-// private; rejoining is an optimization, never a requirement.
+// different reset, the member stays private; rejoining is an optimization,
+// never a requirement.
 func (g *shareGroup) rejoin(p *Process, resetLevel, newDiam, finalRound, freshID int) {
-	if c := g.tree.CompactedLevels(); c > 0 && resetLevel <= c {
-		return
-	}
 	rec := opRec{kind: opTruncate, a: int64(resetLevel), b: int64(newDiam), c: int64(finalRound), d: int64(freshID)}
 	for i := g.lastOp[p.member]; i < len(g.ops); i++ {
 		if g.ops[i] == rec {
@@ -342,38 +328,10 @@ func (g *shareGroup) rejoin(p *Process, resetLevel, newDiam, finalRound, freshID
 	g.attach(p)
 }
 
-// attach re-activates a member on the shared structures. The stale
-// compaction bound is reset to 0 (no compaction) until the member's next
-// maybeCompact report.
+// attach puts a member back on the shared structures.
 func (g *shareGroup) attach(p *Process) {
-	g.active[p.member] = true
-	g.keeps[p.member] = 0
 	p.group = g
 	p.vht = g.tree
-}
-
-// leave marks a member inactive (terminated or unwound), releasing its
-// compaction constraint.
-func (g *shareGroup) leave(member int) {
-	g.active[member] = false
-}
-
-// minKeep is the deepest level every active member allows compaction
-// to release up to — the group-wide CompactLevels bound. Members that have
-// not reported yet hold it at 0 (no compaction), which is conservative.
-func (g *shareGroup) minKeep() int {
-	keep := 0
-	first := true
-	for m, a := range g.active {
-		if !a {
-			continue
-		}
-		if first || g.keeps[m] < keep {
-			keep = g.keeps[m]
-			first = false
-		}
-	}
-	return keep
 }
 
 // statsSnapshot returns the log counters for RunStats.

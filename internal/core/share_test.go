@@ -13,7 +13,7 @@ import (
 // share_test.go pins cross-process structural sharing (share.go, DESIGN.md
 // decision 15): a shared run must be indistinguishable from a private
 // per-process run in every observable — answer, rounds, levels, message
-// totals, tree bytes, compaction counters — while actually collapsing the
+// totals, tree bytes, residency counters — while actually collapsing the
 // n-fold work (hits ≫ applies). Forks can occur even in-model (a double
 // broadcast failure slips a divergent message past the ack comparison);
 // they must not change any observable, because the fork replays the
@@ -36,8 +36,7 @@ func runPair(t *testing.T, s dynnet.Schedule, inputs []historytree.Input, cfg Co
 }
 
 // requireSameResult compares every protocol-visible dimension of two runs.
-// Tree bytes are compared when both runs kept an uncompacted tree
-// (CanonicalForm does not model compacted trees).
+// Tree bytes are compared when both runs kept their tree.
 func requireSameResult(t *testing.T, shared, private *RunResult) {
 	t.Helper()
 	if shared.N != private.N {
@@ -67,13 +66,11 @@ func requireSameResult(t *testing.T, shared, private *RunResult) {
 			ss.TotalMessages, ss.TotalBits, ss.MaxMessageBits,
 			ps.TotalMessages, ps.TotalBits, ps.MaxMessageBits)
 	}
-	if ss.CompactedLevels != ps.CompactedLevels || ss.CompactedNodes != ps.CompactedNodes ||
-		ss.ResidentNodes != ps.ResidentNodes || ss.PeakResidentNodes != ps.PeakResidentNodes {
-		t.Fatalf("residency: shared (%d lvls, %d freed, %d live, %d peak), private (%d lvls, %d freed, %d live, %d peak)",
-			ss.CompactedLevels, ss.CompactedNodes, ss.ResidentNodes, ss.PeakResidentNodes,
-			ps.CompactedLevels, ps.CompactedNodes, ps.ResidentNodes, ps.PeakResidentNodes)
+	if ss.ResidentNodes != ps.ResidentNodes || ss.PeakResidentNodes != ps.PeakResidentNodes {
+		t.Fatalf("residency: shared (%d live, %d peak), private (%d live, %d peak)",
+			ss.ResidentNodes, ss.PeakResidentNodes, ps.ResidentNodes, ps.PeakResidentNodes)
 	}
-	if shared.VHT != nil && private.VHT != nil && ss.CompactedLevels == 0 {
+	if shared.VHT != nil && private.VHT != nil {
 		if g, w := historytree.CanonicalForm(shared.VHT), historytree.CanonicalForm(private.VHT); g != w {
 			t.Fatalf("canonical form mismatch:\n shared %q\nprivate %q", g, w)
 		}
@@ -104,7 +101,7 @@ func requireWitnessAgrees(t *testing.T, res *RunResult) {
 }
 
 // TestSharedVHTEquivalence sweeps the configuration surface: modes,
-// extensions, compaction, and batching must all be byte-equivalent
+// extensions and batching must all be byte-equivalent
 // between shared and private runs. The leader-bigint row also re-solves
 // the shared run's tree under the big.Int witness.
 func TestSharedVHTEquivalence(t *testing.T) {
@@ -118,11 +115,9 @@ func TestSharedVHTEquivalence(t *testing.T) {
 		{"leader-basic", Config{Mode: ModeLeader}, 12, false, false},
 		{"leader-inputs", Config{Mode: ModeLeader, BuildInputLevel: true}, 10, false, false},
 		{"leader-batch", Config{Mode: ModeLeader, BatchSize: 4}, 10, false, false},
-		{"leader-compact", Config{Mode: ModeLeader, CompactVHT: true}, 14, false, false},
 		{"leader-bigint", Config{Mode: ModeLeader}, 9, false, true},
 		{"leader-halt", Config{Mode: ModeLeader, SimultaneousHalt: true}, 8, false, false},
 		{"leaderless", Config{Mode: ModeLeaderless}, 10, true, false},
-		{"leaderless-compact", Config{Mode: ModeLeaderless, CompactVHT: true}, 12, true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,67 +253,12 @@ func TestSharedVHTForkOnDivergence(t *testing.T) {
 	if p1.temp.node(2) == nil {
 		t.Fatal("post-fork private mutation did not create the temp node")
 	}
-	if g.forks != 1 || g.active[1] {
-		t.Fatalf("group bookkeeping: forks=%d active[1]=%v", g.forks, g.active[1])
+	if g.forks != 1 || p1.forkedFrom != g {
+		t.Fatalf("group bookkeeping: forks=%d forkedFrom=%p", g.forks, p1.forkedFrom)
 	}
 	// p0 is unaffected and keeps mutating shared state.
 	if p0.group == nil || p0.vht != g.tree {
 		t.Fatal("non-diverged member lost its group attachment")
-	}
-}
-
-// TestSharedVHTForkAfterCompaction: the live shared tree cannot be cloned
-// once compaction released levels, but a fork replays the log from scratch,
-// so divergence after compaction yields a full-history private copy.
-func TestSharedVHTForkAfterCompaction(t *testing.T) {
-	cfg := Config{Mode: ModeLeader, CompactVHT: true}
-	p0, p1, g := twoSharedProcs(cfg)
-	// p0 builds three levels through the log: per level, one accepted Edge
-	// creates the temp node and one accepted Done promotes it.
-	for level := 1; level <= 3; level++ {
-		if err := p0.resetLevelState(level); err != nil {
-			t.Fatal(err)
-		}
-		parent := g.tree.Level(level - 1)[0].ID
-		other := parent
-		if level == 1 {
-			other = 1
-		}
-		if err := p0.applyAccepted(wire.Edge(int64(parent), int64(other), 1), false); err != nil {
-			t.Fatal(err)
-		}
-		if err := p0.applyAccepted(wire.Done(int64(p0.nextFreshID-1)), false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// p1 verifies levels 1 and 2, then the shared copy releases level 1.
-	if err := p1.resetLevelState(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.applyAccepted(wire.Edge(0, 1, 1), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.applyAccepted(wire.Done(2), false); err != nil {
-		t.Fatal(err)
-	}
-	level1ID := g.tree.Level(1)[0].ID
-	if g.tree.CompactLevels(2) == 0 {
-		t.Fatal("compaction did not engage")
-	}
-	// p1 diverges at its next op (the group logged level 2's setup there).
-	_, err := p1.opGate(opTemp, 9, 9, 9)
-	if err != nil {
-		t.Fatalf("fork after compaction must succeed via replay: %v", err)
-	}
-	if p1.group != nil {
-		t.Fatal("diverged member still attached to the group")
-	}
-	if p1.vht.CompactedLevels() != 0 {
-		t.Fatalf("fork replay inherited compaction (levels 1..%d)", p1.vht.CompactedLevels())
-	}
-	// The replayed copy holds the level the shared tree released.
-	if p1.vht.NodeByID(level1ID) == nil {
-		t.Fatalf("fork replay lost released level-1 node %d", level1ID)
 	}
 }
 
@@ -387,12 +327,6 @@ func TestSharedVHTRejoinAfterFork(t *testing.T) {
 	g.rejoin(p1, 1, 2, 40, 2)
 	if p1.group != g || p1.vht != g.tree {
 		t.Fatal("forked member did not rejoin on a matching reset")
-	}
-	if !g.active[1] {
-		t.Fatal("rejoined member not marked active")
-	}
-	if g.keeps[1] != 0 {
-		t.Fatalf("rejoined member's compaction bound %d not reset", g.keeps[1])
 	}
 	// p0 joins the same reset and resynchronizes against p1's record.
 	if err := g.truncate(p0, 1, 2, 40, 2); err != nil {

@@ -73,34 +73,6 @@ func (tv *tempVHT) newNode() *tempNode {
 // node returns the node with the given ID, or nil.
 func (tv *tempVHT) node(id int) *tempNode { return tv.nodes[id] }
 
-// cloneInto rebuilds this forest inside dst (a process-owned scratch
-// forest), giving a forked process a private copy whose nodes live in its
-// own arena. Parents are copied before children, so the recursion depth is
-// the forest height.
-func (tv *tempVHT) cloneInto(dst *tempVHT) {
-	dst.reset(nil)
-	var copyNode func(n *tempNode) *tempNode
-	copyNode = func(n *tempNode) *tempNode {
-		if n == nil {
-			return nil
-		}
-		if c, ok := dst.nodes[n.id]; ok {
-			return c
-		}
-		parent := copyNode(n.parent)
-		c := dst.newNode()
-		c.id = n.id
-		c.parent = parent
-		c.redSrc = n.redSrc
-		c.redMult = n.redMult
-		dst.nodes[n.id] = c
-		return c
-	}
-	for _, n := range tv.nodes {
-		copyNode(n)
-	}
-}
-
 // root returns the root of the tree containing the node with the given ID
 // (FindRoot in Listing 5). It returns nil if the ID is unknown, or if tv
 // is nil: a reset cleared the level under construction, which only an
@@ -198,18 +170,6 @@ func (lg *levelGraph) reset(ids []int) {
 	}
 	for _, id := range ids {
 		lg.parent[id] = id
-	}
-}
-
-// cloneInto copies this graph into dst (a process-owned scratch graph) for
-// a forked process.
-func (lg *levelGraph) cloneInto(dst *levelGraph) {
-	dst.reset(nil)
-	for k, v := range lg.parent {
-		dst.parent[k] = v
-	}
-	for k := range lg.edges {
-		dst.edges[k] = true
 	}
 }
 

@@ -26,7 +26,7 @@ func requireSameRun(t *testing.T, got, want *Run) {
 	if g, w := CanonicalForm(got.Tree), CanonicalForm(want.Tree); g != w {
 		t.Fatalf("CanonicalForm mismatch:\n got %q\nwant %q", g, w)
 	}
-	requireSameLiveLevels(t, got.Tree, want.Tree, 0)
+	requireSameLevels(t, got.Tree, want.Tree)
 	if len(got.NodeOf) != len(want.NodeOf) {
 		t.Fatalf("NodeOf rows: got %d, want %d", len(got.NodeOf), len(want.NodeOf))
 	}
@@ -47,15 +47,15 @@ func requireSameRun(t *testing.T, got, want *Run) {
 	}
 }
 
-// requireSameLiveLevels compares the resident structure of two trees level
-// by level from `from` up: node IDs in level order, parent IDs, and the red
-// edge lists (source ID and multiplicity, insertion order included).
-func requireSameLiveLevels(t *testing.T, got, want *Tree, from int) {
+// requireSameLevels compares the structure of two trees level by level:
+// node IDs in level order, parent IDs, and the red edge lists (source ID
+// and multiplicity, insertion order included).
+func requireSameLevels(t *testing.T, got, want *Tree) {
 	t.Helper()
 	if got.Depth() != want.Depth() {
 		t.Fatalf("depth: got %d, want %d", got.Depth(), want.Depth())
 	}
-	for l := from; l <= got.Depth(); l++ {
+	for l := 0; l <= got.Depth(); l++ {
 		gl, wl := got.Level(l), want.Level(l)
 		if len(gl) != len(wl) {
 			t.Fatalf("level %d size: got %d, want %d", l, len(gl), len(wl))
@@ -185,89 +185,6 @@ func requireWideFallback(t *testing.T, g *dynnet.Multigraph) {
 		t.Fatal(err)
 	}
 	requireSameRun(t, got, want)
-}
-
-// TestBatchedRefineCompactCompose is the compaction×batched regression:
-// refine 12 rounds batched, compact at currentLevel−4 (the core layer's
-// compactLag), keep refining on the compacted tree, and require the live
-// region to match a witness-driven tree put through the identical sequence.
-func TestBatchedRefineCompactCompose(t *testing.T) {
-	const (
-		n          = 10
-		preRounds  = 12
-		postRounds = 6
-		compactLag = 4
-	)
-	s := dynnet.NewRandomConnected(n, 0.35, 17)
-	inputs := make([]Input, n)
-	inputs[0].Leader = true
-
-	type driver struct {
-		tree   *Tree
-		cur    []*Node
-		nextID int
-		card   map[int]int
-		refine refineFunc
-	}
-	start := func(refine refineFunc) *driver {
-		d := &driver{tree: New(), card: map[int]int{RootID: n}, refine: refine}
-		level0 := make(map[Input]*Node)
-		d.cur = make([]*Node, n)
-		for p := 0; p < n; p++ {
-			node, ok := level0[inputs[p]]
-			if !ok {
-				var err error
-				node, err = d.tree.AddChild(d.nextID, d.tree.Root(), inputs[p])
-				if err != nil {
-					t.Fatal(err)
-				}
-				d.nextID++
-				level0[inputs[p]] = node
-			}
-			d.card[node.ID]++
-			d.cur[p] = node
-		}
-		return d
-	}
-	step := func(d *driver, round int) {
-		next, err := d.refine(d.tree, s.Graph(round), d.cur, &d.nextID, d.card)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.cur = next
-	}
-
-	batched := start(newBatchRefiner(n).refine)
-	witness := start(newRefiner(n).refine)
-	for r := 1; r <= preRounds; r++ {
-		step(batched, r)
-		step(witness, r)
-	}
-	keep := preRounds - compactLag
-	if got, want := batched.tree.CompactLevels(keep), witness.tree.CompactLevels(keep); got != want {
-		t.Fatalf("CompactLevels freed %d nodes batched, %d witness", got, want)
-	}
-	for r := preRounds + 1; r <= preRounds+postRounds; r++ {
-		step(batched, r)
-		step(witness, r)
-	}
-	// No Validate here: Validate does not model trees that keep growing
-	// after CompactLevels (the witness fails it identically). Structural
-	// equality with the witness-driven tree is the assertion.
-	if got, want := batched.tree.CompactedLevels(), witness.tree.CompactedLevels(); got != want {
-		t.Fatalf("CompactedLevels: got %d, want %d", got, want)
-	}
-	requireSameLiveLevels(t, batched.tree, witness.tree, batched.tree.CompactedLevels())
-	for id, c := range witness.card {
-		if batched.card[id] != c {
-			t.Fatalf("card[%d] = %d, want %d", id, batched.card[id], c)
-		}
-	}
-	for p := range batched.cur {
-		if batched.cur[p].ID != witness.cur[p].ID {
-			t.Fatalf("process %d on node %d, want %d", p, batched.cur[p].ID, witness.cur[p].ID)
-		}
-	}
 }
 
 // TestBatchedGroupKeysCoverLevel checks the interned group keys the sharing

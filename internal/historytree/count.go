@@ -287,30 +287,51 @@ func (s *solution) colsAt(l int) map[*Node]cols {
 }
 
 // fillRow writes one balance equation over the basis into s.row and
-// reports whether any entry is nonzero.
+// reports whether any entry is nonzero. A node is the child of exactly one
+// of the pair and every column lies under one node of the pair's child
+// level, so each column is written at most once.
 func (s *solution) fillRow(pair nodePair) bool {
-	for i := range s.row {
-		s.row[i] = 0
-	}
+	clear(s.row)
 	used := false
 	under := s.colsAt(pair.u.Level + 1)
 	for _, c := range pair.w.Children {
 		if m := c.RedMult(pair.u); m != 0 {
 			for _, i := range under[c] {
-				s.row[i] += int64(m)
+				s.row[i] = int64(m)
+				used = true
 			}
-			used = true
 		}
 	}
 	for _, c := range pair.u.Children {
 		if m := c.RedMult(pair.w); m != 0 {
 			for _, i := range under[c] {
-				s.row[i] -= int64(m)
+				s.row[i] = -int64(m)
+				used = true
 			}
-			used = true
 		}
 	}
 	return used
+}
+
+// replayBalance catches up ps, a battery prime adopted after e.rowsFed
+// rows were fed: it feeds ps the first e.rowsFed nonzero balance rows of
+// levels 0..levels-1, in feed order, expanded over the solution's basis.
+// Both battery owners grow through it. solveModular fed exactly these
+// rows; the incremental Solver fed each level's rows over that level's
+// children and lifted them since, and a lift expands a row the same way.
+func (s *solution) replayBalance(t *Tree, levels int, e *modElim, ps *primeState) {
+	fed := 0
+	for l := 0; l < levels; l++ {
+		for _, pair := range balancePairs(t, l) {
+			if fed == e.rowsFed {
+				return
+			}
+			if s.fillRow(pair) {
+				e.feedRow(ps, s.row)
+				fed++
+			}
+		}
+	}
 }
 
 // balanced checks one balance equation directly on the solved ray.
@@ -360,21 +381,28 @@ func prepSolution(t *Tree, completeLevels int) (sol *solution, k int, resolvable
 	if !Resolvable(t, completeLevels) {
 		return sol, k, false, nil // trivially undetermined; skip elimination entirely
 	}
-	// Ancestor chains: O(k) pointer hops per level, in place of the old
-	// per-node k-length coefficient vectors (O(levels·k²) words).
-	sol.anc = make([][]*Node, completeLevels+1)
-	sol.anc[completeLevels] = leaves
-	for l := completeLevels - 1; l >= 0; l-- {
+	sol.chain(completeLevels)
+	return sol, k, true, nil
+}
+
+// chain builds the ancestor chains of the solution's leaves, which sit at
+// the given level, and the pooled row scratch fillRow needs: O(k) pointer
+// hops per level, in place of per-node k-length coefficient vectors
+// (O(levels·k²) words).
+func (s *solution) chain(level int) {
+	k := len(s.leaves)
+	s.anc = make([][]*Node, level+1)
+	s.anc[level] = s.leaves
+	for l := level - 1; l >= 0; l-- {
 		a := make([]*Node, k)
-		up := sol.anc[l+1]
+		up := s.anc[l+1]
 		for i := range a {
 			a[i] = up[i].Parent
 		}
-		sol.anc[l] = a
+		s.anc[l] = a
 	}
-	sol.cols = make([]map[*Node]cols, completeLevels+1)
-	sol.row = getVec(k)
-	return sol, k, true, nil
+	s.cols = make([]map[*Node]cols, level+1)
+	s.row = getVec(k)
 }
 
 func solve(t *Tree, completeLevels int) (*solution, error) {

@@ -85,24 +85,7 @@ collect:
 		}
 	}
 
-	// replay feeds the first rowsFed equations, in the same order, into a
-	// freshly adopted prime.
-	replay := func(ps *primeState) {
-		n := 0
-	rep:
-		for l := 0; l < completeLevels; l++ {
-			for _, pair := range balancePairs(t, l) {
-				if n >= e.rowsFed {
-					break rep
-				}
-				if !sol.fillRow(pair) {
-					continue
-				}
-				e.feedRow(ps, sol.row)
-				n++
-			}
-		}
-	}
+	replay := func(ps *primeState) { sol.replayBalance(t, completeLevels, e, ps) }
 
 	var ray []*big.Rat
 	free := -1

@@ -44,23 +44,7 @@ type Solver struct {
 	melim  *modElim // prime battery; survives resets (luck is system-independent)
 	broken bool     // structural fallback: delegate to from-scratch until reset
 
-	// The replay skeleton: everything a fresh battery prime needs to catch
-	// up on the consumed equations without re-reading the consumed levels
-	// from the tree — which makes the solver compaction-proof
-	// (Tree.CompactLevels may release those levels). lifts[j] maps each
-	// level-j basis column to its level-(j-1) parent column (lifts[0] is
-	// unused); feds[l] holds the fed balance rows of level l in feed order,
-	// sparse over the level-(l+1) columns.
-	lifts [][]int32
-	feds  [][][]sparseCoef
-
 	stats SolverStats
-}
-
-// sparseCoef is one nonzero coefficient of a recorded balance row.
-type sparseCoef struct {
-	col int32
-	val int64
 }
 
 // SolverStats counts the work a Solver has done, for regression tests and
@@ -128,20 +112,11 @@ func (s *Solver) CountAt(t *Tree, completeLevels int) (CountResult, error) {
 	}
 	if !ok {
 		s.stats.Fallbacks++
-		if t.CompactedLevels() > 0 {
-			// The from-scratch path needs the whole prefix, which
-			// compaction released. Unknown is always a sound answer here:
-			// the protocol extends the tree and retries.
-			return CountResult{}, nil
-		}
 		return Count(t, completeLevels)
 	}
 	ray, certified := s.resolve()
 	if !certified {
 		s.stats.WitnessFallbacks++
-		if t.CompactedLevels() > 0 {
-			return CountResult{}, nil
-		}
 		return Count(t, completeLevels)
 	}
 	if ray == nil {
@@ -163,17 +138,11 @@ func (s *Solver) FrequenciesAt(t *Tree, completeLevels int) (FrequencyResult, er
 	}
 	if !ok {
 		s.stats.Fallbacks++
-		if t.CompactedLevels() > 0 {
-			return FrequencyResult{}, nil
-		}
 		return Frequencies(t, completeLevels)
 	}
 	ray, certified := s.resolve()
 	if !certified {
 		s.stats.WitnessFallbacks++
-		if t.CompactedLevels() > 0 {
-			return FrequencyResult{}, nil
-		}
 		return Frequencies(t, completeLevels)
 	}
 	if ray == nil {
@@ -222,9 +191,6 @@ func (s *Solver) ensure(t *Tree, completeLevels int) (bool, error) {
 		} else {
 			s.melim.reset(len(base))
 		}
-		// lifts is level-indexed; level 0 has no lift into it.
-		s.lifts = append(s.lifts[:0], nil)
-		s.feds = s.feds[:0]
 	}
 	for s.level < completeLevels {
 		if !s.extend(t) {
@@ -240,14 +206,8 @@ func (s *Solver) reset(t *Tree) {
 	s.gen = t.Generation()
 	s.level = -1
 	s.basis, s.idx, s.anc0, s.covered = nil, nil, nil, nil
-	s.lifts, s.feds = nil, nil
 	s.broken = false
 }
-
-// ConsumedLevel returns the deepest level whose balance equations the
-// solver has consumed (-1 before first use). Levels at or below it are
-// never re-read from the tree — the gate Tree.CompactLevels callers need.
-func (s *Solver) ConsumedLevel() int { return s.level }
 
 // extend consumes one more level: it lifts the elimination state onto the
 // next level's variables and feeds that level's balance equations. It
@@ -280,7 +240,6 @@ func (s *Solver) extend(t *Tree) bool {
 	pairs := balancePairs(t, s.level)
 
 	s.melim.lift(parentIdx, len(next))
-	s.lifts = append(s.lifts, parentIdx)
 
 	idx := make(map[*Node]int, len(next))
 	anc0 := make([]*Node, len(next))
@@ -298,46 +257,32 @@ func (s *Solver) extend(t *Tree) bool {
 	return true
 }
 
-// feed feeds one level's balance equations into the prime battery.
-// The int64 row scratch lives in the battery and is recycled, so the
-// steady-state feed's only allocations are the sparse row copies retained
-// for the replay skeleton (a handful of words per fed equation).
+// feed feeds one level's balance equations into the prime battery. The
+// int64 row scratch lives in the battery and is recycled, so the
+// steady-state feed allocates nothing.
 func (s *Solver) feed(pairs []nodePair, idx map[*Node]int, k int) {
 	e := s.melim
 	if cap(e.intRow) < k {
 		e.intRow = make([]int64, k, k+k/2+4)
 	}
 	row := e.intRow[:k]
-	var coefs []sparseCoef
-	fed := make([][]sparseCoef, 0, len(pairs))
 	for _, pair := range pairs {
-		coefs = coefs[:0]
+		s.stats.Equations++
+		clear(row)
 		// A node is the child of exactly one of the pair, so each column
-		// appears at most once.
+		// is written at most once; addRow skips a row left all zero.
 		for _, c := range pair.w.Children {
 			if m := c.RedMult(pair.u); m != 0 {
-				coefs = append(coefs, sparseCoef{col: int32(idx[c]), val: int64(m)})
+				row[idx[c]] = int64(m)
 			}
 		}
 		for _, c := range pair.u.Children {
 			if m := c.RedMult(pair.w); m != 0 {
-				coefs = append(coefs, sparseCoef{col: int32(idx[c]), val: -int64(m)})
+				row[idx[c]] = -int64(m)
 			}
 		}
-		s.stats.Equations++
-		if len(coefs) == 0 {
-			continue
-		}
-		for i := range row {
-			row[i] = 0
-		}
-		for _, cv := range coefs {
-			row[cv.col] = cv.val
-		}
 		e.addRow(row)
-		fed = append(fed, append([]sparseCoef(nil), coefs...))
 	}
-	s.feds = append(s.feds, fed)
 }
 
 // resolve extracts the positively-oriented null ray, or nil when the system
@@ -349,8 +294,8 @@ func (s *Solver) feed(pairs []nodePair, idx map[*Node]int, k int) {
 //
 // Otherwise it certifies the rank decision over the prime battery (growing
 // it to the Hadamard-bound size and replaying the consumed equations into
-// fresh primes from the replay skeleton), evicts unlucky primes against the
-// battery consensus, and CRT-reconstructs the exact null ray at corank 1.
+// fresh primes from the tree), evicts unlucky primes against the battery
+// consensus, and CRT-reconstructs the exact null ray at corank 1.
 // Soundness: every lucky prime sees the exact rank and pivot profile, an
 // unlucky prime must divide one of two fixed nonzero minors bounded by the
 // Hadamard bound, and the battery holds more primes than those minors admit
@@ -371,6 +316,23 @@ func (s *Solver) resolve() (ray []*big.Rat, certified bool) {
 		}
 	}
 	e := s.melim
+	// A fresh prime catches up by re-reading the consumed balance rows from
+	// the tree. The ancestor chains that expand them over the basis are
+	// built on the first growth and shared by every prime this call
+	// adopts: the basis cannot move inside one resolve.
+	var sol *solution
+	defer func() {
+		if sol != nil {
+			sol.release()
+		}
+	}()
+	replay := func(ps *primeState) {
+		if sol == nil {
+			sol = &solution{leaves: s.basis}
+			sol.chain(s.level)
+		}
+		sol.replayBalance(s.t, s.level, e, ps)
+	}
 	for attempt := 0; attempt < 5; attempt++ {
 		r := e.maxRank()
 		if r >= k {
@@ -380,11 +342,11 @@ func (s *Solver) resolve() (ray []*big.Rat, certified bool) {
 			if len(e.primes) >= e.neededPrimes(false) {
 				return nil, true // certified: rank genuinely below k−1
 			}
-			e.growTo(e.neededPrimes(false), s.replayInto)
+			e.growTo(e.neededPrimes(false), replay)
 			continue
 		}
 		if e.evictUnlucky() > 0 || len(e.primes) < e.neededPrimes(true) {
-			e.growTo(e.neededPrimes(true), s.replayInto)
+			e.growTo(e.neededPrimes(true), replay)
 			continue
 		}
 		ray := e.nullRay()
@@ -397,69 +359,6 @@ func (s *Solver) resolve() (ray []*big.Rat, certified bool) {
 		return ray, true
 	}
 	return nil, false
-}
-
-// replayInto feeds a fresh battery prime the full consumed balance system,
-// reconstructed from the recorded replay skeleton (lifts + sparse fed
-// rows) and expanded onto the current basis exactly as the from-scratch
-// solver would expand it. The expansion of each old equation is the lift
-// of the row the incremental feed saw, so the fresh prime reduces the same
-// row space as its elders — just without their elimination history.
-// Reading only the skeleton (never the tree) is what lets
-// Tree.CompactLevels release the consumed levels underneath a live solver.
-func (s *Solver) replayInto(ps *primeState) {
-	e := s.melim
-	k := len(s.basis)
-	if cap(e.intRow) < k {
-		e.intRow = make([]int64, k, k+k/2+4)
-	}
-	row := e.intRow[:k]
-	// anc[j][i] is the level-j ancestor column of current column i, built
-	// by composing the recorded lifts top-down.
-	anc := make([][]int32, s.level+1)
-	cur := make([]int32, k)
-	for i := range cur {
-		cur[i] = int32(i)
-	}
-	anc[s.level] = cur
-	for j := s.level; j >= 2; j-- {
-		lift := s.lifts[j]
-		up := anc[j]
-		a := make([]int32, k)
-		for i := range a {
-			a[i] = lift[up[i]]
-		}
-		anc[j-1] = a
-	}
-	// Replay levels in feed order (0..level−1) so row order matches the
-	// original feed. Each sparse row is expanded through a dense
-	// level-(l+1) scratch: row[i] = dense[anc_{l+1}(i)].
-	var dense []int64
-	fed := 0
-	for l := 0; l < s.level && fed < e.rowsFed; l++ {
-		a := anc[l+1]
-		width := len(s.lifts[l+1])
-		if cap(dense) < width {
-			dense = make([]int64, width)
-		}
-		d := dense[:width]
-		for _, coefs := range s.feds[l] {
-			if fed >= e.rowsFed {
-				break
-			}
-			for _, cv := range coefs {
-				d[cv.col] = cv.val
-			}
-			for i := 0; i < k; i++ {
-				row[i] = d[a[i]]
-			}
-			for _, cv := range coefs {
-				d[cv.col] = 0
-			}
-			e.feedRow(ps, row)
-			fed++
-		}
-	}
 }
 
 // weights folds the basis ray into per-level-0-class weights.

@@ -140,14 +140,9 @@ type Tree struct {
 	pairsMut   uint64
 	pairsLevel [][]nodePair
 
-	// compacted is the deepest level released by CompactLevels (0 = none):
-	// levels 1..compacted hold no nodes and their arena space has been
-	// reclaimed. peakNodes is the high-water mark of numNodes over the
-	// tree's lifetime and freedNodes the total released by compaction;
-	// together they quantify the O(active view) memory claim.
-	compacted  int
-	peakNodes  int
-	freedNodes int
+	// peakNodes is the high-water mark of numNodes over the tree's
+	// lifetime.
+	peakNodes int
 }
 
 // New returns a tree containing only the root node, with ID RootID.
@@ -251,6 +246,10 @@ func (t *Tree) NodeByID(id int) *Node {
 // NumNodes returns the total number of nodes including the root.
 func (t *Tree) NumNodes() int { return t.numNodes }
 
+// PeakResidentNodes returns the high-water mark of NumNodes over the tree's
+// lifetime; truncation does not lower it.
+func (t *Tree) PeakResidentNodes() int { return t.peakNodes }
+
 // AddChild creates a new node with the given ID as a child of parent.
 // The child's level is parent.Level+1; a new level is materialized if
 // needed. IDs must be unique (and ≥ RootID); levels may only grow one at a
@@ -321,16 +320,7 @@ func (t *Tree) Generation() uint64 { return t.gen }
 // and any edges incident to them. It implements the reset of Listing 6.
 // Arena space held by the removed nodes is not reclaimed until the tree
 // itself is released (Clone produces a compact copy).
-//
-// Truncating into or below the compacted region is a contract violation —
-// those levels were released on the caller's promise that they can never
-// be rewritten — and panics; core guards its reset paths with a structured
-// error before reaching here.
 func (t *Tree) TruncateLevels(from int) {
-	if t.compacted > 0 && from <= t.compacted {
-		panic(fmt.Sprintf("historytree: TruncateLevels(%d) into compacted region (levels 1..%d released)",
-			from, t.compacted))
-	}
 	idx := from + 1
 	if idx < 1 {
 		idx = 1

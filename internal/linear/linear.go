@@ -57,8 +57,8 @@ import (
 
 // Config parameterizes the linear protocol. It is the small subset of
 // core.Config the full-information algorithm needs: the congested
-// protocol's acknowledgment, reset, batching and compaction machinery has
-// no counterpart here.
+// protocol's acknowledgment, reset and batching machinery has no
+// counterpart here.
 type Config struct {
 	// Mode selects the leader or leaderless decision rule.
 	Mode core.Mode

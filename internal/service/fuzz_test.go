@@ -16,7 +16,7 @@ import (
 //   - Normalize, Validate and Hash never panic;
 //   - Normalize is idempotent;
 //   - the hash does not depend on the order of the JSON keys;
-//   - the hash-neutral knobs (compact, deadlineMS) never move the hash.
+//   - the hash-neutral knob deadlineMS never moves the hash.
 //
 // Objects naming one field twice under keys that differ only in case are
 // skipped for the reordering property: encoding/json matches field names
@@ -40,10 +40,9 @@ func FuzzJobSpec(f *testing.F) {
 		hash := spec.Hash()
 
 		neutral := spec
-		neutral.CompactVHT = !spec.CompactVHT
 		neutral.DeadlineMS = spec.DeadlineMS + 1
 		if got := neutral.Hash(); got != hash {
-			t.Fatalf("hash-neutral knobs moved the hash: %+v", neutral)
+			t.Fatalf("hash-neutral deadlineMS moved the hash: %+v", neutral)
 		}
 
 		var fields map[string]json.RawMessage

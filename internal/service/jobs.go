@@ -443,8 +443,6 @@ func (m *Manager) runJob(job *Job) {
 		m.Metrics.SolverCRTRecons.Add(int64(res.Stats.SolverCRTRecons))
 		m.Metrics.SolverEvictions.Add(int64(res.Stats.SolverEvictions))
 		m.Metrics.SolverWitnessFalls.Add(int64(res.Stats.SolverWitnessFalls))
-		m.Metrics.VHTCompactedLevels.Add(int64(res.Stats.CompactedLevels))
-		m.Metrics.VHTCompactedNodes.Add(int64(res.Stats.CompactedNodes))
 		m.Metrics.observePeak(int64(res.Stats.PeakResidentNodes))
 		r := NewResult(res)
 		m.cache.Put(job.Hash, r)

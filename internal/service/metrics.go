@@ -47,12 +47,8 @@ type Metrics struct {
 	SolverCRTRecons    atomic.Int64
 	SolverEvictions    atomic.Int64
 	SolverWitnessFalls atomic.Int64
-	// VHTCompactedLevels and VHTCompactedNodes total the history-level
-	// compaction work across completed jobs (CompactVHT specs only);
 	// VHTPeakResidentNodes is the largest resident history tree any single
 	// completed job ever held — the memory high-water mark of the fleet.
-	VHTCompactedLevels   atomic.Int64
-	VHTCompactedNodes    atomic.Int64
 	VHTPeakResidentNodes atomic.Int64
 	// WorkersBusy is the number of worker goroutines currently running a
 	// simulation.
@@ -78,9 +74,8 @@ type MetricsSnapshot struct {
 	SolverCRTRecons    int64 `json:"solverCRTRecons"`
 	SolverEvictions    int64 `json:"solverEvictions"`
 	SolverWitnessFalls int64 `json:"solverWitnessFalls"`
-	// History-level compaction counters (see Metrics).
-	VHTCompactedLevels   int64 `json:"vhtCompactedLevels"`
-	VHTCompactedNodes    int64 `json:"vhtCompactedNodes"`
+	// VHTPeakResidentNodes is the history-tree high-water mark (see
+	// Metrics).
 	VHTPeakResidentNodes int64 `json:"vhtPeakResidentNodes"`
 	// CacheEntries and CacheEvictions describe the in-memory LRU tier
 	// (filled by Manager.MetricsSnapshot).
@@ -110,8 +105,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		SolverEvictions:    m.SolverEvictions.Load(),
 		SolverWitnessFalls: m.SolverWitnessFalls.Load(),
 
-		VHTCompactedLevels:   m.VHTCompactedLevels.Load(),
-		VHTCompactedNodes:    m.VHTCompactedNodes.Load(),
 		VHTPeakResidentNodes: m.VHTPeakResidentNodes.Load(),
 	}
 }

@@ -85,6 +85,49 @@ func TestManagerStoreRestartCacheHit(t *testing.T) {
 	}
 }
 
+// TestStoreRecordWithRetiredStats: a store outlives the code that wrote
+// it, so a record whose stats carry keys RunStats no longer has — here
+// the compaction counters, in the record an earlier build wrote for
+// quickSpec(42), verbatim — must be served as a store hit, not counted
+// as a store error and re-simulated.
+func TestStoreRecordWithRetiredStats(t *testing.T) {
+	const record = `{"n":5,"multiset":{"0":4,"L:0":1},"stats":{"Rounds":220,"MaxMessageBits":32,` +
+		`"TotalMessages":1100,"TotalBits":24472,"Resets":2,"FinalDiamEstimate":4,"Levels":2,` +
+		`"WallClock":676872,"SolverTime":44145,"SolverCalls":2,"SolverPrimes":2,"SolverCRTRecons":1,` +
+		`"SolverEvictions":0,"SolverWitnessFalls":0,"SharedApplies":31,"SharedHits":116,"SharedForks":0,` +
+		`"CompactedLevels":0,"CompactedNodes":0,"ResidentNodes":10,"PeakResidentNodes":10}}`
+	spec := quickSpec(42)
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Put(spec.Hash(), []byte(record)); err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(1, 8, 8)
+	m.AttachStore(st)
+	defer func() { _ = m.Shutdown(contextWithTimeout(t, 30*time.Second)) }()
+
+	job, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !job.CacheHit {
+		t.Fatal("record with retired stats keys was not served from the store")
+	}
+	status := job.Status()
+	if status.State != JobDone || status.Result == nil || status.Result.N != 5 || status.Result.Stats.Rounds != 220 {
+		t.Fatalf("stored result decoded wrong: %+v", status)
+	}
+	if hits, errs := m.Metrics.StoreHits.Load(), m.Metrics.StoreErrors.Load(); hits != 1 || errs != 0 {
+		t.Fatalf("storeHits=%d storeErrors=%d, want 1 and 0", hits, errs)
+	}
+	if got := m.Metrics.RoundsSimulated.Load(); got != 0 {
+		t.Fatalf("store hit re-simulated %d rounds, want 0", got)
+	}
+}
+
 // TestServerHealthzAndMetrics pins the /v1/healthz probe contract and the
 // metrics extensions: cache occupancy, evictions, and persistent-store
 // stats all surface in /v1/metrics.

@@ -323,6 +323,7 @@ func TestServerRejectsUnknownFields(t *testing.T) {
 		"private_vht": `{"n":4,"private_vht":true}`,
 		"scheduler":   `{"n":4,"scheduler":"parallel"}`,
 		"eager":       `{"n":4,"eager":true}`,
+		"compact":     `{"n":4,"compact":true}`,
 	} {
 		resp, err := http.Post("http://"+srv.Addr()+"/v1/jobs", "application/json",
 			bytes.NewReader([]byte(body)))

@@ -50,11 +50,10 @@ type JobSpec struct {
 	// PODC 2023 congested protocol (internal/core, O(T·n³ log n) rounds,
 	// O(log n)-bit messages), "linear" for the FOCS 2022 full-information
 	// protocol (internal/linear, Θ(T·n) rounds, messages growing to
-	// Θ(n³ log n) bits). Unlike CompactVHT this is a semantic knob:
-	// answers agree (pinned by the cross-protocol equivalence suite) but
-	// rounds and bit accounting differ, so the spec hash keeps it. The
-	// congested-only extensions (halt, fine, batch, keepAll, compact, the
-	// isolator adversary) are rejected under "linear".
+	// Θ(n³ log n) bits). Answers agree (pinned by the cross-protocol
+	// equivalence suite) but rounds and bit accounting differ, so the spec
+	// hash keeps it. The congested-only extensions (halt, fine, batch,
+	// keepAll, the isolator adversary) are rejected under "linear".
 	Protocol string `json:"protocol,omitempty"`
 	// Topology selects the adversary (see Topologies). "isolator" is the
 	// strongly adaptive worst case; the rest are oblivious schedules.
@@ -81,14 +80,6 @@ type JobSpec struct {
 	KeepAll bool `json:"keepAll,omitempty"`
 	// MaxRounds caps the run; 0 derives the default O(T·n³ log n) budget.
 	MaxRounds int `json:"maxRounds,omitempty"`
-	// CompactVHT enables history-level compaction: consumed VHT levels are
-	// released once the counting solver can never re-read them, keeping
-	// resident memory proportional to the active view instead of the whole
-	// run. Answers are unchanged (pinned by the core equivalence suite),
-	// so the spec hash ignores it; only the residency stats differ. Under
-	// fault plans a reset can outrun the compaction lag and abort the run
-	// with a structured error — prefer leaving it off with faults.
-	CompactVHT bool `json:"compact,omitempty"`
 	// Faults is a fault-plan spec layered over the adversary (see
 	// internal/faults.Parse for the grammar, e.g. "spike:8:0"). Empty
 	// means fault-free. Out-of-model plans (drop, crash) require a
@@ -187,8 +178,6 @@ func (s JobSpec) Validate() error {
 			return fmt.Errorf("batch is congested-only (the linear protocol already ships whole views)")
 		case s.KeepAll:
 			return fmt.Errorf("keepAll is congested-only (the linear protocol has no virtual network)")
-		case s.CompactVHT:
-			return fmt.Errorf("compact is congested-only (linear views must stay whole to be broadcast)")
 		case s.Topology == "isolator":
 			return fmt.Errorf("the isolator adversary targets the congested protocol's leader; protocol linear unsupported")
 		}
@@ -237,9 +226,6 @@ func (s JobSpec) Validate() error {
 // result-cache key.
 func (s JobSpec) Hash() string {
 	s.Normalize()
-	// Compaction leaves results unchanged (the core equivalence suite), so
-	// it must not fragment the result cache.
-	s.CompactVHT = false
 	// Protocol stays in the hash: both protocols return the same answer
 	// (the cross-protocol equivalence suite pins that), but the cached
 	// Result also carries rounds and bit accounting, which differ
@@ -315,7 +301,6 @@ func (s JobSpec) config() core.Config {
 		FineGrainedReset: s.Fine,
 		BatchSize:        s.Batch,
 		KeepAllLinks:     s.KeepAll,
-		CompactVHT:       s.CompactVHT,
 	}
 	if s.Leaderless {
 		cfg.Mode = core.ModeLeaderless

@@ -67,13 +67,6 @@ func TestSpecHashCanonical(t *testing.T) {
 	if f1.Hash() != f2.Hash() {
 		t.Error("faultSeed without a plan must not affect the hash")
 	}
-	// CompactVHT is a performance knob: identical results, so it must not
-	// fragment the result cache.
-	c1 := JobSpec{N: 5, Seed: 1}
-	c2 := JobSpec{N: 5, Seed: 1, CompactVHT: true}
-	if c1.Hash() != c2.Hash() {
-		t.Error("compact: performance knob changed the hash")
-	}
 }
 
 // TestSpecHashGolden pins the content hash of a few specs. The hash keys
@@ -90,28 +83,6 @@ func TestSpecHashGolden(t *testing.T) {
 		if got := spec.Hash(); got != want {
 			t.Errorf("%+v: hash %s, want %s", spec, got, want)
 		}
-	}
-}
-
-// TestSpecCompactRun: a CompactVHT job over the service entry point returns
-// the same answer as the plain spec and reports compaction in its stats.
-func TestSpecCompactRun(t *testing.T) {
-	plain := JobSpec{N: 12, Topology: "path"}
-	compact := JobSpec{N: 12, Topology: "path", CompactVHT: true}
-	base, err := plain.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("plain run: %v", err)
-	}
-	res, err := compact.Run(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("compact run: %v", err)
-	}
-	if res.N != base.N || res.Stats.Rounds != base.Stats.Rounds {
-		t.Fatalf("compaction changed the run: n %d→%d rounds %d→%d",
-			base.N, res.N, base.Stats.Rounds, res.Stats.Rounds)
-	}
-	if res.Stats.CompactedLevels == 0 {
-		t.Fatalf("no compaction on a deep path run: %+v", res.Stats)
 	}
 }
 

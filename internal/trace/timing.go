@@ -26,10 +26,8 @@ type Timing struct {
 	SolverCRTRecons    int
 	SolverEvictions    int
 	SolverWitnessFalls int
-	// History-tree residency: the deepest level released by CompactVHT
-	// compaction (0 when off or never engaged) and the peak resident node
-	// count of the deciding process's tree.
-	CompactedLevels   int
+	// PeakResidentNodes is the peak resident node count of the deciding
+	// process's tree.
 	PeakResidentNodes int
 }
 
@@ -43,7 +41,6 @@ func TimingOf(st core.RunStats) *Timing {
 		SolverCRTRecons:    st.SolverCRTRecons,
 		SolverEvictions:    st.SolverEvictions,
 		SolverWitnessFalls: st.SolverWitnessFalls,
-		CompactedLevels:    st.CompactedLevels,
 		PeakResidentNodes:  st.PeakResidentNodes,
 	}
 }
@@ -61,9 +58,6 @@ func (t *Timing) Add(o *Timing) {
 	t.SolverCRTRecons += o.SolverCRTRecons
 	t.SolverEvictions += o.SolverEvictions
 	t.SolverWitnessFalls += o.SolverWitnessFalls
-	if o.CompactedLevels > t.CompactedLevels {
-		t.CompactedLevels = o.CompactedLevels
-	}
 	if o.PeakResidentNodes > t.PeakResidentNodes {
 		t.PeakResidentNodes = o.PeakResidentNodes
 	}
@@ -91,10 +85,6 @@ func (t *Timing) String() string {
 		if t.SolverWitnessFalls > 0 {
 			s += fmt.Sprintf(", %d witness falls", t.SolverWitnessFalls)
 		}
-	}
-	if t.CompactedLevels > 0 {
-		s += fmt.Sprintf(", %d levels compacted (peak %d nodes)",
-			t.CompactedLevels, t.PeakResidentNodes)
 	}
 	return s
 }
