@@ -30,8 +30,8 @@ type Isolator struct {
 	n      int
 	target int
 
-	order, middle []int
-	g             *dynnet.Multigraph
+	order, middle, pos []int
+	g                  *dynnet.Multigraph
 }
 
 var _ engine.AdaptiveSchedule = (*Isolator)(nil)
@@ -40,7 +40,7 @@ var _ engine.AdaptiveSchedule = (*Isolator)(nil)
 // the given target process (usually the leader) farthest from the
 // highest-priority message.
 func NewIsolator(n, target int) *Isolator {
-	return &Isolator{n: n, target: target, g: dynnet.NewMultigraph(n)}
+	return &Isolator{n: n, target: target, pos: make([]int, n), g: dynnet.NewMultigraph(n)}
 }
 
 // N implements engine.AdaptiveSchedule.
@@ -82,9 +82,28 @@ func (a *Isolator) Graph(_ int, sent []engine.Message) *dynnet.Multigraph {
 	}
 	a.order, a.middle = order, middle
 
+	// Emit the path's links in canonical order, so the engine finds them
+	// sorted: each process, in pid order, links to its higher path
+	// neighbours in ascending order.
+	for i, pid := range order {
+		a.pos[pid] = i
+	}
 	a.g.Reset(a.n)
-	for i := 0; i+1 < len(order); i++ {
-		a.g.MustAddLink(order[i], order[i+1], 1)
+	for u, i := range a.pos {
+		lo, hi := -1, -1
+		if i > 0 {
+			lo = order[i-1]
+		}
+		if i+1 < len(order) {
+			hi = order[i+1]
+		}
+		lo, hi = min(lo, hi), max(lo, hi)
+		if lo > u {
+			a.g.MustAddLink(u, lo, 1)
+		}
+		if hi > u {
+			a.g.MustAddLink(u, hi, 1)
+		}
 	}
 	return a.g
 }

@@ -1,10 +1,13 @@
 package adversary
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"anondyn/internal/check"
 	"anondyn/internal/core"
+	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
 	"anondyn/internal/wire"
@@ -40,6 +43,40 @@ func TestIsolatorGraphsAreConnectedPaths(t *testing.T) {
 	}
 	if g.Neighbors(1)[3] == 0 && g.Neighbors(3)[1] == 0 {
 		t.Error("top-message holders should be contiguous on the path")
+	}
+}
+
+// TestIsolatorLinksFollowItsPath pins the Isolator's in-order emission: its
+// canonical link list is exactly the sorted consecutive pairs of the path
+// it laid out, for every size, target and set of top-message holders.
+func TestIsolatorLinksFollowItsPath(t *testing.T) {
+	edge, null := wire.Edge(1, 2, 3), wire.Null()
+	for _, n := range []int{1, 2, 3, 7, 32} {
+		for target := 0; target < n; target += 3 {
+			for mask := 0; mask < 8; mask++ {
+				sent := make([]engine.Message, n)
+				for pid := range sent {
+					switch {
+					case pid%3 == 2:
+					case mask>>(pid%3)&1 != 0:
+						sent[pid] = &edge
+					default:
+						sent[pid] = &null
+					}
+				}
+				a := NewIsolator(n, target)
+				g := a.Graph(1, sent)
+				var want []dynnet.Link
+				for i := 0; i+1 < len(a.order); i++ {
+					u, v := a.order[i], a.order[i+1]
+					want = append(want, dynnet.Link{U: min(u, v), V: max(u, v), Mult: 1})
+				}
+				slices.SortFunc(want, func(x, y dynnet.Link) int { return cmp.Or(x.U-y.U, x.V-y.V) })
+				if got := g.Links(); !slices.Equal(got, want) {
+					t.Fatalf("n=%d target=%d mask=%d: links %v, want the path %v", n, target, mask, got, want)
+				}
+			}
+		}
 	}
 }
 

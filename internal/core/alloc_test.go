@@ -33,8 +33,8 @@ func (f *loopTransport) PID() int   { return 1 }
 // TestSetUpNewLevelAllocs pins the begin-round's steady-state allocation
 // count. The seed built a fresh counting map plus sorted key slice per
 // call; the run-length pass over the sorted Begin messages plus the reused
-// level scratch leave only the snapshot's obsList copy and small map
-// bookkeeping. The bound is ≈2× the measured value to absorb allocator
+// level scratch leave only small map bookkeeping (and, under
+// FineGrainedReset, the snapshot's obsList copy). The bound is ≈2× the measured value to absorb allocator
 // noise without re-admitting per-call map churn.
 func TestSetUpNewLevelAllocs(t *testing.T) {
 	begin2, begin3 := wire.Begin(2), wire.Begin(3)

@@ -52,7 +52,10 @@ func (p *Process) setUpNewLevel() (restart bool, err error) {
 		i += c
 	}
 	p.obsList = append(p.obsList, obs{id2: p.myID, mult: 2})
-	snap.obsList = append([]obs(nil), p.obsList...)
+	if p.cfg.FineGrainedReset {
+		// Only a fine-grained reset resumes a level mid-way and reads it.
+		snap.obsList = append([]obs(nil), p.obsList...)
+	}
 	p.snapshots[p.currentLevel] = snap
 
 	if err := p.resetLevelState(p.currentLevel); err != nil {

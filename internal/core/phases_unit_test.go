@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"anondyn/internal/engine"
@@ -52,8 +53,12 @@ func (f *fakeTransport) PID() int   { return 0 }
 // newUnitProcess returns a non-leader process wired to the fake transport,
 // initialized for basic mode at level 1.
 func newUnitProcess(t *testing.T, tr transport, leader bool) *Process {
-	in := historytree.Input{Leader: leader}
-	p := NewProcess(Config{Mode: ModeLeader}, in)
+	return newUnitProcessWith(tr, Config{Mode: ModeLeader}, leader)
+}
+
+// newUnitProcessWith is newUnitProcess under cfg.
+func newUnitProcessWith(tr transport, cfg Config, leader bool) *Process {
+	p := NewProcess(cfg, historytree.Input{Leader: leader})
 	p.tr = tr
 	p.initialize()
 	return p
@@ -286,6 +291,43 @@ func TestSetUpNewLevelGroupsBegins(t *testing.T) {
 	}
 }
 
+// TestSetUpNewLevelSnapshotsObsListForFineResets pins where the begin
+// round's observation list is copied: into the level's snapshot under
+// FineGrainedReset, whose mid-level resume reads it back, and nowhere
+// otherwise. An intruder in the begin round still leaves the degraded list
+// in the snapshot; the scripted transport then ends the error phase.
+func TestSetUpNewLevelSnapshotsObsListForFineResets(t *testing.T) {
+	plain := []wire.Message{wire.Begin(0), wire.Begin(0), wire.Begin(1)}
+	intruded := []wire.Message{wire.Begin(0), wire.Error(1)}
+	for _, tc := range []struct {
+		name   string
+		fine   bool
+		begins []wire.Message
+		want   []obs
+	}{
+		{"basic", false, plain, nil},
+		{"basic-intruder", false, intruded, nil},
+		{"fine", true, plain, []obs{{id2: 0, mult: 2}, {id2: 1, mult: 2}}},
+		{"fine-intruder", true, intruded, []obs{{id2: 0, mult: 1}, {id2: 1, mult: 2}}},
+	} {
+		tr := newFakeTransport(t, tc.begins)
+		p := newUnitProcessWith(tr, Config{Mode: ModeLeader, FineGrainedReset: tc.fine}, false) // myID = 1
+		if _, err := p.setUpNewLevel(); err != nil && !errors.Is(err, engine.ErrStopped) {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		snap, ok := p.snapshots[1]
+		if !ok {
+			t.Fatalf("%s: begin snapshot missing", tc.name)
+		}
+		if !slices.Equal(snap.obsList, tc.want) || (snap.obsList == nil) != (tc.want == nil) {
+			t.Fatalf("%s: snapshot obsList %v, want %v", tc.name, snap.obsList, tc.want)
+		}
+		if tc.fine && &snap.obsList[0] == &p.obsList[0] {
+			t.Fatalf("%s: snapshot shares the live observation list's storage", tc.name)
+		}
+	}
+}
+
 func TestSetUpNewLevelIntruderTriggersError(t *testing.T) {
 	reset := wire.Reset(1, 1, 2)
 	tr := newFakeTransport(t,
@@ -301,13 +343,10 @@ func TestSetUpNewLevelIntruderTriggersError(t *testing.T) {
 	if !restart {
 		t.Fatal("intruder must trigger a restart")
 	}
-	// The snapshot with the degraded observation list must exist anyway
-	// (fine-grained resets rely on it).
-	snap, ok := p.snapshots[1]
-	if !ok {
+	// The begin snapshot must exist anyway: the reset restores it. (Under
+	// fine-grained resets it also holds the degraded observation list;
+	// see TestSetUpNewLevelSnapshotsObsListForFineResets.)
+	if _, ok := p.snapshots[1]; !ok {
 		t.Fatal("begin snapshot missing")
-	}
-	if len(snap.obsList) != 2 { // (0,1) and the cycle pair (1,2)
-		t.Fatalf("snapshot obsList=%v", snap.obsList)
 	}
 }

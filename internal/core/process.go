@@ -131,7 +131,7 @@ type snapshot struct {
 	nextFreshID int
 	journalLen  int
 	claimed     bool
-	obsList     []obs
+	obsList     []obs // kept only under FineGrainedReset, which reads it
 }
 
 // journalEntry is one accepted message together with the level it was

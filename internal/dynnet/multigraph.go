@@ -93,12 +93,15 @@ func cmpLinks(a, b Link) int {
 // insertions of the same pair merged into one entry, sorted by (U, V). It
 // canonicalizes the raw list in place — insertion order is never
 // observable, every accessor sums multiplicities, and merging only shrinks
-// the list — so a graph's one-time canonicalization allocates nothing.
+// the list — so a graph's one-time canonicalization allocates nothing. A
+// raw list built in order (like the Isolator's path) skips the sort.
 func (g *Multigraph) canonicalize() []Link {
 	if !g.dirty {
 		return g.canon
 	}
-	slices.SortFunc(g.links, cmpLinks)
+	if !slices.IsSortedFunc(g.links, cmpLinks) {
+		slices.SortFunc(g.links, cmpLinks)
+	}
 	merged := g.links[:0]
 	for _, l := range g.links {
 		if k := len(merged); k > 0 && merged[k-1].U == l.U && merged[k-1].V == l.V {

@@ -29,6 +29,13 @@ type Schedule interface {
 // Graph(t). The engine's router uses it when available, so a steady-state
 // simulation round allocates nothing for its communication graph; callers
 // that retain graphs across rounds must keep using Graph.
+//
+// GraphInto may run on another goroutine ahead of its round: on a long run
+// with a spare core the engine hands it to a generator goroutine that
+// fills a ring of graphs while the run executes earlier rounds. So
+// GraphInto must be a pure function of t, and may read but not write
+// state it shares with the run's other hooks or with other runs; scratch
+// of its own must be per call or pooled.
 type InPlaceSchedule interface {
 	Schedule
 	// GraphInto computes the round-t multigraph into g (t ≥ 1).
@@ -42,9 +49,12 @@ type StaticSchedule struct {
 
 var _ InPlaceSchedule = (*StaticSchedule)(nil)
 
-// NewStatic returns a schedule that presents g at every round.
+// NewStatic returns a schedule that presents g at every round. Its copy of
+// g is canonicalized here, once, so GraphInto only reads it.
 func NewStatic(g *Multigraph) *StaticSchedule {
-	return &StaticSchedule{g: g.Clone()}
+	s := &StaticSchedule{g: g.Clone()}
+	s.g.canonicalize()
+	return s
 }
 
 // N implements Schedule.
@@ -57,9 +67,8 @@ func (s *StaticSchedule) Graph(int) *Multigraph { return s.g.Clone() }
 // reused storage. The copy is installed pre-canonicalized, so a static
 // simulation round neither allocates nor re-sorts.
 func (s *StaticSchedule) GraphInto(_ int, g *Multigraph) {
-	src := s.g.canonicalize()
 	g.Reset(s.g.n)
-	g.setCanonicalLinks(append(g.links, src...))
+	g.setCanonicalLinks(append(g.links, s.g.canon...))
 }
 
 // FuncSchedule adapts a plain function to the Schedule interface.
@@ -266,91 +275,25 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 	// candidate edge while consuming the identical random stream.
 	pThr := uint64(math.Ceil(p * (1 << 53)))
 	links := g.links[:0]
-	if n <= 64 {
-		// Bitmask dense path: multiplicities accumulate in an n×n
-		// upper-triangular scratch matrix and per-row occupancy bitmasks
-		// record which cells are live. The emit pass then visits only the
-		// live cells (TrailingZeros64 over each row mask) and zeroes them
-		// as it reads — restoring the pool invariant that mat is all-zero
-		// between calls, with no bulk memclr and no empty-cell scanning.
-		if cap(buf.mat) < n*n {
-			buf.mat = make([]int, n*n) // zeroed; emit re-zeroes what it uses
-		} else {
-			buf.mat = buf.mat[:n*n]
-		}
-		mat := buf.mat
-		rows := &buf.rows
-		for i := 1; i < n; i++ {
-			// Attach perm[i] to a uniformly random earlier vertex: a random
-			// recursive tree, which has expected diameter Θ(log n).
-			u, v := perm[i], perm[int(pcgUint64N(pcg, uint64(i)))]
-			if u > v {
-				u, v = v, u
-			}
-			mat[u*n+v]++
-			rows[u] |= 1 << uint(v)
-		}
-		// Extra edges are drawn pair-by-pair in canonical order — the same
-		// RNG consumption order as the sparse path and the original
-		// RandomConnected.
-		for u := 0; u < n; u++ {
-			base := u * n
-			for v := u + 1; v < n; v++ {
-				if pcg.Uint64()<<11>>11 < pThr {
-					mat[base+v]++
-					rows[u] |= 1 << uint(v)
-				}
-			}
-		}
-		cnt := 0
-		for u := 0; u < n; u++ {
-			cnt += bits.OnesCount64(rows[u])
-		}
-		if cap(links) < cnt {
-			links = make([]Link, 0, cnt)
-		}
-		for u := 0; u < n; u++ {
-			base := u * n
-			m := rows[u]
-			for m != 0 {
-				v := bits.TrailingZeros64(m)
-				m &= m - 1
-				links = append(links, Link{U: u, V: v, Mult: mat[base+v]})
-				mat[base+v] = 0
-			}
-			rows[u] = 0
-		}
-		buf.perm = perm
-		rcScratch.Put(buf)
-		g.setCanonicalLinks(links)
-		return
-	}
-	if n <= rcMatrixMaxN {
-		// Masked dense path (64 < n ≤ 256): ⌈n/64⌉ occupancy words per row
-		// instead of the n ≤ 64 path's single word, and two mask planes —
-		// tmask for the n−1 tree edges (whose multiplicities live in mat)
-		// and bmask for the Bernoulli extras (always multiplicity 1, so a
-		// bit is the whole record). The Bernoulli loop — n(n−1)/2 draws per
-		// round, the generator's hot loop — therefore touches no memory at
-		// all between word boundaries: each hit is folded into a register
-		// accumulator branchlessly (the ~30%-taken branch has no pattern,
-		// and a mispredict stalls the serial PCG chain). The emit pass
-		// walks only the set bits of the union, so it visits ~|E| cells
-		// instead of scanning the full triangle. mat, tmask and bmask are
-		// all restored to zero by the emit pass, keeping the pool
-		// invariant.
+	if n <= rcMaskMaxN {
+		// Dense path: ⌈n/64⌉ occupancy words per row in two mask planes,
+		// tmask for the n−1 tree edges and bmask for the Bernoulli extras.
+		// Each tree edge attaches a new vertex, so the tree's pairs are
+		// distinct and a pair's multiplicity is its tree bit plus its
+		// Bernoulli bit: the bits are the whole record. The Bernoulli loop —
+		// n(n−1)/2 draws per round, the generator's hot loop — therefore
+		// touches no memory between word boundaries: each hit is folded into
+		// a register accumulator branchlessly (the ~30%-taken branch has no
+		// pattern, and a mispredict stalls the serial PCG chain). The emit
+		// pass walks only the set bits of the union, so it visits ~|E| cells
+		// instead of scanning the full triangle, and restores both planes to
+		// zero, keeping the pool invariant.
 		w := (n + 63) >> 6
-		if cap(buf.mat) < n*n {
-			buf.mat = make([]int, n*n)
-		} else {
-			buf.mat = buf.mat[:n*n]
-		}
 		if cap(buf.mask) < 2*n*w {
 			buf.mask = make([]uint64, 2*n*w)
 		} else {
 			buf.mask = buf.mask[:2*n*w]
 		}
-		mat := buf.mat
 		tmask := buf.mask[:n*w]
 		bmask := buf.mask[n*w : 2*n*w]
 		for i := 1; i < n; i++ {
@@ -360,10 +303,11 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 			if u > v {
 				u, v = v, u
 			}
-			mat[u*n+v]++
 			tmask[u*w+v>>6] |= 1 << uint(v&63)
 		}
-		// The Bernoulli section draws n(n−1)/2 values from a serial
+		// Extra edges are drawn pair-by-pair in canonical order — the same
+		// RNG consumption order as the sparse path and the original
+		// RandomConnected. The section draws n(n−1)/2 values from a serial
 		// dependency chain; lifting the PCG's 128-bit state into locals for
 		// its duration keeps the chain entirely in registers (the method
 		// form reloads and stores the heap state every draw). localPCG
@@ -375,10 +319,7 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 			brow := bmask[u*w : u*w+w]
 			for v := u + 1; v < n; {
 				wi := v >> 6
-				end := (wi + 1) << 6
-				if end > n {
-					end = n
-				}
+				end := min((wi+1)<<6, n)
 				var acc uint64
 				for ; v < end; v++ {
 					var hit uint64
@@ -399,7 +340,6 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 			links = make([]Link, 0, cnt)
 		}
 		for u := 0; u < n; u++ {
-			base := u * n
 			mb := u * w
 			for wi := 0; wi < w; wi++ {
 				tm, bm := tmask[mb+wi], bmask[mb+wi]
@@ -412,13 +352,8 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 				for m != 0 {
 					tz := uint(bits.TrailingZeros64(m))
 					m &= m - 1
-					v := vb + int(tz)
-					mult := int(bm >> tz & 1)
-					if tm>>tz&1 != 0 {
-						mult += mat[base+v]
-						mat[base+v] = 0
-					}
-					links = append(links, Link{U: u, V: v, Mult: mult})
+					mult := int(tm>>tz&1 + bm>>tz&1)
+					links = append(links, Link{U: u, V: vb + int(tz), Mult: mult})
 				}
 			}
 		}
@@ -470,9 +405,9 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 	g.setCanonicalLinks(links)
 }
 
-// rcMatrixMaxN bounds the dense-matrix fast path of randomConnectedV2Into
-// (the pooled scratch matrix costs n² words).
-const rcMatrixMaxN = 256
+// rcMaskMaxN bounds the dense path of randomConnectedV2Into (its pooled
+// mask planes cost 2n⌈n/64⌉ words).
+const rcMaskMaxN = 256
 
 // localPCG is a register-resident copy of math/rand/v2's PCG: the same
 // 128-bit LCG step and DXSM output function, operated on locals so a tight
@@ -522,15 +457,13 @@ func (s *localPCG) uint64() uint64 {
 
 // rcBuf is the reusable scratch of one randomConnectedV2Into call. Only the
 // buffers that do not escape into the graph live here; the links slice
-// belongs to the target Multigraph. Invariant between calls: mat is
-// all-zero and rows is all-zero (each emit pass restores what it used), so
-// no per-call clear is needed.
+// belongs to the target Multigraph. Invariant between calls: mask is
+// all-zero (each emit pass restores what it used), so no per-call clear is
+// needed.
 type rcBuf struct {
 	perm []int
 	tree []Link
-	mat  []int      // n×n multiplicity matrix of the dense paths
-	rows [64]uint64 // per-row occupancy masks of the bitmask path (n ≤ 64)
-	mask []uint64   // 2×n×⌈n/64⌉ words: tree + Bernoulli planes of the masked dense path
+	mask []uint64 // 2×n×⌈n/64⌉ words: the dense path's tree and Bernoulli planes
 }
 
 var rcScratch = sync.Pool{New: func() any { return new(rcBuf) }}

@@ -97,9 +97,10 @@ func TestRandomConnectedScheduleBornCanonical(t *testing.T) {
 		seed int64
 	}{
 		{2, 0, 1}, {5, 0.3, 7}, {8, 0.9, 99}, {12, 0.5, 3},
-		// One case per generator path: bitmask (n ≤ 64), masked dense
-		// (64 < n ≤ 256), and sparse merge (n > 256). All three must
-		// consume the identical PCG stream as the plain replay below.
+		// The dense mask path with one mask word per row (n ≤ 64) and
+		// with two (64 < n ≤ 256), and the sparse merge path (n > 256).
+		// All must consume the identical PCG stream as the plain replay
+		// below.
 		{64, 0.3, 11}, {96, 0.3, 11}, {257, 0.05, 11},
 	} {
 		s := NewRandomConnected(tc.n, tc.p, tc.seed)
@@ -145,11 +146,18 @@ func TestRandomConnectedScheduleBornCanonical(t *testing.T) {
 // duplicated, and (c) build the identical graph into dirty reused
 // storage via GraphInto.
 func TestRandomConnectedSparseMergeStream(t *testing.T) {
-	const (
-		n    = 320
-		p    = 0.5
-		seed = int64(29)
-	)
+	checkMergeStream(t, 320, 0.5, 29)
+}
+
+// TestRandomConnectedDenseMergeStream is the same guard on the dense mask
+// path (n ≤ 256), where a coinciding pair's multiplicity is its tree bit
+// plus its Bernoulli bit.
+func TestRandomConnectedDenseMergeStream(t *testing.T) {
+	checkMergeStream(t, 96, 0.5, 29)
+}
+
+func checkMergeStream(t *testing.T, n int, p float64, seed int64) {
+	t.Helper()
 	s := NewRandomConnected(n, p, seed)
 	dirty := NewMultigraph(3) // deliberately wrong size and stale contents
 	dirty.MustAddLink(0, 2, 7)
@@ -170,21 +178,21 @@ func TestRandomConnectedSparseMergeStream(t *testing.T) {
 			}
 		}
 		if got, want := g.String(), ref.String(); got != want {
-			t.Fatalf("round %d: sparse path diverged from the rand/v2 replay", round)
+			t.Fatalf("n=%d round %d: generator diverged from the rand/v2 replay", n, round)
 		}
 
 		links := g.CanonicalLinks()
 		merged := 0
 		for i, l := range links {
 			if i > 0 && cmpLinks(links[i-1], l) >= 0 {
-				t.Fatalf("round %d: links not strictly canonical at %d: %v vs %v",
-					round, i, links[i-1], l)
+				t.Fatalf("n=%d round %d: links not strictly canonical at %d: %v vs %v",
+					n, round, i, links[i-1], l)
 			}
 			if l.Mult > 1 {
 				merged++
 			}
 		}
-		// At p = 0.5 roughly half the 319 tree edges coincide with a
+		// At p = 0.5 roughly half the n−1 tree edges coincide with a
 		// Bernoulli extra; a merge-free round means the fold is broken.
 		if merged == 0 {
 			t.Fatalf("round %d: no multiplicity merges at n=%d p=%v — the tree/Bernoulli fold is dead", round, n, p)
@@ -192,7 +200,7 @@ func TestRandomConnectedSparseMergeStream(t *testing.T) {
 
 		s.GraphInto(round, dirty)
 		if got, want := dirty.String(), g.String(); got != want {
-			t.Fatalf("round %d: GraphInto into dirty storage diverged from Graph", round)
+			t.Fatalf("n=%d round %d: GraphInto into dirty storage diverged from Graph", n, round)
 		}
 	}
 }

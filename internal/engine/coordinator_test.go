@@ -125,6 +125,8 @@ func (c *coordinator) relay(t *Transport, msg Message, steps, hold int, wake fun
 
 func (c *coordinator) run(procs []Coroutine) (*Result, error) {
 	res := &Result{Outputs: make(map[int]any)}
+	c.rt.open()
+	defer c.rt.close()
 	var wg sync.WaitGroup
 	for i := range procs {
 		c.state[i] = stateRunning

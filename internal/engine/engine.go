@@ -18,11 +18,21 @@
 //
 // The runner executes every process as a pull coroutine, swept inline on
 // the caller's goroutine by direct coroutine switches: no worker goroutine,
-// no channel operation per round. A run is single-threaded: every process
-// coroutine, every Config hook (Schedule, Adaptive, SizeOf, Priority,
-// StopWhen, Trace) and every Relay wake condition runs on the goroutine
-// that called Run, one at a time. State shared by the processes of one run
-// therefore needs no locks. Independent runs parallelize at the job level.
+// no channel operation per round. A run is single-threaded but for its
+// schedule: every process coroutine, every Config hook (Adaptive, SizeOf,
+// Priority, StopWhen, Trace) and every Relay wake condition runs on the
+// goroutine that called Run, one at a time. State shared by the processes
+// of one run therefore needs no locks. Independent runs parallelize at the
+// job level.
+//
+// The one exception is a dynnet.InPlaceSchedule's GraphInto. A run longer
+// than 256 rounds whose rounds are bound by graph generation, with a core
+// to spare among the runs in flight, hands it to one generator goroutine
+// that fills a ring of 16 graphs ahead of the run, so generation overlaps
+// the protocol's work. The graphs are the same pure function of the round,
+// so the run is bit-identical; GraphInto must not write state the run's
+// other hooks read (see dynnet.InPlaceSchedule). Run returns only after
+// the generator has exited, on every exit path.
 //
 // Execution is deterministic: rounds are strict barriers, the delivery
 // order within a round is the canonical link order of the multigraph, and

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -11,8 +12,10 @@ import (
 )
 
 // TestNoGoroutineLeaks verifies that Run waits for every process goroutine
-// before returning — under normal completion, early stop, and round-budget
-// cancellation alike, and on every execution path.
+// and for the schedule generator before returning — under normal
+// completion, early stop, round-budget cancellation, a bit-limit
+// violation, a process error, the watchdog and context cancellation alike,
+// and on every execution path.
 func TestNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -62,6 +65,47 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				return nil
 			}
 			return nil // ErrMaxRounds expected
+		}},
+		{name: "bit-limit", do: func(run runFunc) error {
+			_, err := run(context.Background(), Config{
+				Schedule:  dynnet.NewStatic(dynnet.Cycle(3)),
+				MaxRounds: 100,
+				SizeOf:    func(Message) int { return 9 },
+				BitLimit:  8,
+			}, []Coroutine{spinner(), spinner(), spinner()})
+			var ble *BitLimitError
+			if !errors.As(err, &ble) {
+				return fmt.Errorf("err = %v, want a *BitLimitError", err)
+			}
+			return nil
+		}},
+		{name: "process-error", do: func(run runFunc) error {
+			boom := errors.New("boom")
+			failing := CoroutineFunc(func(tr *Transport) (any, error) {
+				for tr.Round() < 4 {
+					if _, err := tr.SendAndReceive(nil); err != nil {
+						return nil, err
+					}
+				}
+				return nil, boom
+			})
+			_, err := run(context.Background(), Config{Schedule: dynnet.NewStatic(dynnet.Cycle(3)), MaxRounds: 100},
+				[]Coroutine{spinner(), failing, spinner()})
+			if !errors.Is(err, boom) {
+				return fmt.Errorf("err = %v, want the process's error", err)
+			}
+			return nil
+		}},
+		{name: "watchdog", do: func(run runFunc) error {
+			_, err := run(context.Background(), Config{
+				Schedule:  dynnet.NewStatic(dynnet.Cycle(3)),
+				MaxRounds: 1 << 30,
+				Deadline:  5 * time.Millisecond,
+			}, []Coroutine{spinner(), spinner(), spinner()})
+			if !errors.Is(err, ErrWatchdog) {
+				return fmt.Errorf("err = %v, want ErrWatchdog", err)
+			}
+			return nil
 		}},
 		{name: "context-cancel-pre-cancelled", do: func(run runFunc) error {
 			forever := CoroutineFunc(func(tr *Transport) (any, error) {
@@ -128,6 +172,10 @@ func TestNoGoroutineLeaks(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	if c := busyCores.Load(); c != 0 {
+		t.Fatalf("busy-core count %d after every run returned, want 0", c)
 	}
 
 	// Let any stragglers finish, then compare.

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"anondyn/internal/dynnet"
 )
@@ -41,10 +42,21 @@ type router struct {
 	backing   []Message // this round's backing array
 
 	// inPlace is the schedule's optional allocation-free generator; gbuf is
-	// the single reused graph it fills. route only reads the graph inside
-	// the call, so one buffer (no parity pair) suffices.
+	// the single reused graph it fills inline. route only reads the graph
+	// inside the call, so one buffer (no parity pair) suffices.
 	inPlace dynnet.InPlaceSchedule
 	gbuf    *dynnet.Multigraph
+	// The generator (prefetch.go): pf is the run's, nil while graphs are
+	// made inline, and startedAt the round from which it made them (0 if
+	// the run started none). t0 and samples are the engagement sample:
+	// when round 1 began, and the times of the sampled inline calls.
+	// prefetchAll, a test hook, starts the generator at round 1 whatever
+	// the samples and the spare cores.
+	pf          *prefetcher
+	startedAt   int
+	t0          time.Time
+	samples     [sampleRounds / sampleEvery]time.Duration
+	prefetchAll bool
 
 	// Relay state (Transport.Relay, DESIGN.md decision 17), per pid. fold
 	// is a relaying process's running fold; rank and foldRank are the
@@ -167,8 +179,7 @@ func (rt *router) route(state []procState, pending []Message, res *Result) ([][]
 	case rt.cfg.Adaptive != nil:
 		g = rt.cfg.Adaptive.Graph(rt.round, sentByPID)
 	case rt.inPlace != nil:
-		rt.inPlace.GraphInto(rt.round, rt.gbuf)
-		g = rt.gbuf
+		g = rt.inPlaceGraph()
 	default:
 		g = rt.cfg.Schedule.Graph(rt.round)
 	}

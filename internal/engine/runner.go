@@ -173,6 +173,8 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 	}
 	r.procs = procs
 	r.alive = r.n
+	r.rt.open()
+	defer r.rt.close()
 
 	// Start phase: run every process to its first submission (or return).
 	stopped := r.sweep(nil, res)

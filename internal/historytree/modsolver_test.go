@@ -3,6 +3,7 @@ package historytree
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -238,5 +239,59 @@ func TestSolverModularTruncationRebuild(t *testing.T) {
 	}
 	if st.PrimesUsed < primesBefore {
 		t.Errorf("adopted primes shrank across rebuild: %d -> %d", primesBefore, st.PrimesUsed)
+	}
+}
+
+// TestReplayBalanceFeedsTheLastConsumedRow pins the catch-up of a battery
+// prime adopted mid-run: replayBalance must feed it every row the battery
+// consumed, the last one included. Each case feeds the balance rows in
+// solveModular's order and stops, as its early stop does, on the row that
+// lifts the battery to corank 1 — a row that raises the rank — so a replay
+// one row short leaves the fresh prime a rank behind, and the equivalence
+// suites would only see it as a witness fallback.
+func TestReplayBalanceFeedsTheLastConsumedRow(t *testing.T) {
+	raised := 0
+	for n := 3; n <= 9; n++ {
+		run := buildTree(t, dynnet.NewRandomConnected(n, 0.4, 5), leaderInputs(n), 3*n)
+		for levels := 1; levels <= run.Rounds; levels++ {
+			sol, k, resolvable, err := prepSolution(run.Tree, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resolvable {
+				continue
+			}
+			e := newModElim(k, 2)
+			last := false // the last fed row raised the rank
+		collect:
+			for l := 0; l < levels; l++ {
+				for _, pair := range balancePairs(run.Tree, l) {
+					if !sol.fillRow(pair) {
+						continue
+					}
+					before := e.maxRank()
+					e.addRow(sol.row)
+					last = e.maxRank() > before
+					if e.maxRank() >= k-1 {
+						break collect
+					}
+				}
+			}
+			if !last {
+				sol.release()
+				continue
+			}
+			raised++
+			e.growTo(len(e.primes)+1, func(ps *primeState) { sol.replayBalance(run.Tree, levels, e, ps) })
+			old, fresh := e.primes[0], e.primes[len(e.primes)-1]
+			if fresh.rank != old.rank || !slices.Equal(fresh.has, old.has) {
+				t.Fatalf("n=%d levels=%d: adopted prime caught up to rank %d (pivots %v), battery has %d (%v) after %d rows",
+					n, levels, fresh.rank, fresh.has, old.rank, old.has, e.rowsFed)
+			}
+			sol.release()
+		}
+	}
+	if raised == 0 {
+		t.Fatal("no case ended its feed on a rank-raising row")
 	}
 }
