@@ -231,8 +231,9 @@ type AdaptiveSchedule = engine.AdaptiveSchedule
 
 // Isolator is the worst-case adaptive adversary for the protocol's
 // priority broadcast: it keeps the highest-priority message as far from
-// the target process as a connected topology allows. It reuses its graph
-// every round, so each run needs its own Isolator.
+// the target process as a connected topology allows. A target outside
+// [0, n) means no target. It reuses its graph every round, so each run
+// needs its own Isolator.
 func Isolator(n, target int) AdaptiveSchedule { return adversary.NewIsolator(n, target) }
 
 // RunAdaptive executes the protocol against a reactive adversary.

@@ -23,24 +23,47 @@ import (
 // algorithm requires, so the protocol must still terminate — after driving
 // DiamEstimate to its Θ(n) ceiling (Lemma 4.7).
 //
-// The path scratch and the returned graph are reused every round (the
-// engine reads a graph only until the next Graph call), so an Isolator
-// serves one run at a time.
+// A relay forwards message boxes, not copies (DESIGN.md decision 9), so a
+// round's n messages are a handful of distinct boxes: the Isolator ranks
+// the boxes, not the senders. The path scratch and the returned graph are
+// reused every round (the engine reads a graph only until the next Graph
+// call), so an Isolator serves one run at a time.
 type Isolator struct {
 	n      int
-	target int
+	target int // -1: no target
 
-	order, middle, pos []int
-	g                  *dynnet.Multigraph
+	// Per-round scratch. boxes holds the round's distinct protocol
+	// messages in order of first sender: one entry per *wire.Message box
+	// (identical boxes hold identical messages) and one per value-boxed
+	// message. box[pid] is pid's entry, or -1 for a terminated process or
+	// a non-protocol message. order is the path.
+	boxes []isoBox
+	box   []int
+	order []int
+	g     *dynnet.Multigraph
+}
+
+// isoBox is one distinct message of a round: the box (nil for a value
+// box), the message, how many processes send it, and whether it ties the
+// round's top priority.
+type isoBox struct {
+	ptr     *wire.Message
+	msg     wire.Message
+	senders int
+	top     bool
 }
 
 var _ engine.AdaptiveSchedule = (*Isolator)(nil)
 
 // NewIsolator returns an isolating adversary for n processes that keeps
 // the given target process (usually the leader) farthest from the
-// highest-priority message.
+// highest-priority message. A target outside [0, n) means no target: the
+// holders of the top message are still kept at one end of the path.
 func NewIsolator(n, target int) *Isolator {
-	return &Isolator{n: n, target: target, pos: make([]int, n), g: dynnet.NewMultigraph(n)}
+	if target < 0 || target >= n {
+		target = -1
+	}
+	return &Isolator{n: n, target: target, box: make([]int, n), order: make([]int, n), g: dynnet.NewMultigraph(n)}
 }
 
 // N implements engine.AdaptiveSchedule.
@@ -48,62 +71,80 @@ func (a *Isolator) N() int { return a.n }
 
 // Graph implements engine.AdaptiveSchedule.
 func (a *Isolator) Graph(_ int, sent []engine.Message) *dynnet.Multigraph {
-	// Rank the senders by the priority of their message; unknown or absent
-	// messages rank lowest.
+	// Collect the distinct messages. Relayed copies share a box and
+	// neighbouring senders often send the same one, so the previous
+	// sender's entry is tried before the scan.
+	boxes, box := a.boxes[:0], a.box
+	last := -1
+	for pid := range box {
+		box[pid] = -1
+		if pid >= len(sent) {
+			continue
+		}
+		switch m := sent[pid].(type) {
+		case *wire.Message:
+			if last < 0 || boxes[last].ptr != m {
+				last = -1
+				for i := range boxes {
+					if boxes[i].ptr == m {
+						last = i
+						break
+					}
+				}
+				if last < 0 {
+					last = len(boxes)
+					boxes = append(boxes, isoBox{ptr: m, msg: *m})
+				}
+			}
+			box[pid] = last
+			boxes[last].senders++
+		case wire.Message:
+			box[pid] = len(boxes)
+			boxes = append(boxes, isoBox{msg: m, senders: 1})
+		}
+	}
+	a.boxes = boxes
+
+	// The holders are the senders of every message of the top priority:
+	// distinct boxes of equal priority (two Begin or two Halt messages)
+	// hold it alike.
 	top := -1
-	var topMsg wire.Message
-	for pid, raw := range sent {
-		m, ok := wire.FromBox(raw)
-		if !ok {
-			continue
+	for i := range boxes {
+		if top < 0 || core.Higher(boxes[i].msg, boxes[top].msg) {
+			top = i
 		}
-		if top < 0 || core.Higher(m, topMsg) {
-			top, topMsg = pid, m
+	}
+	holders := 0
+	for i := range boxes {
+		if core.Compare(boxes[i].msg, boxes[top].msg) == 0 {
+			boxes[i].top = true
+			holders += boxes[i].senders
 		}
+	}
+	if t := a.target; t >= 0 && box[t] >= 0 && boxes[box[t]].top {
+		holders--
 	}
 
-	// Path layout: holders of the top message first, then the remaining
-	// processes, with the target at the far end.
-	order, middle := a.order[:0], a.middle[:0]
-	for pid, raw := range sent {
-		if pid == a.target {
-			continue
+	// Path layout, in one pass: the holders first, then the remaining
+	// processes, each group in pid order, with the target at the far end.
+	order := a.order
+	h, m := 0, holders
+	for pid, b := range box {
+		switch {
+		case pid == a.target:
+		case b >= 0 && boxes[b].top:
+			order[h] = pid
+			h++
+		default:
+			order[m] = pid
+			m++
 		}
-		m, ok := wire.FromBox(raw)
-		if ok && top >= 0 && core.Compare(m, topMsg) == 0 {
-			order = append(order, pid)
-			continue
-		}
-		middle = append(middle, pid)
 	}
-	order = append(order, middle...)
-	if a.target < a.n {
-		order = append(order, a.target)
+	if a.target >= 0 {
+		order[m] = a.target
 	}
-	a.order, a.middle = order, middle
-
-	// Emit the path's links in canonical order, so the engine finds them
-	// sorted: each process, in pid order, links to its higher path
-	// neighbours in ascending order.
-	for i, pid := range order {
-		a.pos[pid] = i
-	}
-	a.g.Reset(a.n)
-	for u, i := range a.pos {
-		lo, hi := -1, -1
-		if i > 0 {
-			lo = order[i-1]
-		}
-		if i+1 < len(order) {
-			hi = order[i+1]
-		}
-		lo, hi = min(lo, hi), max(lo, hi)
-		if lo > u {
-			a.g.MustAddLink(u, lo, 1)
-		}
-		if hi > u {
-			a.g.MustAddLink(u, hi, 1)
-		}
+	if err := a.g.ResetPath(order); err != nil {
+		panic(err) // unreachable: order lists every pid once
 	}
 	return a.g
 }

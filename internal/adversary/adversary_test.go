@@ -2,6 +2,8 @@ package adversary
 
 import (
 	"cmp"
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -77,6 +79,153 @@ func TestIsolatorLinksFollowItsPath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// isolatorOracle is the per-sender Isolator that ranking boxes replaced:
+// it compares every sender's message with the top, picks as holders the
+// senders whose message ties it, and links the path with AddLink, leaving
+// the canonical order to the graph. A target outside [0, n) is no target.
+// It returns the path's canonical links.
+func isolatorOracle(n, target int, sent []engine.Message) []dynnet.Link {
+	top := -1
+	var topMsg wire.Message
+	for pid, raw := range sent {
+		m, ok := wire.FromBox(raw)
+		if !ok {
+			continue
+		}
+		if top < 0 || core.Higher(m, topMsg) {
+			top, topMsg = pid, m
+		}
+	}
+	var order, middle []int
+	for pid, raw := range sent {
+		if pid == target {
+			continue
+		}
+		m, ok := wire.FromBox(raw)
+		if ok && top >= 0 && core.Compare(m, topMsg) == 0 {
+			order = append(order, pid)
+			continue
+		}
+		middle = append(middle, pid)
+	}
+	order = append(order, middle...)
+	if target >= 0 && target < n {
+		order = append(order, target)
+	}
+	g := dynnet.NewMultigraph(n)
+	for i := 0; i+1 < len(order); i++ {
+		g.MustAddLink(order[i], order[i+1], 1)
+	}
+	return g.Links()
+}
+
+// isolatorCatalog holds messages of every band, with pairs of equal
+// priority but different parameters (Begin, Halt) and pairs that
+// differ in priority within a band (Done, Edge, Reset).
+var isolatorCatalog = []wire.Message{
+	wire.Null(), wire.Begin(1), wire.Begin(2), wire.End(), wire.Done(3), wire.Done(5),
+	wire.Edge(1, 2, 3), wire.Edge(1, 2, 4), wire.Error(2), wire.Reset(1, 9, 4),
+	wire.Reset(2, 9, 4), wire.Halt(5, 10), wire.Halt(6, 11),
+}
+
+// randomSent draws one round's sent vector: a few heap boxes, each shared
+// by many senders (a catalog entry may be drawn twice, giving two boxes of
+// one value), mixed with value-boxed messages, nil for terminated
+// processes and a non-protocol value.
+func randomSent(rng *rand.Rand, n int) []engine.Message {
+	boxes := make([]*wire.Message, 1+rng.IntN(5))
+	for i := range boxes {
+		m := isolatorCatalog[rng.IntN(len(isolatorCatalog))]
+		boxes[i] = &m
+	}
+	sent := make([]engine.Message, n)
+	for pid := range sent {
+		switch r := rng.IntN(20); {
+		case r < 2:
+		case r < 3:
+			sent[pid] = "not a protocol message"
+		case r < 5:
+			sent[pid] = isolatorCatalog[rng.IntN(len(isolatorCatalog))]
+		default:
+			sent[pid] = boxes[rng.IntN(len(boxes))]
+		}
+	}
+	return sent
+}
+
+// TestIsolatorMatchesPerSenderOracle requires the box-ranking Isolator to
+// lay out exactly the oracle's path, round after round on one Isolator,
+// for every target position and targets outside [0, n). Distinct boxes of
+// the top priority must all count as holders, so an Isolator that picked
+// holders by box identity alone fails here.
+func TestIsolatorMatchesPerSenderOracle(t *testing.T) {
+	edge := wire.Edge(1, 2, 3)
+	haltA, haltB := wire.Halt(5, 10), wire.Halt(6, 11)
+	for _, n := range []int{1, 2, 5, 32} {
+		for target := -1; target <= n; target++ {
+			t.Run(fmt.Sprintf("n=%d/target=%d", n, target), func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(uint64(n), uint64(target+1)))
+				a := NewIsolator(n, target)
+				// Two Halt boxes tie for the top, far apart in pid order.
+				pinned := make([]engine.Message, n)
+				for pid := range pinned {
+					pinned[pid] = &edge
+				}
+				pinned[0], pinned[n-1] = &haltA, &haltB
+				for round := 1; round <= 60; round++ {
+					sent := pinned
+					if round > 1 {
+						sent = randomSent(rng, n)
+					}
+					want := isolatorOracle(n, target, sent)
+					got := a.Graph(round, sent).CanonicalLinks()
+					if !slices.Equal(got, want) {
+						t.Fatalf("round %d, sent %v: links %v, want %v", round, sent, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestIsolatorTargetOutOfRange: a target outside [0, n), negative ones
+// included, means no target, through the engine as well.
+func TestIsolatorTargetOutOfRange(t *testing.T) {
+	const n = 4
+	for _, target := range []int{-7, -1, n, n + 3} {
+		sent := []engine.Message{wire.Null(), wire.Edge(1, 2, 3), nil, wire.Edge(1, 2, 3)}
+		g := NewIsolator(n, target).Graph(1, sent)
+		if want := isolatorOracle(n, -1, sent); !slices.Equal(g.CanonicalLinks(), want) {
+			t.Fatalf("target %d: links %v, want the untargeted path %v", target, g.CanonicalLinks(), want)
+		}
+		inputs := make([]historytree.Input, n)
+		inputs[0].Leader = true
+		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
+		res, err := core.RunAdaptive(NewIsolator(n, target), inputs, cfg, core.RunOptions{})
+		if err != nil {
+			t.Fatalf("target %d: %v", target, err)
+		}
+		if res.N != n {
+			t.Fatalf("target %d: counted %d, want %d", target, res.N, n)
+		}
+	}
+}
+
+// BenchmarkIsolatorGraph times one round of the Isolator at the
+// congested-isolator size: 32 senders sharing 5 interleaved boxes.
+func BenchmarkIsolatorGraph(b *testing.B) {
+	const n = 32
+	msgs := []wire.Message{wire.Null(), wire.Begin(1), wire.Done(3), wire.Edge(1, 2, 3), wire.Reset(1, 9, 4)}
+	sent := make([]engine.Message, n)
+	for pid := range sent {
+		sent[pid] = &msgs[pid%len(msgs)]
+	}
+	a := NewIsolator(n, 0)
+	for i := 0; i < b.N; i++ {
+		a.Graph(i, sent)
 	}
 }
 

@@ -172,7 +172,7 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 		ecfg.MaxRounds = defaultMaxRounds(n, cfg)
 	}
 	ecfg.Deadline = opts.Deadline
-	ecfg.SizeOf = newSizeMemo()
+	ecfg.SizeOf = SizeOf
 	ecfg.Priority = priority
 	ecfg.BitLimit = opts.BitLimit
 	ecfg.Trace = opts.Trace

@@ -218,62 +218,12 @@ func (p *Process) boxFor(m wire.Message) *wire.Message {
 }
 
 // SizeOf measures protocol messages for the engine's congestion accounting.
+// The engine calls it once per submitted message; relayed copies carry
+// their size (engine.Config.SizeOf).
 func SizeOf(m engine.Message) int {
 	wm, ok := wire.FromBox(m)
 	if !ok {
 		return 0
 	}
 	return wire.SizeBits(wm)
-}
-
-// newSizeMemo returns a SizeOf that memoizes wire.SizeBits per unique
-// message value. Priority broadcast re-sends the same message for up to
-// Θ(n²) consecutive rounds and every process relays it, so the accounting
-// path re-measures identical values constantly; wire.Message is comparable,
-// which makes a map keyed by value an exact cache. Boxes are immutable
-// pointers reused across rounds (see boxFor), so the recency slots compare
-// box identity — one pointer compare — before falling back to the map. Each
-// run gets its own memo (runners invoke SizeOf from a single goroutine, so
-// no locking).
-func newSizeMemo() func(engine.Message) int {
-	memo := make(map[wire.Message]int)
-	var p0, p1 *wire.Message
-	var bits0, bits1 int
-	return func(m engine.Message) int {
-		pm, ok := m.(*wire.Message)
-		if !ok {
-			// Value-boxed delivery from a stub transport (never the engine).
-			wm, ok := wire.FromBox(m)
-			if !ok {
-				return 0
-			}
-			bits, ok := memo[wm]
-			if !ok {
-				bits = wire.SizeBits(wm)
-				memo[wm] = bits
-			}
-			return bits
-		}
-		// Within a round the accounting loop sees the processes' messages
-		// back to back, and during broadcast they are all the same box
-		// except the originator's: two cached entries (most recent first)
-		// absorb the leader/crowd alternation that a single-entry cache
-		// misses twice every round, keeping the hash lookups to the rare
-		// genuinely new values.
-		if pm == p0 {
-			return bits0
-		}
-		if pm == p1 {
-			p0, bits0, p1, bits1 = p1, bits1, p0, bits0
-			return bits0
-		}
-		bits, ok := memo[*pm]
-		if !ok {
-			bits = wire.SizeBits(*pm)
-			memo[*pm] = bits
-		}
-		p1, bits1 = p0, bits0
-		p0, bits0 = pm, bits
-		return bits
-	}
 }

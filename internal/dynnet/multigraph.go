@@ -40,6 +40,8 @@ type Multigraph struct {
 	// once-per-round traversals don't re-sort.
 	canon []Link
 	dirty bool
+	// pos is ResetPath's scratch: each process's index on the path.
+	pos []int
 }
 
 // NewMultigraph returns an empty multigraph on n processes.
@@ -240,6 +242,52 @@ func (g *Multigraph) Reset(n int) {
 	g.links = g.links[:0]
 	g.canon = nil
 	g.dirty = false
+}
+
+// ResetPath reinitializes g in place to the path through order, which
+// must be a permutation of 0..len(order)-1: a graph on len(order)
+// processes with one link between each two consecutive entries of order.
+// It writes the canonical link list directly, in pid order, keeping the
+// link storage for reuse, so a graph rebuilt every round as a path
+// allocates nothing and is never sorted. If order is not a permutation it
+// returns an error and leaves g without links.
+func (g *Multigraph) ResetPath(order []int) error {
+	n := len(order)
+	g.Reset(n)
+	if cap(g.pos) < n {
+		g.pos = make([]int, n)
+	}
+	pos := g.pos[:n]
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, u := range order {
+		if u < 0 || u >= n || pos[u] >= 0 {
+			return fmt.Errorf("dynnet: path order is not a permutation of 0..%d: entry %d is %d", n-1, i, u)
+		}
+		pos[u] = i
+	}
+	// Each process, in pid order, links to its path neighbours above it,
+	// lower one first: the canonical (U, V) order.
+	links := g.links
+	for u, i := range pos {
+		lo, hi := -1, -1
+		if i > 0 {
+			lo = order[i-1]
+		}
+		if i+1 < n {
+			hi = order[i+1]
+		}
+		lo, hi = min(lo, hi), max(lo, hi)
+		if lo > u {
+			links = append(links, Link{U: u, V: lo, Mult: 1})
+		}
+		if hi > u {
+			links = append(links, Link{U: u, V: hi, Mult: 1})
+		}
+	}
+	g.setCanonicalLinks(links)
+	return nil
 }
 
 // Clone returns a deep copy of g.

@@ -2,6 +2,7 @@ package dynnet
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +191,46 @@ func TestLinksReturnsCopy(t *testing.T) {
 	links[0].Mult = 99
 	if g.Links()[0].Mult == 99 {
 		t.Fatal("Links() exposes internal state")
+	}
+}
+
+// TestResetPath checks ResetPath against AddLink over random
+// permutations, on a reused graph: the links are the path's, already in
+// canonical order. A non-permutation is rejected and leaves no links.
+func TestResetPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	g := Path(7)
+	for _, n := range []int{0, 1, 2, 3, 8, 33} {
+		for trial := 0; trial < 20; trial++ {
+			order := rng.Perm(n)
+			if err := g.ResetPath(order); err != nil {
+				t.Fatalf("ResetPath(%v): %v", order, err)
+			}
+			want := NewMultigraph(n)
+			for i := 0; i+1 < n; i++ {
+				want.MustAddLink(order[i], order[i+1], 1)
+			}
+			if g.N() != n || g.String() != want.String() {
+				t.Fatalf("ResetPath(%v) = %v, want %v", order, g, want)
+			}
+			if got := g.CanonicalLinks(); !slices.IsSortedFunc(got, cmpLinks) {
+				t.Fatalf("ResetPath(%v) links %v not in canonical order", order, got)
+			}
+		}
+	}
+	for _, order := range [][]int{{0, 0}, {1, 2}, {0, -1}, {2, 0, 0}} {
+		if err := g.ResetPath(order); err == nil {
+			t.Errorf("ResetPath(%v) accepted a non-permutation", order)
+		}
+		if g.LinkCount() != 0 {
+			t.Errorf("ResetPath(%v) left links %v", order, g)
+		}
+	}
+	order := rng.Perm(32)
+	if err := g.ResetPath(order); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = g.ResetPath(order) }); allocs != 0 {
+		t.Fatalf("ResetPath on a reused graph allocated %.1f objects, want 0", allocs)
 	}
 }

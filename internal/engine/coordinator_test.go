@@ -199,6 +199,7 @@ loop:
 		case evSubmit:
 			c.state[ev.pid] = stateWaiting
 			c.pending[ev.pid] = ev.msg
+			c.rt.submit(ev.pid)
 			waiting++
 		case evDone:
 			if c.state[ev.pid] == stateWaiting {

@@ -131,8 +131,12 @@ type Config struct {
 	// means no deadline.
 	Deadline time.Duration
 	// SizeOf measures a message in bits for congestion accounting. If nil,
-	// sizes are not tracked and BitLimit is ignored. It is always invoked
-	// from the runner's own goroutine, never concurrently.
+	// sizes are not tracked and BitLimit is ignored. It is called once per
+	// submitted message, in the round the message is submitted: a relay's
+	// later rounds send copies whose size rides with them (DESIGN.md
+	// decision 17), so SizeOf must be a pure function of the message. It
+	// is always invoked from the runner's own goroutine, never
+	// concurrently.
 	SizeOf func(Message) int
 	// BitLimit, when positive and SizeOf is set, aborts the run with a
 	// *BitLimitError as soon as any message exceeds it.
@@ -189,7 +193,8 @@ type Result struct {
 	MaxMessageBits int
 	// TotalMessages counts messages sent (one per process per round).
 	TotalMessages int64
-	// TotalBits accumulates SizeOf over all sent messages.
+	// TotalBits accumulates the size of every sent message, relayed
+	// copies included.
 	TotalBits int64
 }
 

@@ -28,14 +28,21 @@ func wakeTop(m Message) bool { return m.(int) >= 40 }
 // stream — plain rounds, and relays with random steps, hold ∈ {1, 2, 3}
 // and an optional early wake — and returns a checksum of everything it
 // received and every relay result. Lifetimes differ, so processes return
-// while others are mid-relay.
-func relayProc(pid int, seed uint64) Coroutine {
+// while others are mid-relay. Each submission — a SendAndReceive, or a
+// Relay of at least one step — increments *subs, if subs is not nil.
+func relayProc(pid int, seed uint64, subs *int) Coroutine {
+	submit := func() {
+		if subs != nil {
+			*subs++
+		}
+	}
 	return CoroutineFunc(func(t *Transport) (any, error) {
 		rng := rand.New(rand.NewPCG(seed, uint64(pid)))
 		sum := 0
 		for a := 4 + rng.IntN(6); a > 0; a-- {
 			msg := rng.IntN(50)
 			if rng.IntN(3) == 0 {
+				submit()
 				in, err := t.SendAndReceive(msg)
 				if err != nil {
 					return nil, err
@@ -53,6 +60,9 @@ func relayProc(pid int, seed uint64) Coroutine {
 			case 1:
 				// No step limit: only the wake ends the relay (or the run).
 				wake, steps = wakeTop, math.MaxInt
+			}
+			if steps > 0 {
+				submit()
 			}
 			got, err := t.Relay(msg, steps, 1+rng.IntN(3), wake)
 			if err != nil {
@@ -85,8 +95,9 @@ func messySchedule(n int, p float64, seed uint64) dynnet.Schedule {
 }
 
 // runRelays executes relayProc on every process on the given path, with
-// the priority order, a size accounting and a Trace capture installed.
-func runRelays(ctx context.Context, run runFunc, cfg Config, seed uint64) (*Result, []string, error) {
+// the priority order, a size accounting and a Trace capture installed,
+// counting the submissions into *subs if subs is not nil.
+func runRelays(ctx context.Context, run runFunc, cfg Config, seed uint64, subs *int) (*Result, []string, error) {
 	log, hook := captureTrace()
 	if cfg.Trace == nil {
 		cfg.Trace = hook
@@ -98,15 +109,21 @@ func runRelays(ctx context.Context, run runFunc, cfg Config, seed uint64) (*Resu
 		}
 	}
 	cfg.Priority = decadePriority
-	cfg.SizeOf = func(m Message) int { return m.(int)%13 + 3 }
+	if cfg.SizeOf == nil {
+		cfg.SizeOf = relaySize
+	}
 	n := scheduleN(cfg)
 	procs := make([]Coroutine, n)
 	for pid := range procs {
-		procs[pid] = relayProc(pid, seed)
+		procs[pid] = relayProc(pid, seed, subs)
 	}
 	res, err := run(ctx, cfg, procs)
 	return res, *log, err
 }
+
+// relaySize is relayProc's message size: it differs between messages of
+// one decade, so a relayed copy that lost its size would miscount.
+func relaySize(m Message) int { return m.(int)%13 + 3 }
 
 func scheduleN(cfg Config) int {
 	if cfg.Adaptive != nil {
@@ -142,7 +159,7 @@ func TestRelayMatchesStepwise(t *testing.T) {
 					for i, p := range runPaths {
 						cfg := fam.cfg()
 						cfg.MaxRounds = 300
-						res, trace, err := runRelays(context.Background(), p.run, cfg, seed)
+						res, trace, err := runRelays(context.Background(), p.run, cfg, seed, nil)
 						if err != nil && !errors.Is(err, ErrMaxRounds) {
 							t.Fatalf("%s: %v", p.name, err)
 						}
@@ -179,7 +196,12 @@ func testRelayStops(t *testing.T) {
 		}, func(err error) bool { return errors.Is(err, ErrMaxRounds) }},
 		{"bit-limit", func(context.CancelFunc) Config {
 			return Config{BitLimit: 14}
-		}, func(err error) bool { var ble *BitLimitError; return errors.As(err, &ble) }},
+		}, func(err error) bool {
+			// The round and pid of sizing every sent message every round:
+			// an oversized message is caught in the round it is submitted.
+			var ble *BitLimitError
+			return errors.As(err, &ble) && ble.Round == 11 && ble.Process == 6
+		}},
 		{"cancel", func(cancel context.CancelFunc) Config {
 			return Config{Trace: func(round int, _ []Message) {
 				if round == 6 {
@@ -200,7 +222,7 @@ func testRelayStops(t *testing.T) {
 				if cfg.MaxRounds == 0 {
 					cfg.MaxRounds = 1000
 				}
-				res, trace, err := runRelays(ctx, p.run, cfg, seed)
+				res, trace, err := runRelays(ctx, p.run, cfg, seed, nil)
 				cancel()
 				if !tc.want(err) {
 					t.Fatalf("%s: err = %v", p.name, err)
@@ -215,6 +237,45 @@ func testRelayStops(t *testing.T) {
 				assertSameRun(t, p.name, want, res, wantTrace, trace)
 			}
 		})
+	}
+}
+
+// TestRelaySizesEachSubmissionOnce: the runner sizes a message once, when
+// it is submitted, and a relayed copy brings its size along, so SizeOf is
+// called once per submission, while TotalBits and MaxMessageBits still
+// match the stepwise oracle, which submits, and so sizes, every message in
+// every round.
+func TestRelaySizesEachSubmissionOnce(t *testing.T) {
+	for _, n := range []int{2, 5, 9, 16} {
+		for _, seed := range []uint64{1, 2, 3} {
+			families := []struct {
+				name string
+				cfg  func() Config
+			}{
+				{"sparse", func() Config { return Config{Schedule: messySchedule(n, 0.15, seed)} }},
+				{"dense", func() Config { return Config{Schedule: messySchedule(n, 0.8, seed)} }},
+				{"adaptive", func() Config { return Config{Adaptive: rotPathAdaptive{n: n}} }},
+			}
+			for _, fam := range families {
+				t.Run(fmt.Sprintf("%s/n=%d/seed=%d", fam.name, n, seed), func(t *testing.T) {
+					subs, calls := 0, 0
+					cfg := fam.cfg()
+					cfg.MaxRounds = 300
+					cfg.SizeOf = func(m Message) int { calls++; return relaySize(m) }
+					res, trace, err := runRelays(context.Background(), RunContext, cfg, seed, &subs)
+					if err != nil && !errors.Is(err, ErrMaxRounds) {
+						t.Fatal(err)
+					}
+					if calls != subs {
+						t.Errorf("SizeOf called %d times for %d submissions (%d messages sent)", calls, subs, res.TotalMessages)
+					}
+					cfg = fam.cfg()
+					cfg.MaxRounds = 300
+					want, wantTrace, _ := runRelays(context.Background(), runCoordinator, cfg, seed, nil)
+					assertSameRun(t, "runner", want, res, wantTrace, trace)
+				})
+			}
+		}
 	}
 }
 

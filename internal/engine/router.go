@@ -65,12 +65,16 @@ type router struct {
 	// rank, so the link pass compares ints only. They hold from one ranking
 	// to the next: a relayed message carries its rank into later rounds,
 	// and a round with a new submission (dirty) re-ranks every live
-	// message first. steps counts the steps left, hold the rounds per step
-	// and left the rounds left in the current step; wakeNow caches
-	// wake(held message).
+	// message first. size and foldSize are the Config.SizeOf sizes of
+	// pending and fold, carried the same way: a message is sized once, in
+	// the round its originator sends it, and a negative size marks a
+	// submission still to be sized. steps counts the steps left, hold the
+	// rounds per step and left the rounds left in the current step;
+	// wakeNow caches wake(held message).
 	ranks             []int32 // rank and foldRank, back to back
 	rank, foldRank    []int32
 	fold              []Message
+	size, foldSize    []int
 	steps, hold, left []int
 	wake              []func(Message) bool
 	wakeNow           []bool
@@ -111,6 +115,8 @@ func newRouter(cfg *Config, n int) *router {
 		rank:      ranks[:n],
 		foldRank:  ranks[n:],
 		fold:      make([]Message, n),
+		size:      make([]int, n),
+		foldSize:  make([]int, n),
 		steps:     make([]int, n),
 		hold:      make([]int, n),
 		left:      make([]int, n),
@@ -162,15 +168,24 @@ func (rt *router) route(state []procState, pending []Message, res *Result) ([][]
 			sentByPID[pid] = msg
 		}
 		res.TotalMessages++
-		if rt.cfg.SizeOf != nil {
-			bits := rt.cfg.SizeOf(msg)
+		if rt.cfg.SizeOf == nil {
+			continue
+		}
+		bits := rt.size[pid]
+		if bits >= 0 {
+			// Sent before, by this process or, for a relayed copy, by its
+			// originator: sized, counted and checked in that round.
 			res.TotalBits += int64(bits)
-			if bits > res.MaxMessageBits {
-				res.MaxMessageBits = bits
-			}
-			if rt.cfg.BitLimit > 0 && bits > rt.cfg.BitLimit {
-				return nil, &BitLimitError{Round: rt.round, Process: pid, Bits: bits, Limit: rt.cfg.BitLimit}
-			}
+			continue
+		}
+		bits = rt.cfg.SizeOf(msg)
+		rt.size[pid] = bits
+		res.TotalBits += int64(bits)
+		if bits > res.MaxMessageBits {
+			res.MaxMessageBits = bits
+		}
+		if rt.cfg.BitLimit > 0 && bits > rt.cfg.BitLimit {
+			return nil, &BitLimitError{Round: rt.round, Process: pid, Bits: bits, Limit: rt.cfg.BitLimit}
 		}
 	}
 
@@ -293,21 +308,22 @@ func (rt *router) carve(total int) []Message {
 // foldOnly routes a round in which every live process relays: no inbox is
 // built, and each receiver folds its senders' ranks in link order, which is
 // the order its inbox would have listed them. A receiver's fold takes a
-// message only when its rank is strictly higher, so on a tie the first
-// arrival wins; multiplicities and repeats cannot change a fold, so each
-// link is visited once.
+// message, with its size, only when its rank is strictly higher, so on a
+// tie the first arrival wins; multiplicities and repeats cannot change a
+// fold, so each link is visited once.
 func (rt *router) foldOnly(links []dynnet.Link, state []procState, pending []Message, all bool) {
 	rank, foldRank, fold := rt.rank, rt.foldRank, rt.fold
+	size, foldSize := rt.size, rt.foldSize
 	for _, l := range links {
 		u, v := l.U, l.V
 		if !all && (!state[u].live() || !state[v].live()) {
 			continue
 		}
 		if r := rank[v]; r > foldRank[u] {
-			foldRank[u], fold[u] = r, pending[v]
+			foldRank[u], fold[u], foldSize[u] = r, pending[v], size[v]
 		}
 		if r := rank[u]; r > foldRank[v] {
-			foldRank[v], fold[v] = r, pending[u]
+			foldRank[v], fold[v], foldSize[v] = r, pending[u], size[u]
 		}
 	}
 }
@@ -362,16 +378,24 @@ func (rt *router) receive(state []procState, pending []Message, to, from, mult i
 		return
 	}
 	if r := rt.rank[from]; r > rt.foldRank[to] {
-		rt.foldRank[to], rt.fold[to] = r, pending[from]
+		rt.foldRank[to], rt.fold[to], rt.foldSize[to] = r, pending[from], rt.size[from]
 	}
 }
 
-// startRelay parks pid in a relay of msg. Its ranks are set by the next
-// route's ranking, which the new submission makes due.
+// submit records that pid's pending message is a new submission: the next
+// route sizes it and, first, re-ranks every live message.
+func (rt *router) submit(pid int) {
+	rt.size[pid] = -1
+	rt.dirty = true
+}
+
+// startRelay parks pid in a relay of msg, a new submission. Its ranks are
+// set by the next route's ranking and its size by the next route's
+// accounting; the fold, which starts as msg, needs neither until it moves.
 func (rt *router) startRelay(pid int, msg Message, steps, hold int, wake func(Message) bool) {
 	hold = max(hold, 1)
 	rt.relaying++
-	rt.dirty = true
+	rt.submit(pid)
 	rt.fold[pid] = msg
 	rt.steps[pid] = steps
 	rt.hold[pid], rt.left[pid] = hold, hold
@@ -382,8 +406,8 @@ func (rt *router) startRelay(pid int, msg Message, steps, hold int, wake func(Me
 // endSteps closes the relay steps that end with this round and returns the
 // number of relays it woke. A relay wakes once its steps are spent or its
 // fold satisfies wake, keeping its last sent message in pending and its
-// result in fold; otherwise the fold becomes the held message, rank and
-// all, for the next step. The fold differs from the held message exactly
+// result in fold; otherwise the fold becomes the held message, rank, size
+// and all, for the next step. The fold differs from the held message exactly
 // when its rank does, because it only ever moves to strictly higher ranks;
 // since wake is pure, wakeNow caches it on the held message and is
 // re-evaluated only when the fold moved, which keeps an indirect call per
@@ -409,7 +433,7 @@ func (rt *router) endSteps(state []procState, pending []Message) int {
 			continue
 		}
 		if moved {
-			pending[pid], rt.rank[pid] = rt.fold[pid], rt.foldRank[pid]
+			pending[pid], rt.rank[pid], rt.size[pid] = rt.fold[pid], rt.foldRank[pid], rt.foldSize[pid]
 		}
 		rt.left[pid] = rt.hold[pid]
 	}

@@ -84,7 +84,7 @@ func (r *runner) sendAndReceive(t *Transport, msg Message) ([]Message, error) {
 	}
 	r.state[t.pid] = stateWaiting
 	r.pending[t.pid] = msg
-	r.rt.dirty = true
+	r.rt.submit(t.pid)
 	if !r.yield[t.pid](struct{}{}) {
 		// The runner called stop: unwind.
 		return nil, ErrStopped

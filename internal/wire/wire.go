@@ -340,13 +340,24 @@ func validExt(ext string) error {
 	return nil
 }
 
-// SizeBits returns the exact encoded size of m in bits. Unknown labels
-// count as a single byte (defensive; they cannot be produced by the
-// constructors).
+// SizeBits returns the exact encoded size of m in bits, as Encode would
+// write it: the label byte, the zig-zag varint of each parameter, and for
+// an EdgeBatch the Ext length prefix and payload. It computes the length
+// without encoding, so it allocates nothing. A message Encode rejects (an
+// unknown label, or Ext on another label) counts as a single byte
+// (defensive; the constructors produce neither).
 func SizeBits(m Message) int {
-	buf, err := m.Encode(nil)
-	if err != nil {
+	k := m.Label.arity()
+	if k < 0 || (len(m.Ext) != 0 && m.Label != LabelEdgeBatch) {
 		return 8
 	}
-	return 8 * len(buf)
+	size := 1
+	params := [3]int64{m.A, m.B, m.C}
+	for _, v := range params[:k] {
+		size += uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
+	}
+	if m.Label == LabelEdgeBatch {
+		size += uvarintLen(uint64(len(m.Ext))) + len(m.Ext)
+	}
+	return 8 * size
 }

@@ -104,17 +104,61 @@ func TestSizeBitsGrowsLogarithmically(t *testing.T) {
 	}
 }
 
+// TestSizeBitsMatchesEncoding checks the arithmetic SizeBits against the
+// encoding, at every varint band edge of a parameter and of the batch
+// length prefix.
 func TestSizeBitsMatchesEncoding(t *testing.T) {
 	msgs := []Message{Null(), Begin(3), End(), Done(500), Edge(70, 80, 90),
 		Error(2), Reset(1, 100000, 16), Input(1, -7, true), Halt(9, 1234)}
+	for _, v := range []int64{0, 1, -1, 63, -63, 64, -64, 65, -65, 8191, -8191,
+		8192, -8192, 8193, -8193, math.MinInt64, math.MaxInt64} {
+		msgs = append(msgs, Begin(v), Halt(v, -v), Edge(v, 1, v), Input(-v, v, false))
+	}
+	for _, ext := range []int{0, 127, 128} {
+		// Each (0, 0) pair encodes in 2 bytes and (64, 0) in 3.
+		pairs := make([]EdgePair, 1+ext/2)
+		if ext%2 == 1 {
+			pairs = append(pairs[:len(pairs)-1], EdgePair{ID2: 64})
+		}
+		m, err := EdgeBatch(1, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Ext) != ext {
+			t.Fatalf("batch of %d pairs has a %d-byte Ext, want %d", len(pairs), len(m.Ext), ext)
+		}
+		msgs = append(msgs, m)
+	}
 	for _, m := range msgs {
 		buf, err := m.Encode(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
 		if SizeBits(m) != 8*len(buf) {
-			t.Errorf("%s: SizeBits=%d, encoding is %d bits", m, SizeBits(m), 8*len(buf))
+			t.Errorf("%s (Ext %d bytes): SizeBits=%d, encoding is %d bits", m, len(m.Ext), SizeBits(m), 8*len(buf))
 		}
+	}
+	// A message Encode rejects counts as one byte.
+	for _, m := range []Message{{Label: Label(0xEE)}, {Label: LabelEdge, Ext: "x"}} {
+		if _, err := m.Encode(nil); err == nil || SizeBits(m) != 8 {
+			t.Errorf("%v: SizeBits=%d, Encode error %v; want 8 and an error", m, SizeBits(m), err)
+		}
+	}
+}
+
+// TestSizeBitsAllocatesNothing: SizeBits computes the length without
+// encoding.
+func TestSizeBitsAllocatesNothing(t *testing.T) {
+	batch, err := EdgeBatch(1, []EdgePair{{2, 1}, {3, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		bits += SizeBits(Reset(12, 100000, 64)) + SizeBits(batch)
+	})
+	if allocs != 0 {
+		t.Fatalf("SizeBits allocated %.1f objects per call pair, want 0", allocs)
 	}
 }
 
