@@ -69,6 +69,12 @@ func NewIsolator(n, target int) *Isolator {
 // N implements engine.AdaptiveSchedule.
 func (a *Isolator) N() int { return a.n }
 
+// Stateless declares to the engine that Graph keeps no state between calls
+// (see engine.AdaptiveSchedule): the path depends on the round's sent
+// messages alone, and the scratch it reuses carries nothing from one call
+// to the next. So the engine may skip the calls of a quiet stretch.
+func (a *Isolator) Stateless() bool { return true }
+
 // Graph implements engine.AdaptiveSchedule.
 func (a *Isolator) Graph(_ int, sent []engine.Message) *dynnet.Multigraph {
 	// Collect the distinct messages. Relayed copies share a box and

@@ -36,9 +36,11 @@ func traceHashes() (*[]uint64, func(int, []engine.Message)) {
 	}
 }
 
-// normalized strips a run's wall-clock fields, which differ run to run.
+// normalized strips a run's wall-clock fields, which differ run to run,
+// and its quiet rounds, which count the work the engine's Relay skipped:
+// the stepwise reference relays by SendAndReceive, so it skips none.
 func normalized(st core.RunStats) core.RunStats {
-	st.WallClock, st.SolverTime = 0, 0
+	st.WallClock, st.SolverTime, st.QuietRounds = 0, 0, 0
 	return st
 }
 
@@ -139,12 +141,14 @@ func diffCases(t *testing.T) []diffCase {
 // TestRelayCoreDifferential runs every case through the engine's Relay and
 // through the stepwise reference and requires identical observables.
 func TestRelayCoreDifferential(t *testing.T) {
-	resets, halts := 0, 0
+	resets, halts, quiet := 0, 0, 0
 	defer func() {
 		// The cases must reach the relays that end early: error phases
-		// waiting for a Reset, and Halt forwarding.
-		if !t.Failed() && (resets == 0 || halts == 0) {
-			t.Fatalf("%d runs reset and %d halted; the differential must cover both", resets, halts)
+		// waiting for a Reset, and Halt forwarding; and the quiet
+		// stretches the engine jumps.
+		if !t.Failed() && (resets == 0 || halts == 0 || quiet == 0) {
+			t.Fatalf("%d runs reset, %d halted and %d jumped quiet stretches; the differential must cover all three",
+				resets, halts, quiet)
 		}
 	}()
 	for _, tc := range diffCases(t) {
@@ -178,6 +182,12 @@ func TestRelayCoreDifferential(t *testing.T) {
 			}
 			if tc.cfg.SimultaneousHalt {
 				halts++
+			}
+			if relay.res.Stats.QuietRounds > 0 {
+				quiet++
+			}
+			if step.res.Stats.QuietRounds != 0 {
+				t.Fatalf("the stepwise reference skipped %d quiet rounds", step.res.Stats.QuietRounds)
 			}
 			if g, w := normalized(relay.res.Stats), normalized(step.res.Stats); g != w {
 				t.Fatalf("stats differ:\n relay    %+v\n stepwise %+v", g, w)

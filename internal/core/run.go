@@ -21,6 +21,10 @@ type RunStats struct {
 	// TotalMessages and TotalBits accumulate over the whole run.
 	TotalMessages int64
 	TotalBits     int64
+	// QuietRounds counts the rounds the engine accounted in quiet
+	// stretches, making no graph and routing no link
+	// (engine.Result.QuietRounds); 0 for a protocol that never relays.
+	QuietRounds int
 	// Resets is the number of leader-initiated reset phases.
 	Resets int
 	// FinalDiamEstimate is the deciding process's diameter estimate at
@@ -202,6 +206,7 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 			MaxMessageBits: res.MaxMessageBits,
 			TotalMessages:  res.TotalMessages,
 			TotalBits:      res.TotalBits,
+			QuietRounds:    res.QuietRounds,
 			Resets:         cfg.Recorder.Resets(),
 			WallClock:      wall,
 		},

@@ -16,6 +16,9 @@ import (
 // deterministic functions of t (randomized adversaries pre-commit via a
 // seeded RNG keyed on t) so that runs are reproducible and so that the
 // history-tree oracle and the protocol under test observe the same graphs.
+// The engine relies on it: it does not ask for the graphs of rounds in
+// which no graph can change what a process holds, so a call must not
+// depend on the calls before it.
 type Schedule interface {
 	// N returns the number of processes.
 	N() int

@@ -206,6 +206,7 @@ loop:
 				waiting--
 			}
 			c.state[ev.pid] = stateDone
+			c.rt.leave(ev.pid, c.pending)
 			alive--
 			if ev.err != nil && !errors.Is(ev.err, ErrStopped) {
 				runErr = fmt.Errorf("engine: process %d: %w", ev.pid, ev.err)

@@ -14,7 +14,14 @@
 // the neighbors' messages into the highest one by Config.Priority, and
 // resumes the process only once the broadcast is over. A relaying process
 // costs the router one pass over the round's links and costs no coroutine
-// switch.
+// switch. The router keeps its books per change, not per process, and a
+// round in which every live process relays and already holds the
+// top-ranked message starts a quiet stretch: no graph can move any fold
+// until the earliest relay ends, so the router accounts the stretch's
+// rounds in one arithmetic step, with no graph and no link routed
+// (Result.QuietRounds). An oblivious schedule's graphs are a function of
+// the round, so they are skipped; an adaptive one's only if it declares
+// its Graph stateless (AdaptiveSchedule).
 //
 // The runner executes every process as a pull coroutine, swept inline on
 // the caller's goroutine by direct coroutine switches: no worker goroutine,
@@ -101,15 +108,27 @@ func (e *BitLimitError) Error() string {
 // could precompute the run — but it makes worst-case adversaries far
 // easier to express (e.g. "always isolate the holders of the
 // highest-priority message").
+//
+// An adversary whose Graph keeps no state between calls, so that a round's
+// graph depends on round and sent alone, may declare it with a method
+//
+//	Stateless() bool
+//
+// that returns true. The engine then skips Graph in the rounds of a quiet
+// stretch, in which every live process relays and holds the top-ranked
+// message, so no graph can change what any process holds (DESIGN.md
+// decision 17). Without the declaration every round calls Graph: an
+// adversary that remembers what it saw, such as one that switches
+// topology for good once some message has been sent, must not declare it.
 type AdaptiveSchedule interface {
 	// N returns the number of processes.
 	N() int
 	// Graph returns the round-`round` multigraph given the messages sent
 	// this round; sent[pid] is process pid's message, or nil if it has
-	// terminated. The engine reuses the sent slice between rounds;
-	// implementations must not retain it past the call. The engine reads
-	// the returned graph only until the next Graph call, so an
-	// implementation may reuse one graph for every round.
+	// terminated. The slice is the engine's own and is reused between
+	// rounds; implementations must not write to it or retain it past the
+	// call. The engine reads the returned graph only until the next Graph
+	// call, so an implementation may reuse one graph for every round.
 	Graph(round int, sent []Message) *dynnet.Multigraph
 }
 
@@ -196,6 +215,11 @@ type Result struct {
 	// TotalBits accumulates the size of every sent message, relayed
 	// copies included.
 	TotalBits int64
+	// QuietRounds counts the rounds accounted in quiet stretches: rounds
+	// in which every live process relayed and held the top-ranked message,
+	// so the engine made no graph and routed no link (DESIGN.md decision
+	// 17). They are counted in Rounds and in the totals above.
+	QuietRounds int
 }
 
 // Run executes one coroutine per process over cfg.Schedule and returns the

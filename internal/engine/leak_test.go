@@ -15,7 +15,7 @@ import (
 // and for the schedule generator before returning — under normal
 // completion, early stop, round-budget cancellation, a bit-limit
 // violation, a process error, the watchdog and context cancellation alike,
-// and on every execution path.
+// the last two also across quiet stretches, and on every execution path.
 func TestNoGoroutineLeaks(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -104,6 +104,39 @@ func TestNoGoroutineLeaks(t *testing.T) {
 			}, []Coroutine{spinner(), spinner(), spinner()})
 			if !errors.Is(err, ErrWatchdog) {
 				return fmt.Errorf("err = %v, want ErrWatchdog", err)
+			}
+			return nil
+		}},
+		{name: "quiet-watchdog", do: func(run runFunc) error {
+			// Back-to-back quiet stretches (relayLoop, quiet_test.go).
+			_, err := run(context.Background(), Config{
+				Schedule:  dynnet.NewStatic(dynnet.Cycle(3)),
+				MaxRounds: 1 << 30,
+				Deadline:  5 * time.Millisecond,
+				Priority:  decadePriority,
+			}, []Coroutine{relayLoop(7, 40, 1), relayLoop(7, 40, 2), relayLoop(7, 40, 1)})
+			if !errors.Is(err, ErrWatchdog) {
+				return fmt.Errorf("err = %v, want ErrWatchdog", err)
+			}
+			return nil
+		}},
+		{name: "quiet-cancel", do: func(run runFunc) error {
+			// Cancelled inside a quiet stretch, with every process parked
+			// mid-relay.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			_, err := run(ctx, Config{
+				Schedule:  dynnet.NewStatic(dynnet.Cycle(3)),
+				MaxRounds: 1 << 20,
+				Priority:  decadePriority,
+				Trace: func(round int, _ []Message) {
+					if round == 100 {
+						cancel()
+					}
+				},
+			}, []Coroutine{relayLoop(7, 40, 1), relayLoop(7, 40, 1), relayLoop(7, 40, 1)})
+			if !errors.Is(err, context.Canceled) {
+				return fmt.Errorf("err = %v, want context.Canceled", err)
 			}
 			return nil
 		}},

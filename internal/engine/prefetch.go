@@ -19,8 +19,9 @@ const (
 	// lives in slot t mod ringSize.
 	ringSize = 16
 	// sampleEvery and sampleRounds set the router's engagement sample: it
-	// times every sampleEvery-th inline GraphInto of rounds 1…sampleRounds
-	// and decides at round sampleRounds.
+	// times every sampleEvery-th inline GraphInto call and decides at the
+	// first routed round from sampleRounds on. Counting calls rather than
+	// rounds keeps the sample whole when quiet stretches skip rounds.
 	sampleEvery  = 16
 	sampleRounds = 256
 	// minGraph is the least typical GraphInto time worth a handoff: below
@@ -57,9 +58,10 @@ func claimCore() bool {
 }
 
 // inPlaceGraph returns the round's graph from an InPlaceSchedule: from the
-// generator's ring once it runs, else made inline. Over rounds 1…256 it
-// times every 16th inline call, and at round 256 it starts the generator,
-// from round 257, if the samples say one pays and a core is spare.
+// generator's ring once it runs, else made inline. Until its decision it
+// times every 16th inline call; at the first routed round from 256 on it
+// starts the generator, from the next round, if the samples say one pays
+// and a core is spare.
 func (rt *router) inPlaceGraph() *dynnet.Multigraph {
 	switch {
 	case rt.pf != nil:
@@ -68,29 +70,45 @@ func (rt *router) inPlaceGraph() *dynnet.Multigraph {
 		busyCores.Add(1)
 		rt.start(rt.round)
 		return rt.pf.graph(rt.round)
-	case rt.round > sampleRounds || rt.round%sampleEvery != 0:
-		if rt.round == 1 {
-			rt.t0 = time.Now()
-		}
+	case rt.decided:
+		rt.inPlace.GraphInto(rt.round, rt.gbuf)
+		return rt.gbuf
+	}
+	// Every call before the decision is at a round below 256, so the
+	// sample never takes more than 16 times.
+	rt.calls++
+	sample := rt.calls%sampleEvery == 0
+	decide := rt.round >= sampleRounds
+	if !sample && !decide {
 		rt.inPlace.GraphInto(rt.round, rt.gbuf)
 		return rt.gbuf
 	}
 	start := time.Now()
 	rt.inPlace.GraphInto(rt.round, rt.gbuf)
 	now := time.Now()
-	rt.samples[rt.round/sampleEvery-1] = now.Sub(start)
-	if rt.round == sampleRounds && generationBound(rt.samples[:], now.Sub(rt.t0)) && claimCore() {
-		rt.start(rt.round + 1)
+	if sample {
+		rt.samples[rt.sampled] = now.Sub(start)
+		rt.sampled++
+	}
+	if decide {
+		rt.decided = true
+		if generationBound(rt.samples[:rt.sampled], now.Sub(rt.t0)) && claimCore() {
+			rt.start(rt.round + 1)
+		}
 	}
 	return rt.gbuf
 }
 
-// generationBound reports whether the sampled inline graphs say that rounds
-// 1…sampleRounds, which took wall, were bound by generation: their total,
-// scaled up to every round, is at least a quarter of the wall time, and
-// their median is at least minGraph. The median keeps one stall inside a
-// sampled call from passing for graphs worth a handoff. It sorts samples.
+// generationBound reports whether the sampled inline graphs say that the
+// run so far, which took wall, was bound by generation: their total, scaled
+// up to every call, is at least a quarter of the wall time, and their median
+// is at least minGraph. The median keeps one stall inside a sampled call
+// from passing for graphs worth a handoff. It sorts samples; with none,
+// there is nothing to go by.
 func generationBound(samples []time.Duration, wall time.Duration) bool {
+	if len(samples) == 0 {
+		return false
+	}
 	var total time.Duration
 	for _, d := range samples {
 		total += d
@@ -111,11 +129,15 @@ func (rt *router) start(from int) {
 	rt.pf, rt.startedAt = p, from
 }
 
-// open counts the run among the busy cores; close stops its generator, if
-// it started one, and waits for it to exit, then uncounts both. A run
-// calls open before its first round and close on every exit path, so Run
-// never returns with a generator behind it.
-func (rt *router) open() { busyCores.Add(1) }
+// open counts the run among the busy cores and starts the engagement
+// sample's clock; close stops its generator, if it started one, and waits
+// for it to exit, then uncounts both. A run calls open before its first
+// round and close on every exit path, so Run never returns with a
+// generator behind it.
+func (rt *router) open() {
+	busyCores.Add(1)
+	rt.t0 = time.Now()
+}
 
 func (rt *router) close() {
 	if rt.pf != nil {
@@ -159,7 +181,8 @@ var prefetchers = sync.Pool{New: func() any {
 }}
 
 // generate fills the ring until told to quit. It parks only when the ring
-// is full and is woken once half of it is free.
+// is full and is woken once half of it is free. A router that jumped a
+// quiet stretch has passed rounds not yet made; the generator skips them.
 func (p *prefetcher) generate(from int) {
 	defer p.exited.Done()
 	for t := int64(from); ; t++ {
@@ -172,6 +195,9 @@ func (p *prefetcher) generate(from int) {
 				continue
 			}
 			<-p.genWake
+		}
+		if taken := p.taken.Load(); t <= taken {
+			t = taken + 1
 		}
 		if p.quit.Load() {
 			return

@@ -38,6 +38,24 @@ func busyProc(cost time.Duration) Coroutine {
 	})
 }
 
+// pulseProc sends for 10 rounds and then relays one message for 20, over
+// and over. Processes that all run it relay in step, so each relay is one
+// quiet stretch: rounds 30k+11…30k+30 make no graph.
+func pulseProc() Coroutine {
+	return CoroutineFunc(func(tr *Transport) (any, error) {
+		for {
+			for range 10 {
+				if _, err := tr.SendAndReceive(7); err != nil {
+					return nil, err
+				}
+			}
+			if _, err := tr.Relay(7, 20, 1, nil); err != nil {
+				return nil, err
+			}
+		}
+	})
+}
+
 // generatorFrom runs procs for rounds rounds on the production runner and
 // returns the round from which the run's generator made graphs, 0 if it
 // started none.
@@ -53,9 +71,10 @@ func generatorFrom(t *testing.T, cfg Config, procs []Coroutine, rounds int) int 
 }
 
 // TestPrefetchEngagement pins the rule that starts the generator: a run
-// alone on 2 Ps whose rounds are mostly generation starts it at round 257;
-// a run shorter than 256 rounds, one whose rounds are mostly protocol
-// work, or one whose graphs cost less than a handoff never does.
+// alone on 2 Ps whose rounds are mostly generation starts it at round 257,
+// or, if round 256 falls in a quiet stretch, after the first routed round
+// past it; a run shorter than 256 rounds, one whose rounds are mostly
+// protocol work, or one whose graphs cost less than a handoff never does.
 func TestPrefetchEngagement(t *testing.T) {
 	const us = time.Microsecond
 	same := func(d time.Duration) []time.Duration {
@@ -96,6 +115,16 @@ func TestPrefetchEngagement(t *testing.T) {
 	}
 	if from != sampleRounds+1 {
 		t.Errorf("generation-bound run: generator from round %d, want %d", from, sampleRounds+1)
+	}
+	// Round 256 lies in the quiet stretch 251–270, so the run decides at
+	// round 271, from 5 samples of its 91 inline graphs.
+	from = 0
+	for try := 0; try < 3 && from == 0; try++ {
+		pulses := []Coroutine{pulseProc(), pulseProc(), pulseProc()}
+		from = generatorFrom(t, Config{Schedule: slow, Priority: decadePriority}, pulses, 300)
+	}
+	if from != 272 {
+		t.Errorf("generation-bound run with quiet stretches: generator from round %d, want 272", from)
 	}
 	if from := generatorFrom(t, Config{Schedule: slow}, spinners(), sampleRounds-1); from != 0 {
 		t.Errorf("%d-round run started a generator at round %d", sampleRounds-1, from)

@@ -132,15 +132,26 @@ func scheduleN(cfg Config) int {
 	return cfg.Schedule.N()
 }
 
+// statelessRotPath is rotPathAdaptive, whose Graph keeps no state between
+// calls, declaring so: the runner may skip its quiet rounds.
+type statelessRotPath struct{ rotPathAdaptive }
+
+func (statelessRotPath) Stateless() bool { return true }
+
 // TestRelayMatchesStepwise sweeps n × graph density × seed, plus the
-// adaptive adversary, and requires the runner and the stepwise oracle to
-// agree byte for byte. A relay that waits for a wake that never comes runs
-// into the round budget, identically on both paths. The stop subtests pin
-// the other ways a run ends with processes parked mid-relay.
+// adaptive adversary with and without the stateless declaration, and
+// requires the runner and the stepwise oracle to agree byte for byte. A
+// relay that waits for a wake that never comes runs into the round budget,
+// identically on both paths. Over all its cases, every family but the
+// undeclared adversary must jump quiet stretches, and that one none. The
+// stop subtests pin the other ways a run ends with processes parked
+// mid-relay.
 func TestRelayMatchesStepwise(t *testing.T) {
 	t.Run("stop", testRelayStops)
-	for _, n := range []int{1, 2, 5, 9, 16} {
-		for _, seed := range []uint64{1, 2, 3} {
+	ns, seeds := []int{1, 2, 5, 9, 16}, []uint64{1, 2, 3}
+	cases, quiet := map[string]int{}, map[string]int{}
+	for _, n := range ns {
+		for _, seed := range seeds {
 			families := []struct {
 				name string
 				cfg  func() Config
@@ -150,6 +161,7 @@ func TestRelayMatchesStepwise(t *testing.T) {
 				{"path", func() Config { return Config{Schedule: dynnet.NewStatic(dynnet.Path(n))} }},
 				{"random-connected", func() Config { return Config{Schedule: dynnet.NewRandomConnected(n, 0.3, int64(seed))} }},
 				{"adaptive", func() Config { return Config{Adaptive: rotPathAdaptive{n: n}} }},
+				{"adaptive-stateless", func() Config { return Config{Adaptive: statelessRotPath{rotPathAdaptive{n: n}}} }},
 			}
 			for _, fam := range families {
 				t.Run(fmt.Sprintf("%s/n=%d/seed=%d", fam.name, n, seed), func(t *testing.T) {
@@ -165,6 +177,8 @@ func TestRelayMatchesStepwise(t *testing.T) {
 						}
 						if i == 0 {
 							want, wantTrace, wantErr = res, trace, err
+							cases[fam.name]++
+							quiet[fam.name] += res.QuietRounds
 							continue
 						}
 						if err != wantErr {
@@ -174,6 +188,11 @@ func TestRelayMatchesStepwise(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+	for fam, c := range cases {
+		if q := quiet[fam]; c == len(ns)*len(seeds) && (q > 0) != (fam != "adaptive") {
+			t.Errorf("%s: %d quiet rounds over all cases", fam, q)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -17,7 +18,15 @@ import (
 // The per-pid state slice uses the runners' common convention: a process
 // participates in the round iff its state is live (stateWaiting or
 // stateRelaying), and pending[pid] holds the message it sends — for a
-// relaying process, its held message.
+// relaying process, its held message; for a returned one, nil. At every
+// route, every process that has not returned is live.
+//
+// The router keeps its books per change, not per pid (DESIGN.md decision
+// 17): running totals of the live processes and of the bits they send, the
+// submissions since the last route, the relays whose fold moved in their
+// current step, and a watermark below which no relay ends. A round in which
+// every live process relays and holds the top-ranked message starts a quiet
+// stretch, which route accounts in one step (quiet).
 type router struct {
 	cfg *Config
 	n   int
@@ -28,35 +37,52 @@ type router struct {
 	round int
 
 	// Round-delivery scratch, reused across rounds to keep the hot loop
-	// allocation-free: headers and degree counts are per-pid, sent /
-	// sentByPID hold the round's submissions, and the delivery backing
-	// arrays are double-buffered (even/odd rounds) so a process may keep
-	// reading its previous round's inbox slice until its next
-	// SendAndReceive, per the documented validity window.
-	outHeads  [][]Message
-	degree    []int
-	pos       []int
-	sent      []Message
-	sentByPID []Message
-	backings  [2][]Message
-	backing   []Message // this round's backing array
+	// allocation-free: headers and degree counts are per-pid, sent is the
+	// Trace hook's slice of the round's messages (built only when Trace is
+	// set), and the delivery backing arrays are double-buffered (even/odd
+	// rounds) so a process may keep reading its previous round's inbox
+	// slice until its next SendAndReceive, per the documented validity
+	// window.
+	outHeads [][]Message
+	degree   []int
+	pos      []int
+	sent     []Message
+	backings [2][]Message
+	backing  []Message // this round's backing array
 
 	// inPlace is the schedule's optional allocation-free generator; gbuf is
 	// the single reused graph it fills inline. route only reads the graph
-	// inside the call, so one buffer (no parity pair) suffices.
+	// inside the call, so one buffer (no parity pair) suffices. skip says
+	// whether a quiet round may go without its graph: always for an
+	// oblivious schedule, a function of the round alone, and for an
+	// adaptive one only if it declares Graph stateless.
 	inPlace dynnet.InPlaceSchedule
 	gbuf    *dynnet.Multigraph
+	skip    bool
 	// The generator (prefetch.go): pf is the run's, nil while graphs are
 	// made inline, and startedAt the round from which it made them (0 if
-	// the run started none). t0 and samples are the engagement sample:
-	// when round 1 began, and the times of the sampled inline calls.
-	// prefetchAll, a test hook, starts the generator at round 1 whatever
-	// the samples and the spare cores.
+	// the run started none). t0, calls, samples and sampled are the
+	// engagement sample: when the run opened, the inline GraphInto calls so
+	// far, and the times of the sampled ones; decided is set once the rule
+	// has been applied. prefetchAll, a test hook, starts the generator at
+	// round 1 whatever the samples and the spare cores.
 	pf          *prefetcher
 	startedAt   int
 	t0          time.Time
+	calls       int
 	samples     [sampleRounds / sampleEvery]time.Duration
+	sampled     int
+	decided     bool
 	prefetchAll bool
+
+	// Running totals: live counts the processes that have not returned,
+	// liveBits the sizes of the messages they send, and subs lists the
+	// pids that submitted since the last route, in pid order unless
+	// unsorted.
+	live     int
+	liveBits int64
+	subs     []int
+	unsorted bool
 
 	// Relay state (Transport.Relay, DESIGN.md decision 17), per pid. fold
 	// is a relaying process's running fold; rank and foldRank are the
@@ -68,18 +94,25 @@ type router struct {
 	// message first. size and foldSize are the Config.SizeOf sizes of
 	// pending and fold, carried the same way: a message is sized once, in
 	// the round its originator sends it, and a negative size marks a
-	// submission still to be sized. steps counts the steps left, hold the
-	// rounds per step and left the rounds left in the current step;
-	// wakeNow caches wake(held message).
+	// submission still to be sized. A relay's steps run hold rounds each
+	// from round first, its last step ends at round last, and wakeNow
+	// caches wake(held message).
 	ranks             []int32 // rank and foldRank, back to back
 	rank, foldRank    []int32
 	fold              []Message
 	size, foldSize    []int
-	steps, hold, left []int
+	first, last, hold []int
 	wake              []func(Message) bool
 	wakeNow           []bool
 	relaying          int  // processes in stateRelaying
 	dirty             bool // a submission since the last ranking
+	// top is the last ranking's highest rank and atTop the live processes
+	// whose message holds it; moved lists the relays whose fold moved in
+	// their current step, and no relay ends before round watermark.
+	top       int32
+	atTop     int
+	moved     []int
+	watermark int
 	// ready counts the processes the last route left to resume: the
 	// waiting ones and the woken relays.
 	ready int
@@ -100,34 +133,49 @@ type rankEntry struct {
 	cls  int32
 }
 
+// stateless is the optional AdaptiveSchedule method by which an adversary
+// declares that its Graph keeps no state between calls.
+type stateless interface{ Stateless() bool }
+
 // newRouter returns a router for n processes. The Config must outlive it.
 func newRouter(cfg *Config, n int) *router {
 	ranks := make([]int32, 2*n)
+	// The per-pid int slices share one allocation; subs and moved hold at
+	// most n pids each, so their appends never reallocate.
+	ints := make([]int, 9*n)
 	rt := &router{
 		cfg:       cfg,
 		n:         n,
 		outHeads:  make([][]Message, n),
-		degree:    make([]int, n),
-		pos:       make([]int, n),
-		sent:      make([]Message, 0, n),
-		sentByPID: make([]Message, n),
+		degree:    ints[:n],
+		pos:       ints[n : 2*n],
+		size:      ints[2*n : 3*n],
+		foldSize:  ints[3*n : 4*n],
+		first:     ints[4*n : 5*n],
+		last:      ints[5*n : 6*n],
+		hold:      ints[6*n : 7*n],
+		subs:      ints[7*n : 7*n : 8*n],
+		moved:     ints[8*n : 8*n : 9*n],
 		ranks:     ranks,
 		rank:      ranks[:n],
 		foldRank:  ranks[n:],
 		fold:      make([]Message, n),
-		size:      make([]int, n),
-		foldSize:  make([]int, n),
-		steps:     make([]int, n),
-		hold:      make([]int, n),
-		left:      make([]int, n),
 		wake:      make([]func(Message) bool, n),
 		wakeNow:   make([]bool, n),
+		live:      n,
+		dirty:     true,
+		watermark: math.MaxInt,
+		skip:      true,
 	}
-	if cfg.Adaptive == nil {
-		if ips, ok := cfg.Schedule.(dynnet.InPlaceSchedule); ok {
-			rt.inPlace = ips
-			rt.gbuf = dynnet.NewMultigraph(n)
-		}
+	if cfg.Trace != nil {
+		rt.sent = make([]Message, 0, n)
+	}
+	if cfg.Adaptive != nil {
+		s, ok := cfg.Adaptive.(stateless)
+		rt.skip = ok && s.Stateless()
+	} else if ips, ok := cfg.Schedule.(dynnet.InPlaceSchedule); ok {
+		rt.inPlace = ips
+		rt.gbuf = dynnet.NewMultigraph(n)
 	}
 	return rt
 }
@@ -135,64 +183,41 @@ func newRouter(cfg *Config, n int) *router {
 // route completes one round: it accounts message sizes, routes the pending
 // messages of every live process along the round's multigraph — into the
 // inboxes of the waiting processes and the folds of the relaying ones —,
-// closes finished relay steps, and invokes the Trace hook. The returned
-// per-pid inbox slices are carved out of the round-parity backing array and
-// stay valid until the same parity's next route call. It runs while every
-// live process is parked, so state and pending are stable for the whole
-// call.
+// closes finished relay steps, and invokes the Trace hook. A round that
+// starts a quiet stretch is accounted with the whole stretch instead, and
+// leaves round at the stretch's last. The returned per-pid inbox slices are
+// carved out of the round-parity backing array and stay valid until the
+// same parity's next route call. It runs while every live process is
+// parked, so state and pending are stable for the whole call.
 func (rt *router) route(state []procState, pending []Message, res *Result) ([][]Message, error) {
 	rt.round++
-
-	sent := rt.sent[:0]
-	// sentByPID only feeds the adaptive adversary; skip maintaining it
-	// otherwise.
-	adaptive := rt.cfg.Adaptive != nil
-	sentByPID := rt.sentByPID
-	if adaptive {
-		for pid := range sentByPID {
-			sentByPID[pid] = nil
-		}
+	if err := rt.account(state, pending, res); err != nil {
+		return nil, err
 	}
-	waiting, live := 0, 0
-	for pid, s := range state {
-		if !s.live() {
-			continue
+	waiting := rt.live - rt.relaying
+	if rt.relaying > 0 {
+		rt.rerank(state, pending)
+	}
+	// The Trace slice is built before step ends flip relays to woken: a
+	// relay sends in the round its last step ends.
+	if rt.cfg.Trace != nil {
+		sent := rt.sent[:0]
+		for pid, s := range state {
+			if s.live() {
+				sent = append(sent, pending[pid])
+			}
 		}
-		live++
-		if s == stateWaiting {
-			waiting++
-		}
-		msg := pending[pid]
-		sent = append(sent, msg)
-		if adaptive {
-			sentByPID[pid] = msg
-		}
-		res.TotalMessages++
-		if rt.cfg.SizeOf == nil {
-			continue
-		}
-		bits := rt.size[pid]
-		if bits >= 0 {
-			// Sent before, by this process or, for a relayed copy, by its
-			// originator: sized, counted and checked in that round.
-			res.TotalBits += int64(bits)
-			continue
-		}
-		bits = rt.cfg.SizeOf(msg)
-		rt.size[pid] = bits
-		res.TotalBits += int64(bits)
-		if bits > res.MaxMessageBits {
-			res.MaxMessageBits = bits
-		}
-		if rt.cfg.BitLimit > 0 && bits > rt.cfg.BitLimit {
-			return nil, &BitLimitError{Round: rt.round, Process: pid, Bits: bits, Limit: rt.cfg.BitLimit}
-		}
+		rt.sent = sent
+	}
+	if waiting == 0 && rt.relaying > 0 && rt.atTop == rt.live && rt.skip {
+		rt.quiet(state, pending, res)
+		return rt.outHeads, nil
 	}
 
 	var g *dynnet.Multigraph
 	switch {
 	case rt.cfg.Adaptive != nil:
-		g = rt.cfg.Adaptive.Graph(rt.round, sentByPID)
+		g = rt.cfg.Adaptive.Graph(rt.round, pending)
 	case rt.inPlace != nil:
 		g = rt.inPlaceGraph()
 	default:
@@ -211,22 +236,78 @@ func (rt *router) route(state []procState, pending []Message, res *Result) ([][]
 	case waiting == rt.n:
 		rt.deliverAll(links, pending)
 	case waiting == 0:
-		rt.rerank(state, pending)
-		rt.foldOnly(links, state, pending, live == rt.n)
+		rt.foldOnly(links, state, pending, rt.live == rt.n)
 		woken = rt.endSteps(state, pending)
 	default:
-		if rt.relaying > 0 {
-			rt.rerank(state, pending)
-		}
 		rt.deliverMixed(links, state, pending)
 		woken = rt.endSteps(state, pending)
 	}
 	rt.ready = waiting + woken
 
 	if rt.cfg.Trace != nil {
-		rt.cfg.Trace(rt.round, sent)
+		rt.cfg.Trace(rt.round, rt.sent)
 	}
 	return rt.outHeads, nil
+}
+
+// account sizes the submissions since the last route, in pid order, and
+// adds the round's messages to res: one per live process, with the running
+// total of their sizes. A message over BitLimit ends the round at its
+// sender with the totals of counting every live process's message in pid
+// order up to and including it.
+func (rt *router) account(state []procState, pending []Message, res *Result) error {
+	subs := rt.subs
+	rt.subs = subs[:0]
+	if rt.unsorted {
+		// The coordinator oracle's submissions arrive in any order.
+		slices.Sort(subs)
+		rt.unsorted = false
+	}
+	if sizeOf := rt.cfg.SizeOf; sizeOf != nil {
+		for _, pid := range subs {
+			bits := sizeOf(pending[pid])
+			rt.size[pid] = bits
+			rt.liveBits += int64(bits)
+			res.MaxMessageBits = max(res.MaxMessageBits, bits)
+			if rt.cfg.BitLimit > 0 && bits > rt.cfg.BitLimit {
+				for p, s := range state[:pid+1] {
+					if s.live() {
+						res.TotalMessages++
+						res.TotalBits += int64(rt.size[p])
+					}
+				}
+				return &BitLimitError{Round: rt.round, Process: pid, Bits: bits, Limit: rt.cfg.BitLimit}
+			}
+		}
+	}
+	res.TotalMessages += int64(rt.live)
+	res.TotalBits += rt.liveBits
+	return nil
+}
+
+// quiet accounts a quiet stretch. Every live process relays and holds a
+// message of the top rank, so each fold holds it too, and no graph can move
+// a fold: nothing changes until the earliest relay end (the watermark) or
+// MaxRounds, whichever comes first, and the stretch runs from this round to
+// that one at once. Every round of it sends the same messages, and nothing
+// new is submitted after its first, so the rest of its rounds add live
+// messages and liveBits bits each, with no SizeOf call and no graph; Trace
+// sees each of them with the same slice. The relays that end in its last
+// round wake.
+func (rt *router) quiet(state []procState, pending []Message, res *Result) {
+	first := rt.round
+	end := max(first, min(rt.watermark, rt.cfg.MaxRounds))
+	more := int64(end - first)
+	res.TotalMessages += more * int64(rt.live)
+	res.TotalBits += more * rt.liveBits
+	res.QuietRounds += end - first + 1
+	rt.round = end
+	rt.ready = rt.endSteps(state, pending)
+	if rt.cfg.Trace != nil {
+		for k := range end - first + 1 {
+			rt.cfg.Trace(first+k, rt.sent)
+		}
+	}
 }
 
 // deliverAll routes a round in which every process waits on an inbox (no
@@ -310,22 +391,31 @@ func (rt *router) carve(total int) []Message {
 // the order its inbox would have listed them. A receiver's fold takes a
 // message, with its size, only when its rank is strictly higher, so on a
 // tie the first arrival wins; multiplicities and repeats cannot change a
-// fold, so each link is visited once.
+// fold, so each link is visited once. A fold that moves for the first time
+// in its step (its rank still equal to the held message's) joins moved.
 func (rt *router) foldOnly(links []dynnet.Link, state []procState, pending []Message, all bool) {
 	rank, foldRank, fold := rt.rank, rt.foldRank, rt.fold
 	size, foldSize := rt.size, rt.foldSize
+	moved := rt.moved
 	for _, l := range links {
 		u, v := l.U, l.V
 		if !all && (!state[u].live() || !state[v].live()) {
 			continue
 		}
 		if r := rank[v]; r > foldRank[u] {
+			if foldRank[u] == rank[u] {
+				moved = append(moved, u)
+			}
 			foldRank[u], fold[u], foldSize[u] = r, pending[v], size[v]
 		}
 		if r := rank[u]; r > foldRank[v] {
+			if foldRank[v] == rank[v] {
+				moved = append(moved, v)
+			}
 			foldRank[v], fold[v], foldSize[v] = r, pending[u], size[u]
 		}
 	}
+	rt.moved = moved
 }
 
 // deliverMixed routes any other round — some processes terminated, or
@@ -378,29 +468,75 @@ func (rt *router) receive(state []procState, pending []Message, to, from, mult i
 		return
 	}
 	if r := rt.rank[from]; r > rt.foldRank[to] {
+		if rt.foldRank[to] == rt.rank[to] {
+			rt.moved = append(rt.moved, to)
+		}
 		rt.foldRank[to], rt.fold[to], rt.foldSize[to] = r, pending[from], rt.size[from]
 	}
 }
 
 // submit records that pid's pending message is a new submission: the next
-// route sizes it and, first, re-ranks every live message.
+// route sizes it and, first, re-ranks every live message. The message it
+// replaces leaves the running total of sizes.
 func (rt *router) submit(pid int) {
+	if s := rt.size[pid]; s > 0 {
+		rt.liveBits -= int64(s)
+	}
 	rt.size[pid] = -1
+	if k := len(rt.subs); k > 0 && rt.subs[k-1] > pid {
+		rt.unsorted = true
+	}
+	rt.subs = append(rt.subs, pid)
 	rt.dirty = true
 }
 
-// startRelay parks pid in a relay of msg, a new submission. Its ranks are
-// set by the next route's ranking and its size by the next route's
-// accounting; the fold, which starts as msg, needs neither until it moves.
+// leave retires pid, which has returned: it sends no more, so it leaves the
+// running totals, and its pending entry is cleared, which is how the
+// adaptive adversary sees it terminated. Both runners call it on every
+// return.
+func (rt *router) leave(pid int, pending []Message) {
+	rt.live--
+	if s := rt.size[pid]; s > 0 {
+		rt.liveBits -= int64(s)
+	}
+	rt.size[pid] = -1
+	// Between rankings every live pid's rank is counted in atTop; after a
+	// submission the next ranking recounts.
+	if !rt.dirty && rt.rank[pid] == rt.top {
+		rt.atTop--
+	}
+	pending[pid] = nil
+}
+
+// startRelay parks pid in a relay of msg, a new submission, from the next
+// round on. Its ranks are set by the next route's ranking and its size by
+// the next route's accounting; the fold, which starts as msg, needs neither
+// until it moves.
 func (rt *router) startRelay(pid int, msg Message, steps, hold int, wake func(Message) bool) {
 	hold = max(hold, 1)
-	rt.relaying++
 	rt.submit(pid)
+	first := rt.round + 1
 	rt.fold[pid] = msg
-	rt.steps[pid] = steps
-	rt.hold[pid], rt.left[pid] = hold, hold
+	rt.first[pid], rt.hold[pid] = first, hold
+	rt.last[pid] = math.MaxInt
+	if steps <= (math.MaxInt-first)/hold {
+		rt.last[pid] = first + steps*hold - 1
+	}
 	rt.wake[pid] = wake
 	rt.wakeNow[pid] = wake != nil && wake(msg)
+	rt.watermark = min(rt.watermark, rt.relayEnd(pid, first))
+	rt.relaying++
+}
+
+// relayEnd returns the first round from t on in which pid's relay ends if
+// its fold does not move: the end of the step holding round t if wakeNow
+// is set, else the end of its last step.
+func (rt *router) relayEnd(pid, t int) int {
+	if !rt.wakeNow[pid] {
+		return rt.last[pid]
+	}
+	first, hold := rt.first[pid], rt.hold[pid]
+	return first + ((t-first)/hold+1)*hold - 1
 }
 
 // endSteps closes the relay steps that end with this round and returns the
@@ -408,35 +544,62 @@ func (rt *router) startRelay(pid int, msg Message, steps, hold int, wake func(Me
 // fold satisfies wake, keeping its last sent message in pending and its
 // result in fold; otherwise the fold becomes the held message, rank, size
 // and all, for the next step. The fold differs from the held message exactly
-// when its rank does, because it only ever moves to strictly higher ranks;
-// since wake is pure, wakeNow caches it on the held message and is
-// re-evaluated only when the fold moved, which keeps an indirect call per
-// relay per round off the common step.
+// when its rank does, because it only ever moves to strictly higher ranks,
+// so only the relays on moved need a look at their step's end: since wake
+// is pure, wakeNow caches it on the held message and is re-evaluated only
+// when the fold moved, which keeps an indirect call per relay per round off
+// the common step. A relay whose fold did not move ends at relayEnd; the
+// watermark pass wakes those once the earliest of them is reached.
 func (rt *router) endSteps(state []procState, pending []Message) int {
-	woken := 0
-	for pid, s := range state {
-		if s != stateRelaying {
+	t, woken := rt.round, 0
+	keep := rt.moved[:0]
+	for _, pid := range rt.moved {
+		if h := rt.hold[pid]; h > 1 && (t+1-rt.first[pid])%h != 0 {
+			keep = append(keep, pid) // mid-step
 			continue
 		}
-		if rt.left[pid]--; rt.left[pid] > 0 {
-			continue
-		}
-		rt.steps[pid]--
-		moved := rt.foldRank[pid] != rt.rank[pid]
-		if moved && rt.wake[pid] != nil {
+		if rt.wake[pid] != nil {
 			rt.wakeNow[pid] = rt.wake[pid](rt.fold[pid])
 		}
-		if rt.steps[pid] == 0 || rt.wakeNow[pid] {
+		if t == rt.last[pid] || rt.wakeNow[pid] {
 			state[pid] = stateWoken
 			rt.relaying--
 			woken++
 			continue
 		}
-		if moved {
-			pending[pid], rt.rank[pid], rt.size[pid] = rt.fold[pid], rt.foldRank[pid], rt.foldSize[pid]
+		if rt.foldRank[pid] == rt.top {
+			rt.atTop++
 		}
-		rt.left[pid] = rt.hold[pid]
+		rt.liveBits += int64(rt.foldSize[pid] - rt.size[pid])
+		pending[pid], rt.rank[pid], rt.size[pid] = rt.fold[pid], rt.foldRank[pid], rt.foldSize[pid]
 	}
+	rt.moved = keep
+	if t >= rt.watermark {
+		woken += rt.endRelays(state, t)
+	}
+	return woken
+}
+
+// endRelays is the watermark pass: it wakes every relay that ends with
+// round t and sets the watermark to the earliest end among the rest. A
+// relay's end only ever moves later, so the watermark never passes one; it
+// may lag behind the round once the relays that set it have woken early,
+// and then the next route with a relay runs the pass.
+func (rt *router) endRelays(state []procState, t int) int {
+	woken, next := 0, math.MaxInt
+	for pid, s := range state {
+		if s != stateRelaying {
+			continue
+		}
+		if end := rt.relayEnd(pid, t); end > t {
+			next = min(next, end)
+			continue
+		}
+		state[pid] = stateWoken
+		rt.relaying--
+		woken++
+	}
+	rt.watermark = next
 	return woken
 }
 
@@ -446,7 +609,8 @@ func (rt *router) endSteps(state []procState, pending []Message) int {
 // it and there is nothing to do. Runs of equal-priority entries in pid
 // order (mostly the same relayed message) share one representative, the
 // representatives are sorted by Config.Priority, and consecutive
-// representatives of equal priority share a rank.
+// representatives of equal priority share a rank. It recounts atTop, the
+// live processes whose sent message has the new top rank.
 func (rt *router) rerank(state []procState, pending []Message) {
 	if !rt.dirty {
 		return
@@ -483,8 +647,12 @@ func (rt *router) rerank(state []procState, pending []Message) {
 		}
 		repRank[reps[i].cls] = r
 	}
+	rt.top, rt.atTop = r, 0
 	for _, e := range ents {
 		rt.ranks[e.slot] = repRank[e.cls]
+		if repRank[e.cls] == r && int(e.slot) < rt.n {
+			rt.atTop++
+		}
 	}
 	rt.ents, rt.reps = ents, reps
 }

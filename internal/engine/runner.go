@@ -49,7 +49,6 @@ type runner struct {
 	done  []procDone
 
 	procs []Coroutine
-	alive int // processes that have not returned
 	// stopping is set before the unwind begins, so a non-conforming
 	// coroutine that keeps calling SendAndReceive after ErrStopped fails
 	// fast instead of blocking on a dead round.
@@ -149,7 +148,7 @@ func (r *runner) sweep(out [][]Message, res *Result) bool {
 			continue
 		}
 		r.state[pid] = stateDone
-		r.alive--
+		r.rt.leave(pid, r.pending)
 		d := r.done[pid]
 		if d.err == nil {
 			res.Outputs[pid] = d.output
@@ -172,7 +171,6 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 		return res, fmt.Errorf("engine: run cancelled: %w", context.Cause(r.ctx))
 	}
 	r.procs = procs
-	r.alive = r.n
 	r.rt.open()
 	defer r.rt.close()
 
@@ -183,8 +181,11 @@ func (r *runner) run(procs []Coroutine) (*Result, error) {
 	// barrier holds by construction. A process resumed mid-sweep re-submits
 	// at its own index, which the sweep has already passed, so it is never
 	// redelivered within the round. A round that woke no process (every
-	// live one still relaying) needs no sweep.
-	for !stopped && r.alive > 0 {
+	// live one still relaying) needs no sweep. A quiet stretch is one route
+	// call, so cancellation, the watchdog and StopWhen are checked once per
+	// stretch: no process runs inside one, and outputs change only in a
+	// sweep.
+	for !stopped && r.rt.live > 0 {
 		if err := r.ctx.Err(); err != nil {
 			r.runErr = fmt.Errorf("engine: run cancelled: %w", context.Cause(r.ctx))
 			break

@@ -209,6 +209,7 @@ func run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.Ru
 			MaxMessageBits: res.MaxMessageBits,
 			TotalMessages:  res.TotalMessages,
 			TotalBits:      res.TotalBits,
+			QuietRounds:    res.QuietRounds,
 			WallClock:      time.Since(started),
 		},
 	}
