@@ -8,7 +8,6 @@ import (
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
 	"anondyn/internal/historytree"
-	"anondyn/internal/trace"
 )
 
 // leaderIn returns n inputs with process 0 as the leader.
@@ -143,11 +142,11 @@ func E2RoundsVsN(p *E2Params) (*Table, error) {
 			"rounds/n^3", "3n"},
 	}
 	t.Rows = make([][]string, len(p.Ns))
-	t.Timings = make([]*trace.Timing, len(p.Ns))
+	t.Stats = make([]*core.RunStats, len(p.Ns))
 	err := sweep(len(p.Ns), func(i int) error {
 		n := p.Ns[i]
 		var sumRounds, maxLevels, maxResets int
-		tm := &trace.Timing{}
+		sum := &core.RunStats{}
 		for seed := 0; seed < p.Seeds; seed++ {
 			s := dynnet.NewRandomConnected(n, 0.3, int64(seed+1))
 			res, err := core.Run(s, leaderIn(n), core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 6},
@@ -165,7 +164,7 @@ func E2RoundsVsN(p *E2Params) (*Table, error) {
 			if res.Stats.Resets > maxResets {
 				maxResets = res.Stats.Resets
 			}
-			tm.Add(trace.TimingOf(res.Stats))
+			addTiming(sum, res.Stats)
 		}
 		avg := float64(sumRounds) / float64(p.Seeds)
 		t.Rows[i] = []string{
@@ -176,7 +175,7 @@ func E2RoundsVsN(p *E2Params) (*Table, error) {
 			fmt.Sprintf("%.3f", avg/math.Pow(float64(n), 3)),
 			fmt.Sprintf("%d", 3*n),
 		}
-		t.Timings[i] = tm
+		t.Stats[i] = sum
 		return nil
 	})
 	if err != nil {
@@ -186,6 +185,19 @@ func E2RoundsVsN(p *E2Params) (*Table, error) {
 		"rounds/n^3 staying bounded as n grows is the cubic-shape check",
 		"random connected schedules; worst-case (path) adversaries appear in E5")
 	return t, nil
+}
+
+// addTiming adds run st's timing fields, the ones a row renders, into
+// sum, for a row over several seeds: times, calls and counts add up, and
+// the battery size, a high-water mark, takes the maximum.
+func addTiming(sum *core.RunStats, st core.RunStats) {
+	sum.WallClock += st.WallClock
+	sum.SolverTime += st.SolverTime
+	sum.SolverCalls += st.SolverCalls
+	sum.SolverPrimes = max(sum.SolverPrimes, st.SolverPrimes)
+	sum.SolverCRTRecons += st.SolverCRTRecons
+	sum.SolverEvictions += st.SolverEvictions
+	sum.SolverWitnessFalls += st.SolverWitnessFalls
 }
 
 // E3Params configures E3.
@@ -252,7 +264,7 @@ func E4RedEdges(p *E4Params) (*Table, error) {
 			"generic red (3n lvls)", "generic red/n^3"},
 	}
 	t.Rows = make([][]string, len(p.Ns))
-	t.Timings = make([]*trace.Timing, len(p.Ns))
+	t.Stats = make([]*core.RunStats, len(p.Ns))
 	err := sweep(len(p.Ns), func(i int) error {
 		n := p.Ns[i]
 		s := dynnet.NewRandomConnected(n, 0.5, 3)
@@ -282,7 +294,7 @@ func E4RedEdges(p *E4Params) (*Table, error) {
 			fmt.Sprintf("%d", genericRed),
 			fmt.Sprintf("%.2f", float64(genericRed)/float64(n*n*n)),
 		}
-		t.Timings[i] = trace.TimingOf(res.Stats)
+		t.Stats[i] = &res.Stats
 		return nil
 	})
 	if err != nil {
@@ -403,7 +415,7 @@ func E8Leaderless(p *E8Params) (*Table, error) {
 		Header: []string{"n", "D", "rounds", "rounds/(D·n²)", "min size", "correct?"},
 	}
 	t.Rows = make([][]string, len(p.Ns))
-	t.Timings = make([]*trace.Timing, len(p.Ns))
+	t.Stats = make([]*core.RunStats, len(p.Ns))
 	err := sweep(len(p.Ns), func(i int) error {
 		n := p.Ns[i]
 		inputs := make([]historytree.Input, n)
@@ -432,7 +444,7 @@ func E8Leaderless(p *E8Params) (*Table, error) {
 			fmt.Sprintf("%d", f.MinSize),
 			fmt.Sprintf("%v", correct),
 		}
-		t.Timings[i] = trace.TimingOf(res.Stats)
+		t.Stats[i] = &res.Stats
 		return nil
 	})
 	if err != nil {

@@ -65,12 +65,12 @@ func TestE2ParallelIsDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Rows, b.Rows) {
 		t.Errorf("E2 rows differ across runs:\n%v\nvs\n%v", a.Rows, b.Rows)
 	}
-	if len(a.Timings) != len(a.Rows) {
-		t.Fatalf("%d timings for %d rows", len(a.Timings), len(a.Rows))
+	if len(a.Stats) != len(a.Rows) {
+		t.Fatalf("%d stats for %d rows", len(a.Stats), len(a.Rows))
 	}
-	for i, tm := range a.Timings {
-		if tm == nil || tm.WallClock <= 0 || tm.SolverCalls <= 0 {
-			t.Errorf("row %d: missing timing %+v", i, tm)
+	for i, st := range a.Stats {
+		if st == nil || st.WallClock <= 0 || st.SolverCalls <= 0 {
+			t.Errorf("row %d: missing timing %+v", i, st)
 		}
 	}
 	rows := JSONRows(a)

@@ -6,7 +6,6 @@ import (
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
 	"anondyn/internal/linear"
-	"anondyn/internal/trace"
 )
 
 // E17Params configures E17.
@@ -36,7 +35,7 @@ func E17ProtocolTradeoff(p *E17Params) (*Table, error) {
 			"lin rounds", "lin max bits", "lin total bits", "rounds ratio", "bits ratio"},
 	}
 	t.Rows = make([][]string, len(p.Ns))
-	t.Timings = make([]*trace.Timing, len(p.Ns))
+	t.Stats = make([]*core.RunStats, len(p.Ns))
 	err := sweep(len(p.Ns), func(i int) error {
 		n := p.Ns[i]
 		mkSched := func() dynnet.Schedule { return dynnet.NewRandomConnected(n, 0.3, 17) }
@@ -64,7 +63,7 @@ func E17ProtocolTradeoff(p *E17Params) (*Table, error) {
 			fmt.Sprintf("%.1fx", float64(cong.Stats.Rounds)/float64(lin.Stats.Rounds)),
 			fmt.Sprintf("%.1fx", float64(lin.Stats.MaxMessageBits)/float64(cong.Stats.MaxMessageBits)),
 		}
-		t.Timings[i] = trace.TimingOf(cong.Stats)
+		t.Stats[i] = &cong.Stats
 		return nil
 	})
 	if err != nil {

@@ -9,8 +9,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
-	"anondyn/internal/trace"
+	"anondyn/internal/core"
 )
 
 // Table is one experiment's result in printable form.
@@ -24,35 +25,61 @@ type Table struct {
 	// Header and Rows are the measured data.
 	Header []string
 	Rows   [][]string
-	// Timings, when set, holds per-row timing measurements aligned with
-	// Rows (nil entries mean the row carries no timing). They surface in
-	// JSON rows and as trailing lines of the rendered table.
-	Timings []*trace.Timing
+	// Stats, when set, holds per-row run measurements aligned with Rows
+	// (nil entries mean the row carries none). Their timing fields
+	// surface in JSON rows and as trailing lines of the rendered table.
+	Stats []*core.RunStats
 	// Notes carry caveats and derived observations.
 	Notes []string
 }
 
-// timing returns row i's timing, or nil.
-func (t *Table) timing(i int) *trace.Timing {
-	if i < len(t.Timings) {
-		return t.Timings[i]
+// stats returns row i's measurements, or nil.
+func (t *Table) stats(i int) *core.RunStats {
+	if i < len(t.Stats) {
+		return t.Stats[i]
 	}
 	return nil
 }
 
-// timingLines renders one "key: timing" line per timed row, keyed by the
-// row's first cell.
+// timingLines renders one "key: timing" line per row with stats, keyed by
+// the row's first cell.
 func timingLines(t *Table) []string {
 	var out []string
 	for i, row := range t.Rows {
-		tm := t.timing(i)
-		if tm == nil || len(row) == 0 {
+		st := t.stats(i)
+		if st == nil || len(row) == 0 {
 			continue
 		}
-		out = append(out, fmt.Sprintf("%s %s: %s", t.ID, row[0], tm))
+		out = append(out, fmt.Sprintf("%s %s: %s", t.ID, row[0], timingLine(st)))
 	}
 	return out
 }
+
+// timingLine renders where a run's real time went, compactly: the whole
+// run's wall clock against the slice inside the cardinality solver, e.g.
+// "wall 12.4ms, solver 3.1ms (25%, 17 calls)", then the multi-modular
+// solver's counters when it used any primes.
+func timingLine(st *core.RunStats) string {
+	share := 0.0
+	if st.WallClock > 0 {
+		share = 100 * float64(st.SolverTime) / float64(st.WallClock)
+	}
+	s := fmt.Sprintf("wall %.1fms, solver %.1fms (%.0f%%, %d calls)",
+		ms(st.WallClock), ms(st.SolverTime), share, st.SolverCalls)
+	if st.SolverPrimes > 0 {
+		s += fmt.Sprintf(", %d primes, %d crt", st.SolverPrimes, st.SolverCRTRecons)
+		if st.SolverEvictions > 0 {
+			s += fmt.Sprintf(", %d evictions", st.SolverEvictions)
+		}
+		if st.SolverWitnessFalls > 0 {
+			s += fmt.Sprintf(", %d witness falls", st.SolverWitnessFalls)
+		}
+	}
+	return s
+}
+
+// ms converts a duration to milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // Experiment couples an ID with its runner.
 type Experiment struct {
@@ -112,7 +139,7 @@ type Row struct {
 	// WallMS and SolverMS report where the row's real time went (run wall
 	// clock vs time inside the cardinality solver, milliseconds), with
 	// SolverCalls the number of solver invocations; zero when the
-	// experiment recorded no timing. See internal/trace.Timing.
+	// experiment recorded no stats. See Table.Stats.
 	WallMS      float64 `json:"wall_ms,omitempty"`
 	SolverMS    float64 `json:"solver_ms,omitempty"`
 	SolverCalls int     `json:"solver_calls,omitempty"`
@@ -129,10 +156,10 @@ func JSONRows(t *Table) []Row {
 			}
 		}
 		row := Row{Experiment: t.ID, Title: t.Title, Claim: t.Claim, Columns: cols}
-		if tm := t.timing(ri); tm != nil {
-			row.WallMS = tm.WallMS()
-			row.SolverMS = tm.SolverMS()
-			row.SolverCalls = tm.SolverCalls
+		if st := t.stats(ri); st != nil {
+			row.WallMS = ms(st.WallClock)
+			row.SolverMS = ms(st.SolverTime)
+			row.SolverCalls = st.SolverCalls
 		}
 		rows = append(rows, row)
 	}

@@ -104,6 +104,9 @@ func (c Config) Validate(inputs []historytree.Input) error {
 		if leaders != 0 {
 			return fmt.Errorf("core: leaderless mode forbids leader flags, got %d", leaders)
 		}
+		if len(inputs) == 0 {
+			return fmt.Errorf("core: leaderless mode requires at least one process")
+		}
 		if c.DiamBound <= 0 {
 			return fmt.Errorf("core: leaderless mode requires a positive DiamBound")
 		}

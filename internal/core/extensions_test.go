@@ -165,6 +165,12 @@ func TestConfigValidation(t *testing.T) {
 			wantErr: true,
 		},
 		{
+			name:    "leaderless-no-processes",
+			cfg:     Config{Mode: ModeLeaderless, DiamBound: 3},
+			inputs:  nil,
+			wantErr: true,
+		},
+		{
 			name:   "leaderless-ok",
 			cfg:    Config{Mode: ModeLeaderless, DiamBound: 3},
 			inputs: make([]historytree.Input, 3),

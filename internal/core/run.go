@@ -83,17 +83,19 @@ type RunResult struct {
 	Stats RunStats
 }
 
-// RunOptions bundles the engine-level knobs of Run (linear.Run honors the
-// same set). Every run executes on the engine's one inline runner, so a
-// run is single-threaded; independent runs parallelize at the job level.
+// RunOptions bundles the engine-level knobs of a run; Execute applies them
+// for Run and linear.Run alike. Every run executes on the engine's one
+// inline runner, so a run is single-threaded; independent runs
+// parallelize at the job level.
 type RunOptions struct {
 	// Ctx, if non-nil, cancels the run externally: when it is done, the
 	// engine stops the run at its next round boundary, unwinds every
 	// process coroutine, and Run returns an error wrapping the context's
 	// cause. Nil means no external cancellation (context.Background()).
 	Ctx context.Context
-	// MaxRounds caps the run; 0 derives a generous default from n and the
-	// configuration (≈ 400·T·n³·log n real rounds plus slack).
+	// MaxRounds caps the run; 0 keeps the protocol's generous default,
+	// derived from n and the configuration (≈ 400·T·n³·log n real rounds
+	// plus slack for Run).
 	MaxRounds int
 	// Deadline, when positive, arms the engine watchdog: a run still
 	// active after this wall-clock duration is stopped with a structured
@@ -171,16 +173,43 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 		}
 	}
 
-	ecfg.MaxRounds = opts.MaxRounds
-	if ecfg.MaxRounds <= 0 {
-		ecfg.MaxRounds = defaultMaxRounds(n, cfg)
-	}
-	ecfg.Deadline = opts.Deadline
+	ecfg.MaxRounds = defaultMaxRounds(n, cfg)
 	ecfg.SizeOf = SizeOf
 	ecfg.Priority = priority
+	out, err := Execute(ecfg, procs, leaderPID, cfg.SimultaneousHalt, opts)
+	if err != nil {
+		return nil, err
+	}
+	out.Stats.Resets = cfg.Recorder.Resets()
+	if grp != nil {
+		out.Stats.SharedApplies, out.Stats.SharedHits, out.Stats.SharedForks = grp.statsSnapshot()
+	}
+	return out, nil
+}
+
+// Execute is the run harness of both protocols, core's and
+// internal/linear's: it runs one coroutine per process on the engine and
+// assembles the RunResult. ecfg carries the schedule, the protocol's
+// SizeOf and Priority hooks and its default round cap, and opts is
+// applied over them. leaderPID is the leader's engine index, or −1 in a
+// leaderless run.
+//
+// A leader run ends once the leader has output, unless halt asks for the
+// Section 5 simultaneous termination: then every process must output the
+// leader's n at the same round. In a leaderless run every process must
+// output, with the same frequencies at the same round. The answer, the
+// tree and the per-process stats come from the deciding process: the
+// leader, or process 0 in a leaderless run, whose tree is the same in
+// every run of one spec.
+func Execute(ecfg engine.Config, procs []engine.Coroutine, leaderPID int, halt bool, opts RunOptions) (*RunResult, error) {
+	halt = halt && leaderPID >= 0
+	if opts.MaxRounds > 0 {
+		ecfg.MaxRounds = opts.MaxRounds
+	}
+	ecfg.Deadline = opts.Deadline
 	ecfg.BitLimit = opts.BitLimit
 	ecfg.Trace = opts.Trace
-	if cfg.Mode == ModeLeader && !cfg.SimultaneousHalt {
+	if leaderPID >= 0 && !halt {
 		// Basic contract: the run is over once the leader has output n.
 		ecfg.StopWhen = func(outputs map[int]any) bool {
 			_, ok := outputs[leaderPID]
@@ -207,12 +236,8 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 			TotalMessages:  res.TotalMessages,
 			TotalBits:      res.TotalBits,
 			QuietRounds:    res.QuietRounds,
-			Resets:         cfg.Recorder.Resets(),
 			WallClock:      wall,
 		},
-	}
-	if grp != nil {
-		out.Stats.SharedApplies, out.Stats.SharedHits, out.Stats.SharedForks = grp.statsSnapshot()
 	}
 	for pid, o := range res.Outputs {
 		oc, ok := o.(*Outcome)
@@ -222,51 +247,42 @@ func run(ecfg engine.Config, n int, inputs []historytree.Input, cfg Config, opts
 		out.Outputs[pid] = oc
 	}
 
-	switch cfg.Mode {
-	case ModeLeader:
-		leaderOut, ok := out.Outputs[leaderPID]
-		if !ok {
+	n := len(procs)
+	var dec *Outcome
+	if leaderPID >= 0 {
+		if dec = out.Outputs[leaderPID]; dec == nil {
 			return nil, errors.New("core: leader produced no output")
 		}
-		out.N = leaderOut.N
-		out.Multiset = leaderOut.Multiset
-		out.VHT = leaderOut.VHT
-		out.Stats.Levels = leaderOut.Levels
-		out.Stats.FinalDiamEstimate = leaderOut.FinalDiamEstimate
-		out.Stats.absorbSolver(leaderOut.Solver)
-		out.Stats.absorbTree(leaderOut.VHT)
-		if cfg.SimultaneousHalt {
-			if err := checkSimultaneous(out.Outputs, n, leaderOut.N); err != nil {
+		if halt {
+			if err := checkSimultaneous(out.Outputs, n, dec.N); err != nil {
 				return nil, err
 			}
-			// Under SimultaneousHalt the leader also halts via the Halt
-			// broadcast and reports no tree; keep the stats meaningful.
-			out.Stats.Levels = maxLevels(out.Outputs)
 		}
-	case ModeLeaderless:
+	} else {
 		if len(out.Outputs) != n {
 			return nil, fmt.Errorf("core: %d of %d leaderless processes produced output", len(out.Outputs), n)
 		}
-		var first *Outcome
-		for _, oc := range out.Outputs {
-			if first == nil {
-				first = oc
-				continue
-			}
-			if !sameFrequencies(first.Frequencies, oc.Frequencies) {
+		dec = out.Outputs[0]
+		for pid := 1; pid < n; pid++ {
+			oc := out.Outputs[pid]
+			if !sameFrequencies(dec.Frequencies, oc.Frequencies) {
 				return nil, errors.New("core: leaderless processes disagree on frequencies")
 			}
-			if first.FinalRound != oc.FinalRound {
+			if dec.FinalRound != oc.FinalRound {
 				return nil, fmt.Errorf("core: leaderless termination rounds differ: %d vs %d",
-					first.FinalRound, oc.FinalRound)
+					dec.FinalRound, oc.FinalRound)
 			}
 		}
-		out.Frequencies = first.Frequencies
-		out.VHT = first.VHT
-		out.Stats.Levels = first.Levels
-		out.Stats.FinalDiamEstimate = first.FinalDiamEstimate
-		out.Stats.absorbSolver(first.Solver)
-		out.Stats.absorbTree(first.VHT)
+	}
+	out.N, out.Multiset, out.Frequencies, out.VHT = dec.N, dec.Multiset, dec.Frequencies, dec.VHT
+	out.Stats.Levels = dec.Levels
+	out.Stats.FinalDiamEstimate = dec.FinalDiamEstimate
+	out.Stats.absorbSolver(dec.Solver)
+	out.Stats.absorbTree(dec.VHT)
+	if halt {
+		// Under SimultaneousHalt the leader also halts via the Halt
+		// broadcast and reports no tree; keep the stats meaningful.
+		out.Stats.Levels = maxLevels(out.Outputs)
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"math/rand"
 	randv2 "math/rand/v2"
-	"slices"
 	"sync"
 )
 
@@ -238,20 +237,20 @@ func RandomConnected(n int, p float64, rng *rand.Rand) *Multigraph {
 // randomConnectedV2Into is RandomConnected driven by a math/rand/v2 PCG —
 // the hot-loop generator behind RandomConnectedSchedule, whose per-round
 // PCG is O(1) to reseed (see Graph). It draws the same distribution as
-// RandomConnected but emits the links in canonical (U, V) order — the
-// extra-edge loop already iterates pairs in order, and the n-1 tree edges
-// are merged into that stream — so the graph is born canonical and the
-// engine's once-per-round traversal skips the canonicalization sort that
-// otherwise shows up in simulation profiles. It builds into g's reused
-// storage: g is reset to n processes and its link backing array is
-// refilled, so a router that round-robins one graph buffer allocates
-// nothing per round.
+// RandomConnected but emits the links in canonical (U, V) order — it
+// records the n-1 tree edges and the extra edges as bits of two per-row
+// mask planes and emits the union row by row — so the graph is born
+// canonical and the engine's once-per-round traversal skips the
+// canonicalization sort that otherwise shows up in simulation profiles.
+// It builds into g's reused storage: g is reset to n processes and its
+// link backing array is refilled, so a router that round-robins one graph
+// buffer allocates nothing per round.
 func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 	g.Reset(n)
 	if n <= 1 {
 		return
 	}
-	// perm and tree are pooled scratch: one Graph call runs per round per
+	// perm and mask are pooled scratch: one Graph call runs per round per
 	// simulation, so the pool converges to a handful of buffers and the
 	// per-round generator allocates only what escapes into g (nothing, once
 	// g's backing has converged). The permutation is drawn by filling
@@ -278,95 +277,26 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 	// candidate edge while consuming the identical random stream.
 	pThr := uint64(math.Ceil(p * (1 << 53)))
 	links := g.links[:0]
-	if n <= rcMaskMaxN {
-		// Dense path: ⌈n/64⌉ occupancy words per row in two mask planes,
-		// tmask for the n−1 tree edges and bmask for the Bernoulli extras.
-		// Each tree edge attaches a new vertex, so the tree's pairs are
-		// distinct and a pair's multiplicity is its tree bit plus its
-		// Bernoulli bit: the bits are the whole record. The Bernoulli loop —
-		// n(n−1)/2 draws per round, the generator's hot loop — therefore
-		// touches no memory between word boundaries: each hit is folded into
-		// a register accumulator branchlessly (the ~30%-taken branch has no
-		// pattern, and a mispredict stalls the serial PCG chain). The emit
-		// pass walks only the set bits of the union, so it visits ~|E| cells
-		// instead of scanning the full triangle, and restores both planes to
-		// zero, keeping the pool invariant.
-		w := (n + 63) >> 6
-		if cap(buf.mask) < 2*n*w {
-			buf.mask = make([]uint64, 2*n*w)
-		} else {
-			buf.mask = buf.mask[:2*n*w]
-		}
-		tmask := buf.mask[:n*w]
-		bmask := buf.mask[n*w : 2*n*w]
-		for i := 1; i < n; i++ {
-			// Attach perm[i] to a uniformly random earlier vertex: a random
-			// recursive tree, which has expected diameter Θ(log n).
-			u, v := perm[i], perm[int(pcgUint64N(pcg, uint64(i)))]
-			if u > v {
-				u, v = v, u
-			}
-			tmask[u*w+v>>6] |= 1 << uint(v&63)
-		}
-		// Extra edges are drawn pair-by-pair in canonical order — the same
-		// RNG consumption order as the sparse path and the original
-		// RandomConnected. The section draws n(n−1)/2 values from a serial
-		// dependency chain; lifting the PCG's 128-bit state into locals for
-		// its duration keeps the chain entirely in registers (the method
-		// form reloads and stores the heap state every draw). localPCG
-		// replicates rand/v2's step bit-for-bit — the equivalence tests
-		// that replay schedules through rand/v2 itself would catch any
-		// divergence, including an upstream algorithm change.
-		st := extractPCG(pcg)
-		for u := 0; u < n; u++ {
-			brow := bmask[u*w : u*w+w]
-			for v := u + 1; v < n; {
-				wi := v >> 6
-				end := min((wi+1)<<6, n)
-				var acc uint64
-				for ; v < end; v++ {
-					var hit uint64
-					if st.uint64()<<11>>11 < pThr {
-						hit = 1
-					}
-					acc |= hit << uint(v&63)
-				}
-				brow[wi] = acc
-			}
-		}
-		pcg.Seed(st.hi, st.lo)
-		cnt := 0
-		for i := range tmask {
-			cnt += bits.OnesCount64(tmask[i] | bmask[i])
-		}
-		if cap(links) < cnt {
-			links = make([]Link, 0, cnt)
-		}
-		for u := 0; u < n; u++ {
-			mb := u * w
-			for wi := 0; wi < w; wi++ {
-				tm, bm := tmask[mb+wi], bmask[mb+wi]
-				m := tm | bm
-				if m == 0 {
-					continue
-				}
-				tmask[mb+wi], bmask[mb+wi] = 0, 0
-				vb := wi << 6
-				for m != 0 {
-					tz := uint(bits.TrailingZeros64(m))
-					m &= m - 1
-					mult := int(tm>>tz&1 + bm>>tz&1)
-					links = append(links, Link{U: u, V: vb + int(tz), Mult: mult})
-				}
-			}
-		}
-		buf.perm = perm
-		rcScratch.Put(buf)
-		g.setCanonicalLinks(links)
-		return
+	// ⌈n/64⌉ occupancy words per row in two mask planes, tmask for the
+	// n−1 tree edges and bmask for the Bernoulli extras. Each tree edge
+	// attaches a new vertex, so the tree's pairs are distinct and a pair's
+	// multiplicity is its tree bit plus its Bernoulli bit: the bits are the
+	// whole record. The Bernoulli loop — n(n−1)/2 draws per round, the
+	// generator's hot loop — therefore touches no memory between word
+	// boundaries: each hit is folded into a register accumulator
+	// branchlessly (the ~30%-taken branch has no pattern, and a mispredict
+	// stalls the serial PCG chain). The emit pass walks only the set bits
+	// of the union, so it visits ~|E| cells instead of scanning the full
+	// triangle, and restores both planes to zero, keeping the pool
+	// invariant.
+	w := (n + 63) >> 6
+	if cap(buf.mask) < 2*n*w {
+		buf.mask = make([]uint64, 2*n*w)
+	} else {
+		buf.mask = buf.mask[:2*n*w]
 	}
-
-	tree := buf.tree[:0]
+	tmask := buf.mask[:n*w]
+	bmask := buf.mask[n*w : 2*n*w]
 	for i := 1; i < n; i++ {
 		// Attach perm[i] to a uniformly random earlier vertex: a random
 		// recursive tree, which has expected diameter Θ(log n).
@@ -374,43 +304,63 @@ func randomConnectedV2Into(g *Multigraph, n int, p float64, pcg *randv2.PCG) {
 		if u > v {
 			u, v = v, u
 		}
-		tree = append(tree, Link{U: u, V: v, Mult: 1})
+		tmask[u*w+v>>6] |= 1 << uint(v&63)
 	}
-	slices.SortFunc(tree, cmpLinks)
-
-	if c := n - 1 + int(p*float64(n*(n-1)/2)) + 4; cap(links) < c {
-		links = make([]Link, 0, c)
-	}
-	emit := func(l Link) {
-		if k := len(links); k > 0 && links[k-1].U == l.U && links[k-1].V == l.V {
-			links[k-1].Mult += l.Mult
-			return
-		}
-		links = append(links, l)
-	}
-	ti := 0
+	// Extra edges are drawn pair-by-pair in canonical order — the same RNG
+	// consumption order as the original RandomConnected. The section draws
+	// n(n−1)/2 values from a serial dependency chain; lifting the PCG's
+	// 128-bit state into locals for its duration keeps the chain entirely
+	// in registers (the method form reloads and stores the heap state
+	// every draw). localPCG replicates rand/v2's step bit-for-bit — the
+	// equivalence tests that replay schedules through rand/v2 itself would
+	// catch any divergence, including an upstream algorithm change.
+	st := extractPCG(pcg)
 	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			for ti < len(tree) && cmpLinks(tree[ti], Link{U: u, V: v}) <= 0 {
-				emit(tree[ti])
-				ti++
+		brow := bmask[u*w : u*w+w]
+		for v := u + 1; v < n; {
+			wi := v >> 6
+			end := min((wi+1)<<6, n)
+			var acc uint64
+			for ; v < end; v++ {
+				var hit uint64
+				if st.uint64()<<11>>11 < pThr {
+					hit = 1
+				}
+				acc |= hit << uint(v&63)
 			}
-			if pcg.Uint64()<<11>>11 < pThr {
-				emit(Link{U: u, V: v, Mult: 1})
+			brow[wi] = acc
+		}
+	}
+	pcg.Seed(st.hi, st.lo)
+	cnt := 0
+	for i := range tmask {
+		cnt += bits.OnesCount64(tmask[i] | bmask[i])
+	}
+	if cap(links) < cnt {
+		links = make([]Link, 0, cnt)
+	}
+	for u := 0; u < n; u++ {
+		mb := u * w
+		for wi := 0; wi < w; wi++ {
+			tm, bm := tmask[mb+wi], bmask[mb+wi]
+			m := tm | bm
+			if m == 0 {
+				continue
+			}
+			tmask[mb+wi], bmask[mb+wi] = 0, 0
+			vb := wi << 6
+			for m != 0 {
+				tz := uint(bits.TrailingZeros64(m))
+				m &= m - 1
+				mult := int(tm>>tz&1 + bm>>tz&1)
+				links = append(links, Link{U: u, V: vb + int(tz), Mult: mult})
 			}
 		}
 	}
-	for ; ti < len(tree); ti++ {
-		emit(tree[ti])
-	}
-	buf.perm, buf.tree = perm, tree
+	buf.perm = perm
 	rcScratch.Put(buf)
 	g.setCanonicalLinks(links)
 }
-
-// rcMaskMaxN bounds the dense path of randomConnectedV2Into (its pooled
-// mask planes cost 2n⌈n/64⌉ words).
-const rcMaskMaxN = 256
 
 // localPCG is a register-resident copy of math/rand/v2's PCG: the same
 // 128-bit LCG step and DXSM output function, operated on locals so a tight
@@ -465,8 +415,7 @@ func (s *localPCG) uint64() uint64 {
 // needed.
 type rcBuf struct {
 	perm []int
-	tree []Link
-	mask []uint64 // 2×n×⌈n/64⌉ words: the dense path's tree and Bernoulli planes
+	mask []uint64 // 2×n×⌈n/64⌉ words: the tree and Bernoulli mask planes
 }
 
 var rcScratch = sync.Pool{New: func() any { return new(rcBuf) }}

@@ -97,10 +97,9 @@ func TestRandomConnectedScheduleBornCanonical(t *testing.T) {
 		seed int64
 	}{
 		{2, 0, 1}, {5, 0.3, 7}, {8, 0.9, 99}, {12, 0.5, 3},
-		// The dense mask path with one mask word per row (n ≤ 64) and
-		// with two (64 < n ≤ 256), and the sparse merge path (n > 256).
-		// All must consume the identical PCG stream as the plain replay
-		// below.
+		// The mask planes with one word per row (n ≤ 64), with two and
+		// with five. All must consume the identical PCG stream as the
+		// plain replay below.
 		{64, 0.3, 11}, {96, 0.3, 11}, {257, 0.05, 11},
 	} {
 		s := NewRandomConnected(tc.n, tc.p, tc.seed)
@@ -137,21 +136,21 @@ func TestRandomConnectedScheduleBornCanonical(t *testing.T) {
 }
 
 // TestRandomConnectedSparseMergeStream is the dedicated deep regression
-// for the n > 256 sparse/merge generator path: at a density high enough
-// that many of the n−1 tree edges coincide with Bernoulli extras, the
-// merge of the two link streams must (a) consume exactly the rand/v2
-// stream the contract pins (replayed below through Perm/IntN/Float64 on a
-// fresh PCG), (b) emit a strictly canonical link list with the
-// coinciding pairs folded into multiplicity-2 links rather than
-// duplicated, and (c) build the identical graph into dirty reused
+// for the generator's mask planes across 5 mask words per row (n = 320):
+// at a density high enough that many of the n−1 tree edges coincide with
+// Bernoulli extras, the fold of the two planes must (a) consume exactly
+// the rand/v2 stream the contract pins (replayed below through
+// Perm/IntN/Float64 on a fresh PCG), (b) emit a strictly canonical link
+// list with the coinciding pairs folded into multiplicity-2 links rather
+// than duplicated, and (c) build the identical graph into dirty reused
 // storage via GraphInto.
 func TestRandomConnectedSparseMergeStream(t *testing.T) {
 	checkMergeStream(t, 320, 0.5, 29)
 }
 
-// TestRandomConnectedDenseMergeStream is the same guard on the dense mask
-// path (n ≤ 256), where a coinciding pair's multiplicity is its tree bit
-// plus its Bernoulli bit.
+// TestRandomConnectedDenseMergeStream is the same guard with two mask
+// words per row (n = 96): a coinciding pair's multiplicity is its tree
+// bit plus its Bernoulli bit.
 func TestRandomConnectedDenseMergeStream(t *testing.T) {
 	checkMergeStream(t, 96, 0.5, 29)
 }

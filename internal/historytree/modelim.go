@@ -423,18 +423,6 @@ func (e *modElim) nullRay() []*big.Rat {
 	return out
 }
 
-// rayEntry returns this prime's null-ray residue at column c, with the
-// free column normalized to 1: fully reduced pivot-1 rows are supported on
-// their pivot and the free column, so x_pivot = −row[free].
-func (ps *primeState) rayEntry(c, free int) uint64 {
-	for i, p := range ps.pivot {
-		if p == c {
-			return ps.mp.neg(ps.rows[i][free])
-		}
-	}
-	return 0
-}
-
 // rayResidues writes the whole null-ray residue vector (free column
 // normalized to 1) into dst, for the residue-based verification pass.
 func (ps *primeState) rayResidues(dst []uint64, free int) {
@@ -445,19 +433,6 @@ func (ps *primeState) rayResidues(dst []uint64, free int) {
 	for i, p := range ps.pivot {
 		dst[p] = ps.mp.neg(ps.rows[i][free])
 	}
-}
-
-// dotResidues returns row·w mod p for an int64 row and a residue vector.
-// Each product is < 2^62/len(row), so the raw sum cannot overflow before
-// the final reduction as long as len(row) < 2^31.
-func (mp modPrime) dotResidues(row []int64, w []uint64) uint64 {
-	var sum uint64
-	for c, v := range row {
-		if v != 0 && w[c] != 0 {
-			sum += mp.mul(mp.redInt64(v), w[c])
-		}
-	}
-	return mp.red(sum)
 }
 
 // reset returns the battery to an empty basis over cols variables,

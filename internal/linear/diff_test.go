@@ -2,6 +2,7 @@ package linear_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -205,6 +206,68 @@ func TestProtocolEquivalenceGeneralized(t *testing.T) {
 	assertSameAnswer(t, congested, lin)
 	if lin.Multiset[historytree.Input{Value: 2}] != 3 {
 		t.Fatalf("linear multiset: %v", lin.Multiset)
+	}
+}
+
+// TestProtocolsReportOneStatSet pins that both protocols fill one stats
+// record through core's run harness. On one schedule, leader and
+// leaderless, every RunStats field the two protocols define must be set
+// by both, and every field only the congested protocol defines (quiet
+// relay rounds, resets, structural sharing, the modular solver's prime
+// battery) must read 0 for the linear one. A RunStats field missing from
+// the table fails the test, so a new counter has to say which protocols
+// define it.
+func TestProtocolsReportOneStatSet(t *testing.T) {
+	const (
+		both = iota + 1
+		congestedOnly
+	)
+	defined := map[string]int{
+		"Rounds": both, "MaxMessageBits": both, "TotalMessages": both, "TotalBits": both,
+		"Levels": both, "WallClock": both, "SolverTime": both, "SolverCalls": both,
+		"ResidentNodes": both, "PeakResidentNodes": both,
+		// The linear protocol has no diameter estimate; leaderless, both
+		// report the known bound they ran with.
+		"FinalDiamEstimate": congestedOnly,
+		"QuietRounds":       congestedOnly, "Resets": congestedOnly,
+		"SolverPrimes": congestedOnly, "SolverCRTRecons": congestedOnly,
+		"SolverEvictions": congestedOnly, "SolverWitnessFalls": congestedOnly,
+		"SharedApplies": congestedOnly, "SharedHits": congestedOnly, "SharedForks": congestedOnly,
+	}
+	n := 8
+	for _, mode := range []core.Mode{core.ModeLeader, core.ModeLeaderless} {
+		inputs := leaderIn(n)
+		name := "leader"
+		if mode == core.ModeLeaderless {
+			inputs, name = valueIn(n), "leaderless"
+		}
+		t.Run(name, func(t *testing.T) {
+			mkSched := func() dynnet.Schedule { return dynnet.NewRandomConnected(n, 0.3, 1) }
+			congested := runCongested(t, mkSched(), inputs, mode, 1)
+			lin := runLinear(t, mkSched(), inputs, mode, 1)
+			assertSameAnswer(t, congested, lin)
+			cv, lv := reflect.ValueOf(congested.Stats), reflect.ValueOf(lin.Stats)
+			for i := range cv.NumField() {
+				field := cv.Type().Field(i).Name
+				def := defined[field]
+				if field == "FinalDiamEstimate" && mode == core.ModeLeaderless {
+					def = both
+				}
+				switch def {
+				case both:
+					if cv.Field(i).IsZero() || lv.Field(i).IsZero() {
+						t.Errorf("%s: congested %v, linear %v; both protocols define it", field,
+							cv.Field(i), lv.Field(i))
+					}
+				case congestedOnly:
+					if !lv.Field(i).IsZero() {
+						t.Errorf("%s: linear %v; only the congested protocol defines it", field, lv.Field(i))
+					}
+				default:
+					t.Errorf("RunStats.%s is in neither list of this test", field)
+				}
+			}
+		})
 	}
 }
 

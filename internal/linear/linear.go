@@ -38,17 +38,12 @@
 // candidates at or above the lowest level that has gained a class since
 // (process.scan); the tests re-derive every scan from scratch.
 //
-// Run returns the same *core.RunResult as the congested backend, so the
-// service, CLI and bench layers handle both protocols uniformly.
+// Run goes through the congested backend's run harness (core.Execute) and
+// returns the same *core.RunResult with the same stats, so the service,
+// CLI and bench layers handle both protocols uniformly.
 package linear
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"maps"
-	"time"
-
 	"anondyn/internal/core"
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
@@ -84,34 +79,10 @@ func (c Config) blockT() int {
 	return c.BlockT
 }
 
-// Validate checks the configuration against the inputs it will run with,
-// mirroring core.Config.Validate.
+// Validate checks the configuration against the inputs it will run with:
+// core.Config.Validate over the fields the two protocols share.
 func (c Config) Validate(inputs []historytree.Input) error {
-	leaders := 0
-	for _, in := range inputs {
-		if in.Leader {
-			leaders++
-		}
-	}
-	switch c.Mode {
-	case core.ModeLeader:
-		if leaders != 1 {
-			return fmt.Errorf("linear: leader mode requires exactly 1 leader, got %d", leaders)
-		}
-	case core.ModeLeaderless:
-		if leaders != 0 {
-			return fmt.Errorf("linear: leaderless mode forbids leader flags, got %d", leaders)
-		}
-		if c.DiamBound <= 0 {
-			return fmt.Errorf("linear: leaderless mode requires a positive DiamBound")
-		}
-	default:
-		return fmt.Errorf("linear: unknown mode %d", c.Mode)
-	}
-	if c.BlockT < 0 {
-		return fmt.Errorf("linear: negative BlockT %d", c.BlockT)
-	}
-	return nil
+	return core.Config{Mode: c.Mode, DiamBound: c.DiamBound, BlockT: c.BlockT, MaxLevels: c.MaxLevels}.Validate(inputs)
 }
 
 // defaultMaxRounds derives a generous safety cap: the protocol decides
@@ -127,12 +98,13 @@ func defaultMaxRounds(n int, cfg Config) int {
 }
 
 // Run executes the linear protocol over the schedule with the given
-// inputs and returns the collected result in the same shape as core.Run,
-// honoring the same engine-level options (context, deadline watchdog,
-// round cap, bit limit, trace hook). Like core.Run it verifies
-// cross-process agreement on the leaderless answer before returning, so
-// out-of-model schedules that break the diameter bound fail with a
-// structured error instead of a silent disagreement.
+// inputs through core's run harness (core.Execute), so it honors the same
+// engine-level options (context, deadline watchdog, round cap, bit limit,
+// trace hook), returns the same *core.RunResult and fills the same stats.
+// Like core.Run it verifies cross-process agreement on the leaderless
+// answer before returning, so out-of-model schedules that break the
+// diameter bound fail with a structured error instead of a silent
+// disagreement.
 func Run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions) (*core.RunResult, error) {
 	return run(s, inputs, cfg, opts, hooks{})
 }
@@ -153,16 +125,11 @@ type hooks struct {
 // run is Run with test hooks.
 func run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.RunOptions,
 	h hooks) (*core.RunResult, error) {
-	n := s.N()
 	if err := cfg.Validate(inputs); err != nil {
 		return nil, err
 	}
-	if len(inputs) != n {
-		return nil, fmt.Errorf("linear: %d inputs for %d processes", len(inputs), n)
-	}
-
 	itn := newInterner()
-	procs := make([]engine.Coroutine, n)
+	procs := make([]engine.Coroutine, len(inputs))
 	leaderPID := -1
 	for i, in := range inputs {
 		p := &process{itn: itn, cfg: cfg, input: in, hooks: h}
@@ -171,100 +138,8 @@ func run(s dynnet.Schedule, inputs []historytree.Input, cfg Config, opts core.Ru
 			leaderPID = i
 		}
 	}
-
-	ecfg := engine.Config{
-		Schedule:  s,
-		MaxRounds: opts.MaxRounds,
-		Deadline:  opts.Deadline,
-		SizeOf:    sizeOfMessage,
-		BitLimit:  opts.BitLimit,
-		Trace:     opts.Trace,
-	}
-	if ecfg.MaxRounds <= 0 {
-		ecfg.MaxRounds = defaultMaxRounds(n, cfg)
-	}
-	if cfg.Mode == core.ModeLeader {
-		// The run is over once the leader has output; non-leaders never
-		// decide in leader mode (the basic Section 3 contract of core).
-		ecfg.StopWhen = func(outputs map[int]any) bool {
-			_, ok := outputs[leaderPID]
-			return ok
-		}
-	}
-
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	started := time.Now()
-	res, err := engine.RunContext(ctx, ecfg, procs)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &core.RunResult{
-		Outputs: make(map[int]*core.Outcome, len(res.Outputs)),
-		Stats: core.RunStats{
-			Rounds:         res.Rounds,
-			MaxMessageBits: res.MaxMessageBits,
-			TotalMessages:  res.TotalMessages,
-			TotalBits:      res.TotalBits,
-			QuietRounds:    res.QuietRounds,
-			WallClock:      time.Since(started),
-		},
-	}
-	for pid, o := range res.Outputs {
-		oc, ok := o.(*core.Outcome)
-		if !ok {
-			return nil, fmt.Errorf("linear: process %d produced unexpected output %T", pid, o)
-		}
-		out.Outputs[pid] = oc
-	}
-
-	switch cfg.Mode {
-	case core.ModeLeader:
-		leaderOut, ok := out.Outputs[leaderPID]
-		if !ok {
-			return nil, errors.New("linear: leader produced no output")
-		}
-		out.N = leaderOut.N
-		out.Multiset = leaderOut.Multiset
-		out.VHT = leaderOut.VHT
-		out.Stats.Levels = leaderOut.Levels
-		out.Stats.SolverTime = leaderOut.Solver.SolveTime
-		out.Stats.SolverCalls = leaderOut.Solver.Calls
-	case core.ModeLeaderless:
-		if len(out.Outputs) != n {
-			return nil, fmt.Errorf("linear: %d of %d leaderless processes produced output", len(out.Outputs), n)
-		}
-		// The result is the lowest PID's outcome: views differ at their
-		// top levels, so another process's tree and solver statistics
-		// would differ too.
-		first := out.Outputs[0]
-		for pid := 1; pid < n; pid++ {
-			oc := out.Outputs[pid]
-			if !sameFrequencies(first.Frequencies, oc.Frequencies) {
-				return nil, errors.New("linear: leaderless processes disagree on frequencies")
-			}
-			if first.FinalRound != oc.FinalRound {
-				return nil, fmt.Errorf("linear: leaderless termination rounds differ: %d vs %d",
-					first.FinalRound, oc.FinalRound)
-			}
-		}
-		out.Frequencies = first.Frequencies
-		out.VHT = first.VHT
-		out.Stats.Levels = first.Levels
-		out.Stats.FinalDiamEstimate = first.FinalDiamEstimate
-		out.Stats.SolverTime = first.Solver.SolveTime
-		out.Stats.SolverCalls = first.Solver.Calls
-	}
-	return out, nil
-}
-
-// sameFrequencies mirrors core's leaderless agreement comparison.
-func sameFrequencies(a, b *historytree.FrequencyResult) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.MinSize == b.MinSize && maps.Equal(a.Shares, b.Shares)
+	// Non-leaders never decide in leader mode (the basic Section 3
+	// contract of core), so the run ends with the leader's output.
+	ecfg := engine.Config{Schedule: s, MaxRounds: defaultMaxRounds(s.N(), cfg), SizeOf: sizeOfMessage}
+	return core.Execute(ecfg, procs, leaderPID, false, opts)
 }

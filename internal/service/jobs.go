@@ -138,14 +138,6 @@ func (j *Job) publishLocked(ev Event) {
 	}
 }
 
-// setState transitions the job to a non-terminal state.
-func (j *Job) setState(s JobState) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.state = s
-	j.publishLocked(Event{Type: "state", State: s})
-}
-
 // finish transitions the job to a terminal state, records the outcome, and
 // releases waiters and subscribers. It is a no-op if the job already
 // terminated (e.g. cancelled while the worker was finishing). Otherwise it

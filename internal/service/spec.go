@@ -310,20 +310,12 @@ func (s JobSpec) config() core.Config {
 	return cfg
 }
 
-// linearConfig derives the linear-protocol configuration. The service
-// convention DiamBound = N·BlockT carries over from leaderless congested
-// runs, and so does the MaxLevels divergence guard.
+// linearConfig is config restricted to the fields the linear protocol
+// reads, so both protocols share the service's conventions (DiamBound =
+// N·BlockT leaderless, the MaxLevels divergence guard).
 func (s JobSpec) linearConfig() linear.Config {
-	cfg := linear.Config{
-		Mode:      core.ModeLeader,
-		BlockT:    s.BlockT,
-		MaxLevels: 3*s.N + 8,
-	}
-	if s.Leaderless {
-		cfg.Mode = core.ModeLeaderless
-		cfg.DiamBound = s.N * s.BlockT
-	}
-	return cfg
+	c := s.config()
+	return linear.Config{Mode: c.Mode, DiamBound: c.DiamBound, BlockT: c.BlockT, MaxLevels: c.MaxLevels}
 }
 
 // Run validates the spec and executes the simulation it describes,
