@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anondyn"
+	"anondyn/internal/oracle"
 )
 
 func TestPublicCount(t *testing.T) {
@@ -191,7 +192,7 @@ func TestPublicFacadeCoverage(t *testing.T) {
 		"shifting-path": anondyn.ShiftingPath(n),
 		"bottleneck":    anondyn.Bottleneck(n),
 	} {
-		if s.N() != n || !s.Graph(1).Connected() {
+		if s.N() != n || !oracle.Connected(s.Graph(1)) {
 			t.Errorf("%s: bad schedule", name)
 		}
 	}

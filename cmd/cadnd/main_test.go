@@ -49,13 +49,20 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	job, ok := srv.Manager().Get(st.ID)
-	if !ok {
-		t.Fatalf("job %s not found", st.ID)
-	}
-	final, err := service.WaitTerminal(job, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	var final service.JobStatus
+	for deadline := time.Now().Add(30 * time.Second); !final.State.Terminal(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s not terminal after 30s: %+v", st.ID, final)
+		}
+		resp, err := http.Get(base + "/v1/jobs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&final)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	if final.State != service.JobDone || final.Result == nil || final.Result.N != 5 {
 		t.Fatalf("job outcome: %+v", final)
@@ -113,7 +120,7 @@ func TestCoordinatorServeLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend.Start()
+	go backend.Serve()
 	defer func() { _ = backend.Close() }()
 
 	coord, err := cluster.NewCoordinator(cluster.Config{

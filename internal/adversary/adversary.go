@@ -34,18 +34,17 @@ type Isolator struct {
 
 	// Per-round scratch. boxes holds the round's distinct protocol
 	// messages in order of first sender: one entry per *wire.Message box
-	// (identical boxes hold identical messages) and one per value-boxed
-	// message. box[pid] is pid's entry, or -1 for a terminated process or
-	// a non-protocol message. order is the path.
+	// (identical boxes hold identical messages). box[pid] is pid's entry,
+	// or -1 for a terminated process or a non-protocol message (anything
+	// but a *wire.Message, as wire.FromBox has it). order is the path.
 	boxes []isoBox
 	box   []int
 	order []int
 	g     *dynnet.Multigraph
 }
 
-// isoBox is one distinct message of a round: the box (nil for a value
-// box), the message, how many processes send it, and whether it ties the
-// round's top priority.
+// isoBox is one distinct message of a round: the box, the message, how
+// many processes send it, and whether it ties the round's top priority.
 type isoBox struct {
 	ptr     *wire.Message
 	msg     wire.Message
@@ -87,27 +86,25 @@ func (a *Isolator) Graph(_ int, sent []engine.Message) *dynnet.Multigraph {
 		if pid >= len(sent) {
 			continue
 		}
-		switch m := sent[pid].(type) {
-		case *wire.Message:
-			if last < 0 || boxes[last].ptr != m {
-				last = -1
-				for i := range boxes {
-					if boxes[i].ptr == m {
-						last = i
-						break
-					}
-				}
-				if last < 0 {
-					last = len(boxes)
-					boxes = append(boxes, isoBox{ptr: m, msg: *m})
+		m, ok := sent[pid].(*wire.Message)
+		if !ok {
+			continue
+		}
+		if last < 0 || boxes[last].ptr != m {
+			last = -1
+			for i := range boxes {
+				if boxes[i].ptr == m {
+					last = i
+					break
 				}
 			}
-			box[pid] = last
-			boxes[last].senders++
-		case wire.Message:
-			box[pid] = len(boxes)
-			boxes = append(boxes, isoBox{msg: m, senders: 1})
+			if last < 0 {
+				last = len(boxes)
+				boxes = append(boxes, isoBox{ptr: m, msg: *m})
+			}
 		}
+		box[pid] = last
+		boxes[last].senders++
 	}
 	a.boxes = boxes
 
@@ -153,51 +150,6 @@ func (a *Isolator) Graph(_ int, sent []engine.Message) *dynnet.Multigraph {
 		panic(err) // unreachable: order lists every pid once
 	}
 	return a.g
-}
-
-// DiamSpiker is the reset-forcing adversary: it serves a complete graph
-// (dynamic diameter 1) until it sees the first Edge or Done message in
-// flight — i.e. until the processes have calibrated their DiamEstimate on
-// the easy topology and started broadcasting VHT content — then switches
-// permanently to a shifting path (dynamic diameter Θ(n)). Acknowledgments
-// that were promised within the old estimate now miss their deadline,
-// which must fire the error/reset machinery of Section 4: the protocol
-// survives (the network stays connected every round) but only after ≥ 1
-// leader reset doubles the estimate. It is the adaptive-adversary
-// counterpart of the oblivious spike fault (faults.DiamSpike).
-type DiamSpiker struct {
-	n       int
-	spiking bool
-}
-
-var _ engine.AdaptiveSchedule = (*DiamSpiker)(nil)
-
-// NewDiamSpiker returns a diameter-spiking adversary for n processes.
-func NewDiamSpiker(n int) *DiamSpiker {
-	return &DiamSpiker{n: n}
-}
-
-// N implements engine.AdaptiveSchedule.
-func (a *DiamSpiker) N() int { return a.n }
-
-// Graph implements engine.AdaptiveSchedule.
-func (a *DiamSpiker) Graph(round int, sent []engine.Message) *dynnet.Multigraph {
-	if !a.spiking {
-		for _, raw := range sent {
-			m, ok := wire.FromBox(raw)
-			if !ok {
-				continue
-			}
-			if m.Label == wire.LabelEdge || m.Label == wire.LabelEdgeBatch || m.Label == wire.LabelDone {
-				a.spiking = true
-				break
-			}
-		}
-	}
-	if a.spiking {
-		return dynnet.NewShiftingPath(a.n).Graph(round)
-	}
-	return dynnet.Complete(a.n)
 }
 
 // RunCountingUnderIsolator runs the leader-mode counting protocol against

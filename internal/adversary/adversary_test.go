@@ -12,38 +12,37 @@ import (
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 	"anondyn/internal/wire"
 )
 
 func TestIsolatorGraphsAreConnectedPaths(t *testing.T) {
 	a := NewIsolator(6, 0)
-	sent := []engine.Message{
-		wire.Null(), wire.Edge(1, 2, 3), wire.Null(), wire.Edge(1, 2, 3), wire.Done(5), nil,
-	}
+	sent := append(boxed(wire.Null(), wire.Edge(1, 2, 3), wire.Null(), wire.Edge(1, 2, 3), wire.Done(5)), nil)
 	g := a.Graph(1, sent)
-	if !g.Connected() {
+	if !oracle.Connected(g) {
 		t.Fatal("adversary must keep the network connected")
 	}
-	if g.LinkCount() != 5 {
-		t.Fatalf("path on 6 should have 5 links, got %d", g.LinkCount())
+	if oracle.LinkCount(g) != 5 {
+		t.Fatalf("path on 6 should have 5 links, got %d", oracle.LinkCount(g))
 	}
 	// The target (0) must be a path endpoint, and the top-message holders
 	// (1 and 3, holding the Edge) must occupy the other end.
-	if g.Degree(0) != 1 {
-		t.Errorf("target degree %d, want 1 (path endpoint)", g.Degree(0))
+	if oracle.Degree(g, 0) != 1 {
+		t.Errorf("target degree %d, want 1 (path endpoint)", oracle.Degree(g, 0))
 	}
 	// Holders 1 and 3 must be adjacent to each other at the far end:
 	// exactly one of them is the other endpoint.
 	endpoints := 0
 	for _, pid := range []int{1, 3} {
-		if g.Degree(pid) == 1 {
+		if oracle.Degree(g, pid) == 1 {
 			endpoints++
 		}
 	}
 	if endpoints != 1 {
 		t.Errorf("expected exactly one holder at the far endpoint, got %d", endpoints)
 	}
-	if g.Neighbors(1)[3] == 0 && g.Neighbors(3)[1] == 0 {
+	if oracle.Neighbors(g, 1)[3] == 0 && oracle.Neighbors(g, 3)[1] == 0 {
 		t.Error("top-message holders should be contiguous on the path")
 	}
 }
@@ -80,6 +79,16 @@ func TestIsolatorLinksFollowItsPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// boxed boxes each message as the simulation does: one *wire.Message per
+// sender.
+func boxed(ms ...wire.Message) []engine.Message {
+	sent := make([]engine.Message, len(ms))
+	for i := range ms {
+		sent[i] = &ms[i]
+	}
+	return sent
 }
 
 // isolatorOracle is the per-sender Isolator that ranking boxes replaced:
@@ -133,7 +142,7 @@ var isolatorCatalog = []wire.Message{
 
 // randomSent draws one round's sent vector: a few heap boxes, each shared
 // by many senders (a catalog entry may be drawn twice, giving two boxes of
-// one value), mixed with value-boxed messages, nil for terminated
+// one value), mixed with boxes of a single sender, nil for terminated
 // processes and a non-protocol value.
 func randomSent(rng *rand.Rand, n int) []engine.Message {
 	boxes := make([]*wire.Message, 1+rng.IntN(5))
@@ -148,7 +157,8 @@ func randomSent(rng *rand.Rand, n int) []engine.Message {
 		case r < 3:
 			sent[pid] = "not a protocol message"
 		case r < 5:
-			sent[pid] = isolatorCatalog[rng.IntN(len(isolatorCatalog))]
+			m := isolatorCatalog[rng.IntN(len(isolatorCatalog))]
+			sent[pid] = &m
 		default:
 			sent[pid] = boxes[rng.IntN(len(boxes))]
 		}
@@ -196,7 +206,8 @@ func TestIsolatorMatchesPerSenderOracle(t *testing.T) {
 func TestIsolatorTargetOutOfRange(t *testing.T) {
 	const n = 4
 	for _, target := range []int{-7, -1, n, n + 3} {
-		sent := []engine.Message{wire.Null(), wire.Edge(1, 2, 3), nil, wire.Edge(1, 2, 3)}
+		null, edge1, edge3 := wire.Null(), wire.Edge(1, 2, 3), wire.Edge(1, 2, 3)
+		sent := []engine.Message{&null, &edge1, nil, &edge3}
 		g := NewIsolator(n, target).Graph(1, sent)
 		if want := isolatorOracle(n, -1, sent); !slices.Equal(g.CanonicalLinks(), want) {
 			t.Fatalf("target %d: links %v, want the untargeted path %v", target, g.CanonicalLinks(), want)
@@ -247,8 +258,8 @@ func TestIsolatorSteadyStateAllocs(t *testing.T) {
 	a.Graph(1, sent).CanonicalLinks()
 	allocs := testing.AllocsPerRun(100, func() {
 		g := a.Graph(2, sent)
-		if g.LinkCount() != n-1 {
-			t.Fatalf("path on %d has %d links", n, g.LinkCount())
+		if oracle.LinkCount(g) != n-1 {
+			t.Fatalf("path on %d has %d links", n, oracle.LinkCount(g))
 		}
 	})
 	if allocs != 0 {
@@ -306,24 +317,24 @@ func TestIsolatorWithFineGrainedResets(t *testing.T) {
 }
 
 func TestDiamSpikerServesCompleteUntilContentFlows(t *testing.T) {
-	a := NewDiamSpiker(5)
+	a := oracle.NewDiamSpiker(5)
 	// Control traffic (Null, Begin) must not trigger the spike.
-	g := a.Graph(1, []engine.Message{wire.Null(), wire.Begin(0), nil})
-	if g.LinkCount() != 5*4/2 {
-		t.Fatalf("pre-spike graph should be complete, got %d links", g.LinkCount())
+	g := a.Graph(1, append(boxed(wire.Null(), wire.Begin(0)), nil))
+	if oracle.LinkCount(g) != 5*4/2 {
+		t.Fatalf("pre-spike graph should be complete, got %d links", oracle.LinkCount(g))
 	}
 	// The first Edge in flight flips the adversary permanently.
-	g = a.Graph(2, []engine.Message{wire.Edge(1, 2, 1)})
-	if g.LinkCount() == 5*4/2 {
+	g = a.Graph(2, boxed(wire.Edge(1, 2, 1)))
+	if oracle.LinkCount(g) == 5*4/2 {
 		t.Fatal("adversary did not spike on Edge traffic")
 	}
 	for round := 3; round <= 6; round++ {
 		g := a.Graph(round, nil)
-		if !g.Connected() {
+		if !oracle.Connected(g) {
 			t.Fatalf("round %d: spiked graph disconnected", round)
 		}
-		if g.LinkCount() != 4 {
-			t.Fatalf("round %d: spiked graph is not a path (%d links)", round, g.LinkCount())
+		if oracle.LinkCount(g) != 4 {
+			t.Fatalf("round %d: spiked graph is not a path (%d links)", round, oracle.LinkCount(g))
 		}
 	}
 }
@@ -335,7 +346,7 @@ func TestDiamSpikerForcesResetAndStillCounts(t *testing.T) {
 		cfg := core.Config{Mode: core.ModeLeader, MaxLevels: 3*n + 8}
 		checker := check.New(inputs)
 		checker.Attach(&cfg)
-		res, err := core.RunAdaptive(NewDiamSpiker(n), inputs, cfg, core.RunOptions{})
+		res, err := core.RunAdaptive(oracle.NewDiamSpiker(n), inputs, cfg, core.RunOptions{})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

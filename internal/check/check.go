@@ -23,6 +23,7 @@ import (
 
 	"anondyn/internal/core"
 	"anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 )
 
 // Checker validates protocol invariants live (as recorder events arrive)
@@ -327,7 +328,7 @@ func (c *Checker) verifyLevels(res *core.RunResult) error {
 		}
 		prev = ids
 	}
-	if err := historytree.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
+	if err := oracle.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
 		return fmt.Errorf("check: red-edge balance vs ground-truth cardinalities (Lemma 4.4): %w", err)
 	}
 	return nil

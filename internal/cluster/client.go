@@ -71,9 +71,6 @@ func NewClient(addr string, hc *http.Client) *Client {
 	return &Client{base: base, http: hc}
 }
 
-// Addr returns the backend's base URL.
-func (c *Client) Addr() string { return c.base }
-
 // Healthz probes GET /v1/healthz, returning nil iff the backend answered
 // 200 within the context's deadline.
 func (c *Client) Healthz(ctx context.Context) error {
@@ -90,24 +87,6 @@ func (c *Client) Healthz(ctx context.Context) error {
 		return fmt.Errorf("cluster: healthz status %d", resp.StatusCode)
 	}
 	return nil
-}
-
-// Metrics fetches the backend's /v1/metrics snapshot.
-func (c *Client) Metrics(ctx context.Context) (service.MetricsSnapshot, error) {
-	var m service.MetricsSnapshot
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
-	if err != nil {
-		return m, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return m, err
-	}
-	defer drain(resp)
-	if resp.StatusCode != http.StatusOK {
-		return m, fmt.Errorf("cluster: metrics status %d", resp.StatusCode)
-	}
-	return m, json.NewDecoder(resp.Body).Decode(&m)
 }
 
 // Submit POSTs the spec to /v1/jobs. A 400 is returned as ErrRejected

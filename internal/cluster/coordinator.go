@@ -292,12 +292,6 @@ func (c *Coordinator) Health() []BackendHealth {
 	return out
 }
 
-// Owners exposes the failover chain the coordinator would use for a spec
-// hash (primary first) — for tests and observability.
-func (c *Coordinator) Owners(hash string) []string {
-	return c.ring.Owners(hash, c.cfg.Replicas)
-}
-
 // Run routes one spec: coalesce onto an identical in-flight spec if one
 // exists, otherwise execute it on the spec's primary backend with
 // failover along the replica chain. The returned Outcome is terminal;

@@ -29,7 +29,7 @@ func newBackend(t *testing.T, workers int, storeDir string) *service.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Start()
+	go srv.Serve()
 	t.Cleanup(func() { _ = srv.Close() })
 	return srv
 }
@@ -435,4 +435,10 @@ func TestSweepSummary(t *testing.T) {
 	if summary.P99MS < summary.P50MS || summary.MaxMS < summary.P99MS {
 		t.Fatalf("latency quantiles out of order: %+v", summary)
 	}
+}
+
+// Owners exposes the failover chain the coordinator would use for a spec
+// hash (primary first) — for tests and observability.
+func (c *Coordinator) Owners(hash string) []string {
+	return c.ring.Owners(hash, c.cfg.Replicas)
 }

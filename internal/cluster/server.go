@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"anondyn/internal/service"
 )
@@ -72,11 +71,6 @@ func (s *Server) Serve() error {
 		return nil
 	}
 	return err
-}
-
-// Start serves in a background goroutine; the error surfaces in Shutdown.
-func (s *Server) Start() {
-	go func() { s.errCh <- s.Serve() }()
 }
 
 // Shutdown stops accepting connections, waits for in-flight handlers
@@ -219,33 +213,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.coord.MetricsSnapshot())
-}
-
-// WaitHealthy polls the coordinator's backends until at least want of
-// them answer healthz, or the timeout lapses — a convenience for boot
-// scripts and tests that need the fleet up before sweeping.
-func (c *Coordinator) WaitHealthy(ctx context.Context, want int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		healthy := 0
-		for _, b := range c.backends {
-			probeCtx, cancel := context.WithTimeout(ctx, time.Second)
-			if b.client.Healthz(probeCtx) == nil {
-				healthy++
-				b.breaker.success()
-			}
-			cancel()
-		}
-		if healthy >= want {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("cluster: only %d/%d backends healthy after %s", healthy, want, timeout)
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
 }

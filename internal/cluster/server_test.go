@@ -231,7 +231,14 @@ func TestClusterServerSweepClientDisconnect(t *testing.T) {
 	}()
 	// Let the sweep reach the backend: wait until its job is running.
 	for deadline := time.Now().Add(10 * time.Second); ; {
-		jobs := b.Manager().Jobs()
+		var jobs []service.JobStatus
+		if resp, err := http.Get("http://" + b.Addr() + "/v1/jobs"); err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&jobs)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		if len(jobs) == 1 && jobs[0].State == service.JobRunning {
 			break
 		}
@@ -258,4 +265,9 @@ func TestClusterServerSweepClientDisconnect(t *testing.T) {
 	}
 	// The backend is torn down hard by newBackend's cleanup (Close), which
 	// also cancels the orphaned job.
+}
+
+// Start serves in a background goroutine; the error surfaces in Shutdown.
+func (s *Server) Start() {
+	go func() { s.errCh <- s.Serve() }()
 }

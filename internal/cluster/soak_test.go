@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -173,4 +174,33 @@ func TestClusterSoak(t *testing.T) {
 			metrics.StoreHits, metrics.RoundsSimulated)
 	}
 	t.Logf("restart verification: storeHits=%d, recomputed rounds=%d", metrics.StoreHits, metrics.RoundsSimulated)
+}
+
+// WaitHealthy polls the coordinator's backends until at least want of
+// them answer healthz, or the timeout lapses — a convenience for boot
+// scripts and tests that need the fleet up before sweeping.
+func (c *Coordinator) WaitHealthy(ctx context.Context, want int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		healthy := 0
+		for _, b := range c.backends {
+			probeCtx, cancel := context.WithTimeout(ctx, time.Second)
+			if b.client.Healthz(probeCtx) == nil {
+				healthy++
+				b.breaker.success()
+			}
+			cancel()
+		}
+		if healthy >= want {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: only %d/%d backends healthy after %s", healthy, want, timeout)
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"anondyn/internal/dynnet"
 	"anondyn/internal/historytree"
+	testoracle "anondyn/internal/oracle"
 )
 
 // BenchmarkE2SolverReplay replays the leader's per-level counting over the
@@ -17,7 +18,7 @@ import (
 func BenchmarkE2SolverReplay(b *testing.B) {
 	const n = 12
 	s := dynnet.NewFunc(n, func(t int) *dynnet.Multigraph {
-		return dynnet.RandomConnected(n, 0.3, rand.New(rand.NewSource(1*1000003+int64(t))))
+		return testoracle.RandomConnected(n, 0.3, rand.New(rand.NewSource(1*1000003+int64(t))))
 	})
 	res, err := Run(s, leaderInputs(n), Config{Mode: ModeLeader, MaxLevels: 3*n + 6}, RunOptions{})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"anondyn/internal/dynnet"
 	"anondyn/internal/historytree"
+	testoracle "anondyn/internal/oracle"
 )
 
 func TestConfirmationWindowDelaysOutput(t *testing.T) {
@@ -42,7 +43,7 @@ func spikeSchedule(n int, seed int64) dynnet.Schedule {
 	cut := 10 + int(seed%40)
 	return dynnet.NewFunc(n, func(round int) *dynnet.Multigraph {
 		if round <= cut {
-			return dynnet.RandomConnected(n, 0.8, rand.New(rand.NewSource(seed*997+int64(round))))
+			return testoracle.RandomConnected(n, 0.8, rand.New(rand.NewSource(seed*997+int64(round))))
 		}
 		return dynnet.NewShiftingPath(n).Graph(round + int(seed))
 	})
@@ -95,7 +96,7 @@ func TestAdversarialSoakNeverWrong(t *testing.T) {
 			return dynnet.NewFunc(n, func(round int) *dynnet.Multigraph {
 				phase := (round / 25) % 2
 				if phase == 0 {
-					return dynnet.RandomConnected(n, 0.9, rand.New(rand.NewSource(seed*31+int64(round))))
+					return testoracle.RandomConnected(n, 0.9, rand.New(rand.NewSource(seed*31+int64(round))))
 				}
 				return dynnet.NewShiftingPath(n).Graph(round)
 			})

@@ -7,6 +7,7 @@ import (
 
 	"anondyn/internal/dynnet"
 	"anondyn/internal/historytree"
+	testoracle "anondyn/internal/oracle"
 )
 
 // newRand returns a fresh seeded RNG (for deterministic per-round graphs).
@@ -58,7 +59,7 @@ func TestFineGrainedResetPreservesVHTConsistency(t *testing.T) {
 		t.Fatal("shifting path must force resets for this test to be meaningful")
 	}
 	card := cardinalities(t, res, rec, leaderInputs(n), true)
-	if err := historytree.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
+	if err := testoracle.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
 		t.Fatalf("VHT inconsistent after fine resets: %v", err)
 	}
 }
@@ -89,7 +90,7 @@ func TestFineGrainedSavesWorkOverLevelResets(t *testing.T) {
 		return func(n int) dynnet.Schedule {
 			return dynnet.NewFunc(n, func(round int) *dynnet.Multigraph {
 				if round <= cut {
-					return dynnet.RandomConnected(n, 0.8, newRand(int64(round)))
+					return testoracle.RandomConnected(n, 0.8, newRand(int64(round)))
 				}
 				return dynnet.NewShiftingPath(n).Graph(round)
 			})

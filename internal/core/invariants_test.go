@@ -8,6 +8,7 @@ import (
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
+	testoracle "anondyn/internal/oracle"
 )
 
 // cardinalities reconstructs the true cardinality of every VHT node from
@@ -68,7 +69,7 @@ func TestVHTCardinalityConsistency(t *testing.T) {
 					t.Fatalf("counted %d", res.N)
 				}
 				card := cardinalities(t, res, rec, leaderInputs(n), true)
-				if err := historytree.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
+				if err := testoracle.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
 					t.Fatalf("VHT inconsistent with true cardinalities: %v", err)
 				}
 			})
@@ -138,7 +139,7 @@ func TestDeterministicProtocolRuns(t *testing.T) {
 	if a.N != b.N || sa != sb {
 		t.Fatalf("nondeterministic runs: %+v vs %+v", sa, sb)
 	}
-	if !historytree.Isomorphic(a.VHT, b.VHT) {
+	if !testoracle.Isomorphic(a.VHT, b.VHT) {
 		t.Fatal("VHTs differ across identical runs")
 	}
 }
@@ -263,7 +264,7 @@ func TestGeneralizedCardinalityConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	card := cardinalities(t, res, rec, inputs, false)
-	if err := historytree.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
+	if err := testoracle.CheckWeights(res.VHT, res.Stats.Levels, card); err != nil {
 		t.Fatalf("VHT inconsistent: %v", err)
 	}
 	// Level 0 must carry the exact input classes with true counts.

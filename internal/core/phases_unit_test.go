@@ -36,8 +36,8 @@ func (f *fakeTransport) SendAndReceive(m engine.Message) ([]engine.Message, erro
 		return nil, f.exhausted
 	}
 	out := make([]engine.Message, len(f.replies[f.round]))
-	for i, r := range f.replies[f.round] {
-		out[i] = r
+	for i := range f.replies[f.round] {
+		out[i] = &f.replies[f.round][i]
 	}
 	f.round++
 	return out, nil

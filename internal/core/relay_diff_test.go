@@ -12,6 +12,7 @@ import (
 	"anondyn/internal/engine"
 	"anondyn/internal/faults"
 	"anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 	"anondyn/internal/wire"
 )
 
@@ -50,7 +51,7 @@ func outcomeKey(oc *core.Outcome) string {
 	s.SolveTime = 0
 	tree := ""
 	if oc.VHT != nil {
-		tree = historytree.CanonicalForm(oc.VHT)
+		tree = oracle.CanonicalForm(oc.VHT)
 	}
 	return fmt.Sprintf("n=%d ms=%v fr=%+v levels=%d diam=%d round=%d solver=%+v tree=%q",
 		oc.N, oc.Multiset, oc.Frequencies, oc.Levels, oc.FinalDiamEstimate, oc.FinalRound, s, tree)
@@ -125,7 +126,7 @@ func diffCases(t *testing.T) []diffCase {
 	}
 	const m = 7
 	isolator := func() engine.Config { return engine.Config{Adaptive: adversary.NewIsolator(m, 0)} }
-	spiker := func() engine.Config { return engine.Config{Adaptive: adversary.NewDiamSpiker(m)} }
+	spiker := func() engine.Config { return engine.Config{Adaptive: oracle.NewDiamSpiker(m)} }
 	return append(cases,
 		diffCase{"isolator", isolator, leaderInputs(m), core.Config{Mode: core.ModeLeader, MaxLevels: 3*m + 8}},
 		diffCase{"isolator/halt", isolator, leaderInputs(m),

@@ -7,6 +7,7 @@ import (
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
+	testoracle "anondyn/internal/oracle"
 	"anondyn/internal/wire"
 )
 
@@ -71,7 +72,7 @@ func requireSameResult(t *testing.T, shared, private *RunResult) {
 			ss.ResidentNodes, ss.PeakResidentNodes, ps.ResidentNodes, ps.PeakResidentNodes)
 	}
 	if shared.VHT != nil && private.VHT != nil {
-		if g, w := historytree.CanonicalForm(shared.VHT), historytree.CanonicalForm(private.VHT); g != w {
+		if g, w := testoracle.CanonicalForm(shared.VHT), testoracle.CanonicalForm(private.VHT); g != w {
 			t.Fatalf("canonical form mismatch:\n shared %q\nprivate %q", g, w)
 		}
 	}
@@ -233,7 +234,7 @@ func TestSharedVHTForkOnDivergence(t *testing.T) {
 	if p1.vht == g.tree {
 		t.Fatal("diverged member still shares the tree")
 	}
-	if got, want := historytree.CanonicalForm(p1.vht), historytree.CanonicalForm(g.tree); got != want {
+	if got, want := testoracle.CanonicalForm(p1.vht), testoracle.CanonicalForm(g.tree); got != want {
 		t.Fatalf("fork replay differs from shared tree:\n got %q\nwant %q", got, want)
 	}
 	if p1.temp != &p1.tempScratch || p1.lg != &p1.lgScratch {

@@ -30,13 +30,6 @@ type tempVHT struct {
 
 const tempChunkSize = 32
 
-// newTempVHT returns a forest whose roots are the given previous-level IDs.
-func newTempVHT(rootIDs []int) *tempVHT {
-	tv := &tempVHT{}
-	tv.reset(rootIDs)
-	return tv
-}
-
 // reset rewinds the forest to an edgeless one whose roots are the given
 // IDs, keeping the node arena for reuse. All previously returned *tempNode
 // pointers are invalidated.
@@ -69,9 +62,6 @@ func (tv *tempVHT) newNode() *tempNode {
 	*chunk = append(*chunk, tempNode{})
 	return &(*chunk)[len(*chunk)-1]
 }
-
-// node returns the node with the given ID, or nil.
-func (tv *tempVHT) node(id int) *tempNode { return tv.nodes[id] }
 
 // root returns the root of the tree containing the node with the given ID
 // (FindRoot in Listing 5). It returns nil if the ID is unknown, or if tv
@@ -149,13 +139,6 @@ func (tv *tempVHT) appendPathRedEdges(id int, buf []obs) ([]obs, error) {
 type levelGraph struct {
 	parent map[int]int
 	edges  map[[2]int]bool
-}
-
-// newLevelGraph returns an edgeless graph on the given node IDs.
-func newLevelGraph(ids []int) *levelGraph {
-	lg := &levelGraph{}
-	lg.reset(ids)
-	return lg
 }
 
 // reset rewinds the graph to an edgeless one on the given node IDs,

@@ -122,3 +122,20 @@ func TestLevelGraphBecomesSpanningTree(t *testing.T) {
 		}
 	}
 }
+
+// newTempVHT returns a forest whose roots are the given previous-level IDs.
+func newTempVHT(rootIDs []int) *tempVHT {
+	tv := &tempVHT{}
+	tv.reset(rootIDs)
+	return tv
+}
+
+// node returns the node with the given ID, or nil.
+func (tv *tempVHT) node(id int) *tempNode { return tv.nodes[id] }
+
+// newLevelGraph returns an edgeless graph on the given node IDs.
+func newLevelGraph(ids []int) *levelGraph {
+	lg := &levelGraph{}
+	lg.reset(ids)
+	return lg
+}

@@ -139,12 +139,7 @@ func (p *Process) relay(m wire.Message, steps int, stopAtReset bool) (wire.Messa
 	}
 	pm, ok := top.(*wire.Message)
 	if !ok {
-		// Value-boxed result from a stub transport (never the engine).
-		wm, ok := wire.FromBox(top)
-		if !ok {
-			return m, fmt.Errorf("core: relayed non-protocol message %T", top)
-		}
-		pm = &wm
+		return m, fmt.Errorf("core: relayed non-protocol message %T", top)
 	}
 	p.relayTop = pm
 	if pm.Label == wire.LabelHalt && m.Label != wire.LabelHalt {
@@ -153,14 +148,13 @@ func (p *Process) relay(m wire.Message, steps int, stopAtReset bool) (wire.Messa
 	return *pm, nil
 }
 
-// label returns a delivered message's label (LabelNull's zero value for a
+// label returns a delivered message's label (the zero Label for a
 // non-protocol message).
 func label(m engine.Message) wire.Label {
 	if pm, ok := m.(*wire.Message); ok {
 		return pm.Label
 	}
-	wm, _ := wire.FromBox(m)
-	return wm.Label
+	return 0
 }
 
 // wakeOnHalt ends a relay at a Halt; wakeOnResetOrHalt also at a Reset.
@@ -172,7 +166,8 @@ func wakeOnResetOrHalt(m engine.Message) bool {
 }
 
 // priority is Compare on engine message boxes: the engine.Config.Priority
-// that relays fold by. Two deliveries of one box compare equal by pointer.
+// that relays fold by. Two deliveries of one box compare equal by pointer;
+// a non-protocol box (nil included) compares as the zero Message.
 func priority(a, b engine.Message) int {
 	pa, okA := a.(*wire.Message)
 	pb, okB := b.(*wire.Message)

@@ -1,9 +1,11 @@
-package dynnet
+package dynnet_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"anondyn/internal/oracle"
 )
 
 func BenchmarkRandomConnected(b *testing.B) {
@@ -11,7 +13,7 @@ func BenchmarkRandomConnected(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if g := RandomConnected(n, 0.3, rng); !g.Connected() {
+				if g := oracle.RandomConnected(n, 0.3, rng); !oracle.Connected(g) {
 					b.Fatal("disconnected")
 				}
 			}
@@ -20,9 +22,9 @@ func BenchmarkRandomConnected(b *testing.B) {
 }
 
 func BenchmarkConnectedCheck(b *testing.B) {
-	g := RandomConnected(256, 0.1, rand.New(rand.NewSource(2)))
+	g := oracle.RandomConnected(256, 0.1, rand.New(rand.NewSource(2)))
 	for i := 0; i < b.N; i++ {
-		if !g.Connected() {
+		if !oracle.Connected(g) {
 			b.Fatal("disconnected")
 		}
 	}

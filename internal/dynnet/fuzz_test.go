@@ -1,6 +1,11 @@
-package dynnet
+package dynnet_test
 
-import "testing"
+import (
+	"testing"
+
+	. "anondyn/internal/dynnet"
+	"anondyn/internal/oracle"
+)
 
 // FuzzRandomConnectedSchedule drives the random connected generator with
 // arbitrary (n, p, seed, round) and asserts its contract: every graph is
@@ -22,7 +27,7 @@ func FuzzRandomConnectedSchedule(f *testing.F) {
 		if g.N() != n {
 			t.Fatalf("graph on %d processes, want %d", g.N(), n)
 		}
-		if !g.Connected() {
+		if !oracle.Connected(g) {
 			t.Fatalf("n=%d p=%v seed=%d round=%d: disconnected graph", n, p, seed, round)
 		}
 		links := g.CanonicalLinks()

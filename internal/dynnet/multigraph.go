@@ -6,9 +6,9 @@
 // same vertex set {0, …, n-1}. Multigraphs may contain parallel links and
 // self-loops; a self-loop represents a single link, i.e. a single message
 // sent and received by the same process. The package provides the multigraph
-// type itself, connectivity and union-connectivity checks, and a collection
-// of adversarial schedule generators used throughout the test and benchmark
-// suites.
+// type itself and a collection of adversarial schedule generators used
+// throughout the test and benchmark suites. The connectivity checks that
+// tests apply to its graphs are in internal/oracle.
 package dynnet
 
 import (
@@ -136,69 +136,6 @@ func (g *Multigraph) CanonicalLinks() []Link {
 	return g.canonicalize()
 }
 
-// LinkCount returns the total number of links counted with multiplicity.
-func (g *Multigraph) LinkCount() int {
-	total := 0
-	for _, l := range g.links {
-		total += l.Mult
-	}
-	return total
-}
-
-// Neighbors returns, for process u, the multiset of neighbors as a map from
-// neighbor index to the number of links shared with u. A self-loop {u,u}
-// with multiplicity m contributes m to entry u (one message per loop).
-func (g *Multigraph) Neighbors(u int) map[int]int {
-	out := make(map[int]int)
-	for _, l := range g.links {
-		switch {
-		case l.U == u && l.V == u:
-			out[u] += l.Mult
-		case l.U == u:
-			out[l.V] += l.Mult
-		case l.V == u:
-			out[l.U] += l.Mult
-		}
-	}
-	return out
-}
-
-// Degree returns the number of incident links of u counted with
-// multiplicity. A self-loop counts once (one message delivered).
-func (g *Multigraph) Degree(u int) int {
-	d := 0
-	for nb, m := range g.Neighbors(u) {
-		_ = nb
-		d += m
-	}
-	return d
-}
-
-// Connected reports whether the multigraph is connected. The empty graph
-// and single-vertex graph are connected by convention.
-func (g *Multigraph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	adj := g.adjacency()
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return count == g.n
-}
-
 // Union returns a new multigraph whose link multiset is the union (with
 // accumulated multiplicities) of g and h. Both graphs must have the same
 // process count.
@@ -315,20 +252,6 @@ func (g *Multigraph) String() string {
 	}
 	b.WriteString("}")
 	return b.String()
-}
-
-// adjacency builds a simple adjacency list ignoring multiplicities and
-// self-loops (sufficient for connectivity).
-func (g *Multigraph) adjacency() [][]int {
-	adj := make([][]int, g.n)
-	for _, l := range g.links {
-		if l.U == l.V {
-			continue
-		}
-		adj[l.U] = append(adj[l.U], l.V)
-		adj[l.V] = append(adj[l.V], l.U)
-	}
-	return adj
 }
 
 // Path returns the path graph 0-1-…-(n-1).

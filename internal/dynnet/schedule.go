@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 	randv2 "math/rand/v2"
 	"sync"
 )
@@ -209,38 +208,13 @@ func pcgUint64N(pcg *randv2.PCG, n uint64) uint64 {
 	return hi
 }
 
-// RandomConnected draws one connected graph on n vertices: a random
-// spanning tree (random attachment) plus every remaining pair independently
-// with probability p.
-func RandomConnected(n int, p float64, rng *rand.Rand) *Multigraph {
-	g := NewMultigraph(n)
-	if n <= 1 {
-		return g
-	}
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		// Attach perm[i] to a uniformly random earlier vertex: a random
-		// recursive tree, which has expected diameter Θ(log n).
-		j := perm[rng.Intn(i)]
-		g.MustAddLink(perm[i], j, 1)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if rng.Float64() < p {
-				g.MustAddLink(u, v, 1)
-			}
-		}
-	}
-	return g
-}
-
-// randomConnectedV2Into is RandomConnected driven by a math/rand/v2 PCG —
-// the hot-loop generator behind RandomConnectedSchedule, whose per-round
-// PCG is O(1) to reseed (see Graph). It draws the same distribution as
-// RandomConnected but emits the links in canonical (U, V) order — it
-// records the n-1 tree edges and the extra edges as bits of two per-row
-// mask planes and emits the union row by row — so the graph is born
-// canonical and the engine's once-per-round traversal skips the
+// randomConnectedV2Into is oracle.RandomConnected driven by a math/rand/v2
+// PCG — the hot-loop generator behind RandomConnectedSchedule, whose
+// per-round PCG is O(1) to reseed (see Graph). It draws the same
+// distribution as oracle.RandomConnected but emits the links in canonical
+// (U, V) order — it records the n-1 tree edges and the extra edges as bits
+// of two per-row mask planes and emits the union row by row — so the graph
+// is born canonical and the engine's once-per-round traversal skips the
 // canonicalization sort that otherwise shows up in simulation profiles.
 // It builds into g's reused storage: g is reset to n processes and its
 // link backing array is refilled, so a router that round-robins one graph
@@ -542,9 +516,6 @@ func NewUnionConnected(inner Schedule, t int) (*UnionConnectedSchedule, error) {
 // N implements Schedule.
 func (s *UnionConnectedSchedule) N() int { return s.inner.N() }
 
-// T returns the dynamic disconnectivity of the schedule.
-func (s *UnionConnectedSchedule) T() int { return s.t }
-
 // Graph implements Schedule.
 func (s *UnionConnectedSchedule) Graph(t int) *Multigraph {
 	block := (t-1)/s.t + 1 // inner round index
@@ -557,21 +528,4 @@ func (s *UnionConnectedSchedule) Graph(t int) *Multigraph {
 		}
 	}
 	return g
-}
-
-// UnionConnected reports whether the union of graphs of rounds
-// [from, from+window) under s is connected.
-func UnionConnected(s Schedule, from, window int) (bool, error) {
-	if window <= 0 {
-		return false, fmt.Errorf("dynnet: non-positive window %d", window)
-	}
-	acc := s.Graph(from)
-	for t := from + 1; t < from+window; t++ {
-		next, err := acc.Union(s.Graph(t))
-		if err != nil {
-			return false, err
-		}
-		acc = next
-	}
-	return acc.Connected(), nil
 }

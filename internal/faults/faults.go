@@ -217,9 +217,6 @@ func (s *Schedule) Graph(t int) *dynnet.Multigraph {
 	return s.plan.graphAt(len(s.plan.Faults), t, s.inner.Graph)
 }
 
-// Plan returns the wrapped plan.
-func (s *Schedule) Plan() *Plan { return s.plan }
-
 // AdaptiveSchedule is a fault plan laid over a reactive adversary; it
 // implements engine.AdaptiveSchedule. When the plan contains a
 // DisconnectBurst (and BudgetT > 1), the adversary's raw graph is frozen

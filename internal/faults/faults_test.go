@@ -6,6 +6,7 @@ import (
 
 	"anondyn/internal/dynnet"
 	"anondyn/internal/engine"
+	"anondyn/internal/oracle"
 )
 
 // graphsEqual compares two multigraphs by canonical link list.
@@ -180,7 +181,7 @@ func TestInModelPlansPreserveUnionConnectivity(t *testing.T) {
 				}
 				s := p.Wrap(base)
 				for start := 1; start <= 4*T+9; start += T {
-					ok, err := dynnet.UnionConnected(s, start, T)
+					ok, err := oracle.UnionConnected(s, start, T)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -212,7 +213,7 @@ func TestBurstDisconnectsIndividualRounds(t *testing.T) {
 	s := p.Wrap(base)
 	disconnected := 0
 	for round := 1; round <= 8*T; round++ {
-		if !s.Graph(round).Connected() {
+		if !oracle.Connected(s.Graph(round)) {
 			disconnected++
 		}
 	}
@@ -228,7 +229,7 @@ func TestCrashSeversAllLinks(t *testing.T) {
 	}
 	s := p.Wrap(dynnet.NewStatic(dynnet.Complete(6)))
 	for round := 1; round <= 10; round++ {
-		deg := s.Graph(round).Degree(3)
+		deg := oracle.Degree(s.Graph(round), 3)
 		inWindow := round >= 2 && round < 7
 		if inWindow && deg != 0 {
 			t.Fatalf("round %d: crashed process has degree %d", round, deg)
@@ -246,7 +247,7 @@ func TestDropExtremes(t *testing.T) {
 	}
 	s := p.Wrap(dynnet.NewStatic(dynnet.Complete(5)))
 	for round := 1; round <= 5; round++ {
-		if got := s.Graph(round).LinkCount(); got != 0 {
+		if got := oracle.LinkCount(s.Graph(round)); got != 0 {
 			t.Fatalf("round %d: P=1 drop left %d links", round, got)
 		}
 	}
@@ -313,7 +314,7 @@ func TestAdaptiveWrapMatchesObliviousOnObliviousInner(t *testing.T) {
 					}
 					acc = next
 				}
-				if !acc.Connected() {
+				if !oracle.Connected(acc) {
 					t.Fatalf("plan %q: adaptive block at %d not union-connected", spec, start)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anondyn/internal/dynnet"
+	"anondyn/internal/oracle"
 )
 
 // FuzzFaultPlan feeds arbitrary specs through the fault-plan grammar and
@@ -63,7 +64,7 @@ func FuzzFaultPlan(f *testing.F) {
 				}
 			}
 			h := b.Graph(round)
-			if g.LinkCount() != h.LinkCount() || len(g.CanonicalLinks()) != len(h.CanonicalLinks()) {
+			if oracle.LinkCount(g) != oracle.LinkCount(h) || len(g.CanonicalLinks()) != len(h.CanonicalLinks()) {
 				t.Fatalf("round %d: identical plans diverged", round)
 			}
 			for i, l := range g.CanonicalLinks() {
@@ -74,7 +75,7 @@ func FuzzFaultPlan(f *testing.F) {
 		}
 		if p.InModel() {
 			for start := 1; start+budgetT-1 <= horizon; start += budgetT {
-				ok, err := dynnet.UnionConnected(a, start, budgetT)
+				ok, err := oracle.UnionConnected(a, start, budgetT)
 				if err != nil {
 					t.Fatal(err)
 				}

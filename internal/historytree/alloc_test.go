@@ -100,30 +100,6 @@ func TestBatchedRefineRoundAllocs(t *testing.T) {
 	}
 }
 
-func TestCanonicalFormAllocs(t *testing.T) {
-	s := dynnet.NewRandomConnected(8, 0.4, 5)
-	inputs := make([]Input, 8)
-	inputs[0].Leader = true
-	run, err := Build(s, inputs, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	form := CanonicalForm(run.Tree)
-	allocs := testing.AllocsPerRun(32, func() {
-		if got := CanonicalForm(run.Tree); got != form {
-			t.Fatalf("unstable canonical form")
-		}
-	})
-	// The integer-token rewrite allocates the color index, the growing
-	// output/name buffers, and per-level token slices — all O(levels +
-	// log growth), independent of how many node names are concatenated.
-	// The seed's strings.Builder construction allocated several strings
-	// per node (hundreds on this tree).
-	if allocs > 64 {
-		t.Fatalf("CanonicalForm allocated %.1f objects, want ≤ 64", allocs)
-	}
-}
-
 // TestModElimSteadyRoundAllocs is the PR 7 hot-loop gate: feeding a
 // balance system into a warm battery — the work the modular backend does
 // on every completed level — must not allocate at all. The row freelist,

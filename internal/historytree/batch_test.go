@@ -1,10 +1,12 @@
-package historytree
+package historytree_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"anondyn/internal/dynnet"
+	. "anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 )
 
 // batch_test.go pins the batched SoA refinement pass (batch.go) against the
@@ -13,17 +15,12 @@ import (
 // IDs (creation order), identical NodeOf assignments, and identical
 // cardinalities.
 
-// witnessBuild is Build driven by the witness refiner.
-func witnessBuild(s dynnet.Schedule, inputs []Input, rounds int) (*Run, error) {
-	return buildWith(s, inputs, rounds, newRefiner(s.N()).refine)
-}
-
 // requireSameRun asserts the two builds are indistinguishable in every
 // public dimension: canonical form bytes, per-level node IDs, red-edge
 // structure, process-to-node assignments, and cardinalities.
 func requireSameRun(t *testing.T, got, want *Run) {
 	t.Helper()
-	if g, w := CanonicalForm(got.Tree), CanonicalForm(want.Tree); g != w {
+	if g, w := oracle.CanonicalForm(got.Tree), oracle.CanonicalForm(want.Tree); g != w {
 		t.Fatalf("CanonicalForm mismatch:\n got %q\nwant %q", g, w)
 	}
 	requireSameLevels(t, got.Tree, want.Tree)
@@ -92,7 +89,7 @@ func TestQuickBatchedMatchesWitness(t *testing.T) {
 			t.Logf("batched Build: %v", err)
 			return false
 		}
-		want, err := witnessBuild(s, inputs, rounds)
+		want, err := WitnessBuild(s, inputs, rounds)
 		if err != nil {
 			t.Logf("witness Build: %v", err)
 			return false
@@ -135,7 +132,7 @@ func TestBatchedMatchesWitnessTopologies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := witnessBuild(tc.s, inputs, tc.rounds)
+			want, err := WitnessBuild(tc.s, inputs, tc.rounds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,12 +144,12 @@ func TestBatchedMatchesWitnessTopologies(t *testing.T) {
 // TestBatchedWideMultFallback drives multiplicities past the packed 32-bit
 // representation: the batched pass must detect the overflow and delegate the
 // round to the witness, still producing an identical run. Both guards are
-// exercised — a single link beyond maxPackedMult, and moderate links whose
+// exercised — a single link beyond MaxPackedMult, and moderate links whose
 // per-span merge sum crosses 2^32.
 func TestBatchedWideMultFallback(t *testing.T) {
 	t.Run("single-link", func(t *testing.T) {
 		g := dynnet.NewMultigraph(4)
-		g.MustAddLink(0, 1, maxPackedMult+7)
+		g.MustAddLink(0, 1, MaxPackedMult+7)
 		g.MustAddLink(1, 2, 3)
 		g.MustAddLink(2, 3, 1)
 		requireWideFallback(t, g)
@@ -161,10 +158,10 @@ func TestBatchedWideMultFallback(t *testing.T) {
 		// Three parallel class-equal sources each below the single-link
 		// bound, summing past 32 bits after the merge.
 		g := dynnet.NewMultigraph(5)
-		g.MustAddLink(0, 1, maxPackedMult-1)
-		g.MustAddLink(0, 2, maxPackedMult-1)
-		g.MustAddLink(0, 3, maxPackedMult-1)
-		g.MustAddLink(0, 4, maxPackedMult-1)
+		g.MustAddLink(0, 1, MaxPackedMult-1)
+		g.MustAddLink(0, 2, MaxPackedMult-1)
+		g.MustAddLink(0, 3, MaxPackedMult-1)
+		g.MustAddLink(0, 4, MaxPackedMult-1)
 		g.MustAddLink(1, 2, 1)
 		g.MustAddLink(3, 4, 1)
 		requireWideFallback(t, g)
@@ -180,46 +177,9 @@ func requireWideFallback(t *testing.T, g *dynnet.Multigraph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := witnessBuild(s, inputs, 4)
+	want, err := WitnessBuild(s, inputs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameRun(t, got, want)
-}
-
-// TestBatchedGroupKeysCoverLevel checks the interned group keys the sharing
-// layer consumes: after a refine, gid must be a dense first-occurrence
-// numbering whose fibers are exactly the new level's classes.
-func TestBatchedGroupKeysCoverLevel(t *testing.T) {
-	n := 9
-	s := dynnet.NewRandomConnected(n, 0.4, 23)
-	inputs := make([]Input, n)
-	inputs[0].Leader = true
-	run, err := Build(s, inputs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := run.NodeOf[0]
-	br := newBatchRefiner(n)
-	nextID := len(run.Tree.Level(0))
-	next, err := br.refine(run.Tree, s.Graph(1), cur, &nextID, run.Card)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := -1
-	for p := 0; p < n; p++ {
-		k := int(br.gid[p])
-		if k > seen+1 {
-			t.Fatalf("group keys not first-occurrence dense: gid[%d]=%d after max %d", p, k, seen)
-		}
-		if k == seen+1 {
-			seen = k
-		}
-		if br.groupNode[k] != next[p] {
-			t.Fatalf("gid[%d] maps to node %d, process assigned %d", p, br.groupNode[k].ID, next[p].ID)
-		}
-	}
-	if seen+1 != len(run.Tree.Level(1)) {
-		t.Fatalf("%d groups for a level of %d classes", seen+1, len(run.Tree.Level(1)))
-	}
 }

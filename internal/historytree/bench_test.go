@@ -1,10 +1,12 @@
-package historytree
+package historytree_test
 
 import (
 	"fmt"
 	"testing"
 
 	"anondyn/internal/dynnet"
+	. "anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 )
 
 func BenchmarkOracleBuild(b *testing.B) {
@@ -125,7 +127,7 @@ func BenchmarkCanonicalForm(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = CanonicalForm(run.Tree)
+		_ = oracle.CanonicalForm(run.Tree)
 	}
 }
 

@@ -169,42 +169,6 @@ type FrequencyResult struct {
 	MinSize int
 }
 
-// CheckWeights verifies that the given true cardinalities (node ID → count)
-// satisfy every constraint the solver uses on levels 0..completeLevels:
-// children partition parents, and all red-edge balance equations hold. It
-// is the property-test oracle for the solver's soundness argument.
-func CheckWeights(t *Tree, completeLevels int, card map[int]int) error {
-	if completeLevels > t.Depth() {
-		return fmt.Errorf("historytree: completeLevels %d exceeds depth %d", completeLevels, t.Depth())
-	}
-	for l := 0; l < completeLevels; l++ {
-		for _, v := range t.Level(l) {
-			sum := 0
-			for _, c := range v.Children {
-				sum += card[c.ID]
-			}
-			if sum != card[v.ID] {
-				return fmt.Errorf("historytree: node %d has cardinality %d but children sum to %d",
-					v.ID, card[v.ID], sum)
-			}
-		}
-		for _, pair := range balancePairs(t, l) {
-			lhs, rhs := 0, 0
-			for _, c := range pair.w.Children {
-				lhs += c.RedMult(pair.u) * card[c.ID]
-			}
-			for _, c := range pair.u.Children {
-				rhs += c.RedMult(pair.w) * card[c.ID]
-			}
-			if lhs != rhs {
-				return fmt.Errorf("historytree: balance violated between %d and %d at level %d: %d != %d",
-					pair.u.ID, pair.w.ID, l, lhs, rhs)
-			}
-		}
-	}
-	return nil
-}
-
 // Resolvable is a cheap necessary condition for the balance system of the
 // complete prefix to pin down the counts: every class of the deepest
 // complete level must have, somewhere on its ancestor chain (itself

@@ -1,32 +1,13 @@
-package historytree
+package historytree_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"anondyn/internal/dynnet"
+	. "anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 )
-
-// leaderInputs returns n inputs where process 0 is the leader and everyone
-// has value 0.
-func leaderInputs(n int) []Input {
-	in := make([]Input, n)
-	in[0].Leader = true
-	return in
-}
-
-// buildTree is a test helper wrapping Build.
-func buildTree(t *testing.T, s dynnet.Schedule, inputs []Input, rounds int) *Run {
-	t.Helper()
-	run, err := Build(s, inputs, rounds)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	if err := run.Tree.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	return run
-}
 
 // countAt runs Count with increasing complete levels and returns the first
 // level at which the answer is known, or -1.
@@ -61,7 +42,7 @@ func TestCountStaticTopologies(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			s := dynnet.NewStatic(tt.graph(tt.n))
 			rounds := 3*tt.n + 2
-			run := buildTree(t, s, leaderInputs(tt.n), rounds)
+			run := BuildTree(t, s, LeaderInputs(tt.n), rounds)
 			res, level := countAt(t, run.Tree, rounds)
 			if level < 0 {
 				t.Fatalf("count never resolved within %d levels", rounds)
@@ -91,7 +72,7 @@ func TestCountDynamicSchedules(t *testing.T) {
 		for _, n := range []int{3, 5, 8} {
 			s := tt.mk(n)
 			rounds := 3*n + 2
-			run := buildTree(t, s, leaderInputs(n), rounds)
+			run := BuildTree(t, s, LeaderInputs(n), rounds)
 			res, level := countAt(t, run.Tree, rounds)
 			if level < 0 {
 				t.Fatalf("%s n=%d: count never resolved within %d levels", tt.name, n, rounds)
@@ -112,7 +93,7 @@ func TestCountGeneralizedMultiset(t *testing.T) {
 	}
 	n := len(inputs)
 	s := dynnet.NewRandomConnected(n, 0.4, 7)
-	run := buildTree(t, s, inputs, 3*n+2)
+	run := BuildTree(t, s, inputs, 3*n+2)
 	res, level := countAt(t, run.Tree, 3*n+2)
 	if level < 0 {
 		t.Fatal("count never resolved")
@@ -140,7 +121,7 @@ func TestFrequenciesLeaderless(t *testing.T) {
 	}
 	n := len(inputs)
 	s := dynnet.NewRandomConnected(n, 0.3, 3)
-	run := buildTree(t, s, inputs, 3*n+2)
+	run := BuildTree(t, s, inputs, 3*n+2)
 	var res FrequencyResult
 	resolved := false
 	for l := 0; l <= 3*n+2 && !resolved; l++ {
@@ -170,7 +151,7 @@ func TestFrequenciesSymmetricNetworkStaysUnknownOrScaled(t *testing.T) {
 	for _, n := range []int{2, 5} {
 		s := dynnet.NewStatic(dynnet.Complete(n))
 		inputs := make([]Input, n)
-		run := buildTree(t, s, inputs, 6)
+		run := BuildTree(t, s, inputs, 6)
 		res, err := Frequencies(run.Tree, 6)
 		if err != nil {
 			t.Fatalf("Frequencies: %v", err)
@@ -200,7 +181,7 @@ func TestCheckWeightsOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
-		if err := CheckWeights(run.Tree, rounds, run.Card); err != nil {
+		if err := oracle.CheckWeights(run.Tree, rounds, run.Card); err != nil {
 			t.Fatalf("trial %d (n=%d seed=%d): %v", trial, n, seed, err)
 		}
 	}
@@ -214,7 +195,7 @@ func TestCountSoundnessNeverWrong(t *testing.T) {
 		n := 1 + rng.Intn(9)
 		s := dynnet.NewRandomConnected(n, rng.Float64(), rng.Int63())
 		rounds := 3*n + 2
-		run, err := Build(s, leaderInputs(n), rounds)
+		run, err := Build(s, LeaderInputs(n), rounds)
 		if err != nil {
 			t.Fatalf("Build: %v", err)
 		}
@@ -233,7 +214,7 @@ func TestCountSoundnessNeverWrong(t *testing.T) {
 func TestCountUnknownOnShallowTree(t *testing.T) {
 	// With zero complete levels and ≥2 classes the answer must be unknown.
 	s := dynnet.NewStatic(dynnet.Path(4))
-	run := buildTree(t, s, leaderInputs(4), 2)
+	run := BuildTree(t, s, LeaderInputs(4), 2)
 	res, err := Count(run.Tree, 0)
 	if err != nil {
 		t.Fatalf("Count: %v", err)
@@ -282,7 +263,7 @@ func TestFrequenciesMultiValueRatios(t *testing.T) {
 		inputs[i].Value = int64(i % 3)
 	}
 	s := dynnet.NewRandomConnected(9, 0.4, 17)
-	run := buildTree(t, s, inputs, 29)
+	run := BuildTree(t, s, inputs, 29)
 	for l := 0; l <= 29; l++ {
 		res, err := Frequencies(run.Tree, l)
 		if err != nil {
@@ -306,7 +287,7 @@ func TestFrequenciesMultiValueRatios(t *testing.T) {
 
 func TestCheckWeightsDetectsViolations(t *testing.T) {
 	s := dynnet.NewStatic(dynnet.Path(4))
-	run := buildTree(t, s, leaderInputs(4), 4)
+	run := BuildTree(t, s, LeaderInputs(4), 4)
 	// Corrupt one cardinality: partition sums must break.
 	bad := make(map[int]int, len(run.Card))
 	for k, v := range run.Card {
@@ -316,10 +297,10 @@ func TestCheckWeightsDetectsViolations(t *testing.T) {
 		bad[v.ID]++
 		break
 	}
-	if err := CheckWeights(run.Tree, 4, bad); err == nil {
+	if err := oracle.CheckWeights(run.Tree, 4, bad); err == nil {
 		t.Fatal("corrupted cardinalities not detected")
 	}
-	if err := CheckWeights(run.Tree, 99, run.Card); err == nil {
+	if err := oracle.CheckWeights(run.Tree, 99, run.Card); err == nil {
 		t.Fatal("out-of-range completeLevels not detected")
 	}
 }

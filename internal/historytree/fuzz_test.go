@@ -1,9 +1,10 @@
-package historytree
+package historytree_test
 
 import (
 	"testing"
 
 	"anondyn/internal/dynnet"
+	. "anondyn/internal/historytree"
 )
 
 // FuzzSolverArithmetic fuzzes the witness discipline of DESIGN.md decision
@@ -27,7 +28,7 @@ func FuzzBatchedRefine(f *testing.F) {
 	f.Add(uint8(4), uint8(6), uint8(60), int64(7), uint32(0))
 	f.Fuzz(func(t *testing.T, nRaw, roundsRaw, pRaw uint8, seed int64, multScale uint32) {
 		base, inputs, rounds := quickParams(nRaw, roundsRaw, pRaw, seed)
-		scale := 1 + int(multScale%(maxPackedMult+2))
+		scale := 1 + int(multScale%(MaxPackedMult+2))
 		s := dynnet.NewFunc(base.N(), func(r int) *dynnet.Multigraph {
 			g := base.Graph(r)
 			if scale == 1 {
@@ -43,7 +44,7 @@ func FuzzBatchedRefine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("batched Build: %v", err)
 		}
-		want, err := witnessBuild(s, inputs, rounds)
+		want, err := WitnessBuild(s, inputs, rounds)
 		if err != nil {
 			t.Fatalf("witness Build: %v", err)
 		}
@@ -83,14 +84,14 @@ func FuzzSolverArithmetic(f *testing.F) {
 				if (err1 == nil) != (err2 == nil) {
 					t.Fatalf("level %d: error divergence: big %v, modular %v", l, err1, err2)
 				}
-				if err1 == nil && !sameFreq(exact, mod) {
+				if err1 == nil && !SameFreq(exact, mod) {
 					t.Fatalf("level %d: modular %+v != big %+v", l, mod, exact)
 				}
 				im, err3 := inc.FrequenciesAt(run.Tree, l)
 				if (err1 == nil) != (err3 == nil) {
 					t.Fatalf("level %d: incremental error divergence: big %v, incremental %v", l, err1, err3)
 				}
-				if err3 == nil && !sameFreq(exact, im) {
+				if err3 == nil && !SameFreq(exact, im) {
 					t.Fatalf("level %d: incremental %+v != big %+v", l, im, exact)
 				}
 				continue
@@ -100,14 +101,14 @@ func FuzzSolverArithmetic(f *testing.F) {
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("level %d: error divergence: big %v, modular %v", l, err1, err2)
 			}
-			if err1 == nil && !sameCount(exact, mod) {
+			if err1 == nil && !SameCount(exact, mod) {
 				t.Fatalf("level %d: modular %+v != big %+v", l, mod, exact)
 			}
 			im, err3 := inc.CountAt(run.Tree, l)
 			if (err1 == nil) != (err3 == nil) {
 				t.Fatalf("level %d: incremental error divergence: big %v, incremental %v", l, err1, err3)
 			}
-			if err3 == nil && !sameCount(exact, im) {
+			if err3 == nil && !SameCount(exact, im) {
 				t.Fatalf("level %d: incremental %+v != big %+v", l, im, exact)
 			}
 		}

@@ -167,20 +167,6 @@ func powMod(a, e, n uint64) uint64 {
 // mulMod64 multiplies modulo n < 2^32 (products fit in uint64).
 func mulMod64(a, b, n uint64) uint64 { return a * b % n }
 
-// crtCombine incrementally merges residue x mod p into the running CRT
-// state (acc mod mod): it returns the unique value ≡ acc (mod mod) and
-// ≡ x (mod p), modulo mod·p. acc and mod are updated in place; scratch
-// big.Ints are supplied by the caller to keep the loop allocation-lean.
-func crtCombine(acc, mod *big.Int, x uint64, mp modPrime, t1, t2 *big.Int) {
-	t2.SetUint64(mp.p)
-	a := t1.Mod(acc, t2).Uint64()            // acc mod p
-	mInv := mp.inv(t1.Mod(mod, t2).Uint64()) // mod⁻¹ mod p (distinct primes ⇒ invertible)
-	delta := mp.mul(mp.sub(x, a), mInv)      // (x − acc) · mod⁻¹ mod p
-	t1.SetUint64(delta)
-	acc.Add(acc, t1.Mul(t1, mod))
-	mod.Mul(mod, t2)
-}
-
 // ratBound returns ⌊√(M/2)⌋, the numerator/denominator bound under which
 // rational reconstruction modulo M is unique. Callers solving many
 // residues against the same modulus compute it once.

@@ -20,7 +20,7 @@ func TestCountModularMatchesCountEveryLevel(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			s := dynnet.NewRandomConnected(n, densities[seed], seed+1)
 			rounds := 3 * n
-			run := buildTree(t, s, leaderInputs(n), rounds)
+			run := BuildTree(t, s, LeaderInputs(n), rounds)
 			for l := 0; l <= run.Rounds; l++ {
 				exact, err := Count(run.Tree, l)
 				if err != nil {
@@ -30,7 +30,7 @@ func TestCountModularMatchesCountEveryLevel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d seed=%d level=%d: CountModular: %v", n, seed, l, err)
 				}
-				if !sameCount(exact, mod) {
+				if !SameCount(exact, mod) {
 					t.Fatalf("n=%d seed=%d level=%d: modular %+v != exact %+v", n, seed, l, mod, exact)
 				}
 			}
@@ -48,7 +48,7 @@ func TestFrequenciesModularMatchesEveryLevel(t *testing.T) {
 				inputs[i].Value = int64(i % 3)
 			}
 			rounds := 3 * n
-			run := buildTree(t, s, inputs, rounds)
+			run := BuildTree(t, s, inputs, rounds)
 			for l := 0; l <= run.Rounds; l++ {
 				exact, err := Frequencies(run.Tree, l)
 				if err != nil {
@@ -58,7 +58,7 @@ func TestFrequenciesModularMatchesEveryLevel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d seed=%d level=%d: FrequenciesModular: %v", n, seed, l, err)
 				}
-				if !sameFreq(exact, mod) {
+				if !SameFreq(exact, mod) {
 					t.Fatalf("n=%d seed=%d level=%d: modular %+v != exact %+v", n, seed, l, mod, exact)
 				}
 			}
@@ -78,14 +78,14 @@ func TestModularQuickEquivalence(t *testing.T) {
 			density = 0.3
 		}
 		s := dynnet.NewRandomConnected(n, density, int64(seedRaw)+1)
-		run, err := Build(s, leaderInputs(n), 3*n)
+		run, err := Build(s, LeaderInputs(n), 3*n)
 		if err != nil {
 			return false
 		}
 		for l := 0; l <= run.Rounds; l++ {
 			exact, err1 := Count(run.Tree, l)
 			mod, err2 := CountModular(run.Tree, l)
-			if (err1 == nil) != (err2 == nil) || !sameCount(exact, mod) {
+			if (err1 == nil) != (err2 == nil) || !SameCount(exact, mod) {
 				return false
 			}
 		}
@@ -172,7 +172,7 @@ func TestSolverArithEquivalence(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			s := dynnet.NewRandomConnected(n, densities[seed], 40+seed)
 			rounds := 3 * n
-			run := buildTree(t, s, leaderInputs(n), rounds)
+			run := BuildTree(t, s, LeaderInputs(n), rounds)
 			solver := NewSolver()
 			for l := 0; l <= run.Rounds; l++ {
 				rm, err := solver.CountAt(run.Tree, l)
@@ -183,7 +183,7 @@ func TestSolverArithEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d seed=%d level=%d: big Count: %v", n, seed, l, err)
 				}
-				if !sameCount(rb, rm) {
+				if !SameCount(rb, rm) {
 					t.Fatalf("n=%d seed=%d level=%d: incremental %+v != big %+v", n, seed, l, rm, rb)
 				}
 			}
@@ -213,7 +213,7 @@ func TestSolverModularTruncationRebuild(t *testing.T) {
 	n := 8
 	s := dynnet.NewRandomConnected(n, 0.4, 11)
 	rounds := 3 * n
-	run := buildTree(t, s, leaderInputs(n), rounds)
+	run := BuildTree(t, s, LeaderInputs(n), rounds)
 	solver := NewSolver()
 	if _, err := solver.CountAt(run.Tree, run.Rounds); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestSolverModularTruncationRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("level %d: CountAt: %v", l, err)
 		}
-		if !sameCount(ref, inc) {
+		if !SameCount(ref, inc) {
 			t.Fatalf("level %d after truncation: incremental %+v != reference %+v", l, inc, ref)
 		}
 	}
@@ -252,7 +252,7 @@ func TestSolverModularTruncationRebuild(t *testing.T) {
 func TestReplayBalanceFeedsTheLastConsumedRow(t *testing.T) {
 	raised := 0
 	for n := 3; n <= 9; n++ {
-		run := buildTree(t, dynnet.NewRandomConnected(n, 0.4, 5), leaderInputs(n), 3*n)
+		run := BuildTree(t, dynnet.NewRandomConnected(n, 0.4, 5), LeaderInputs(n), 3*n)
 		for levels := 1; levels <= run.Rounds; levels++ {
 			sol, k, resolvable, err := prepSolution(run.Tree, levels)
 			if err != nil {
@@ -294,4 +294,18 @@ func TestReplayBalanceFeedsTheLastConsumedRow(t *testing.T) {
 	if raised == 0 {
 		t.Fatal("no case ended its feed on a rank-raising row")
 	}
+}
+
+// crtCombine incrementally merges residue x mod p into the running CRT
+// state (acc mod mod): it returns the unique value ≡ acc (mod mod) and
+// ≡ x (mod p), modulo mod·p. acc and mod are updated in place; scratch
+// big.Ints are supplied by the caller to keep the loop allocation-lean.
+func crtCombine(acc, mod *big.Int, x uint64, mp modPrime, t1, t2 *big.Int) {
+	t2.SetUint64(mp.p)
+	a := t1.Mod(acc, t2).Uint64()            // acc mod p
+	mInv := mp.inv(t1.Mod(mod, t2).Uint64()) // mod⁻¹ mod p (distinct primes ⇒ invertible)
+	delta := mp.mul(mp.sub(x, a), mInv)      // (x − acc) · mod⁻¹ mod p
+	t1.SetUint64(delta)
+	acc.Add(acc, t1.Mul(t1, mod))
+	mod.Mul(mod, t2)
 }

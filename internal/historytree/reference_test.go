@@ -1,16 +1,19 @@
-package historytree
+package historytree_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"anondyn/internal/dynnet"
-	"anondyn/internal/ints"
+	. "anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 )
 
 // This file pins the arena/interning rewrite of the history-tree layer
@@ -64,7 +67,7 @@ func refCanonicalForm(t *Tree) string {
 
 // refSignature is the seed's string serialization of an observation map.
 func refSignature(obs map[int]int) string {
-	keys := ints.SortedKeys(obs)
+	keys := slices.Sorted(maps.Keys(obs))
 	b := make([]byte, 0, len(keys)*8)
 	for _, k := range keys {
 		b = append(b, fmt.Sprintf("%d:%d;", k, obs[k])...)
@@ -105,7 +108,7 @@ func refRefine(t *Tree, g *dynnet.Multigraph, cur []*Node, nextID *int, card map
 				return nil, err
 			}
 			*nextID++
-			for _, srcID := range ints.SortedKeys(obs[p]) {
+			for _, srcID := range slices.Sorted(maps.Keys(obs[p])) {
 				if err := t.AddRed(node, t.NodeByID(srcID), obs[p][srcID]); err != nil {
 					return nil, err
 				}
@@ -189,7 +192,7 @@ func TestQuickArenaBuildMatchesReference(t *testing.T) {
 			t.Logf("reference tree Validate: %v", err)
 			return false
 		}
-		got, want := CanonicalForm(run.Tree), CanonicalForm(ref)
+		got, want := oracle.CanonicalForm(run.Tree), oracle.CanonicalForm(ref)
 		if got != want {
 			t.Logf("CanonicalForm mismatch:\n got %q\nwant %q", got, want)
 			return false
@@ -218,7 +221,7 @@ func TestCloneAndTruncatePreserveReferenceEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone := run.Tree.Clone()
-	if got, want := CanonicalForm(clone), CanonicalForm(run.Tree); got != want {
+	if got, want := oracle.CanonicalForm(clone), oracle.CanonicalForm(run.Tree); got != want {
 		t.Fatalf("clone form differs:\n got %q\nwant %q", got, want)
 	}
 	run.Tree.TruncateLevels(5)
@@ -229,10 +232,10 @@ func TestCloneAndTruncatePreserveReferenceEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := CanonicalForm(run.Tree), CanonicalForm(truncRef); got != want {
+	if got, want := oracle.CanonicalForm(run.Tree), oracle.CanonicalForm(truncRef); got != want {
 		t.Fatalf("truncated form differs from 4-round reference:\n got %q\nwant %q", got, want)
 	}
-	if got, want := CanonicalForm(clone), refCanonicalForm(clone); got != want {
+	if got, want := oracle.CanonicalForm(clone), refCanonicalForm(clone); got != want {
 		t.Fatalf("clone form drifts from reference computation:\n got %q\nwant %q", got, want)
 	}
 }
@@ -257,7 +260,7 @@ func TestRunCardMatchesReference(t *testing.T) {
 			t.Fatalf("Card[%d] = %d, want %d", id, run.Card[id], c)
 		}
 	}
-	if !reflect.DeepEqual(ints.SortedKeys(counts), func() []int {
+	if !reflect.DeepEqual(slices.Sorted(maps.Keys(counts)), func() []int {
 		var ids []int
 		for _, v := range run.Tree.Level(run.Rounds) {
 			ids = append(ids, v.ID)
@@ -266,5 +269,29 @@ func TestRunCardMatchesReference(t *testing.T) {
 		return ids
 	}()) {
 		t.Fatalf("deepest level IDs do not match NodeOf occupancy")
+	}
+}
+
+func TestCanonicalFormAllocs(t *testing.T) {
+	s := dynnet.NewRandomConnected(8, 0.4, 5)
+	inputs := make([]Input, 8)
+	inputs[0].Leader = true
+	run, err := Build(s, inputs, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	form := oracle.CanonicalForm(run.Tree)
+	allocs := testing.AllocsPerRun(32, func() {
+		if got := oracle.CanonicalForm(run.Tree); got != form {
+			t.Fatalf("unstable canonical form")
+		}
+	})
+	// The integer-token rewrite allocates the color index, the growing
+	// output/name buffers, and per-level token slices — all O(levels +
+	// log growth), independent of how many node names are concatenated.
+	// The seed's strings.Builder construction allocated several strings
+	// per node (hundreds on this tree).
+	if allocs > 64 {
+		t.Fatalf("CanonicalForm allocated %.1f objects, want ≤ 64", allocs)
 	}
 }

@@ -7,42 +7,6 @@ import (
 	"anondyn/internal/dynnet"
 )
 
-func sameCount(a, b CountResult) bool {
-	if a.Known != b.Known {
-		return false
-	}
-	if !a.Known {
-		return true
-	}
-	if a.N != b.N || len(a.Multiset) != len(b.Multiset) {
-		return false
-	}
-	for in, c := range a.Multiset {
-		if b.Multiset[in] != c {
-			return false
-		}
-	}
-	return true
-}
-
-func sameFreq(a, b FrequencyResult) bool {
-	if a.Known != b.Known {
-		return false
-	}
-	if !a.Known {
-		return true
-	}
-	if a.MinSize != b.MinSize || len(a.Shares) != len(b.Shares) {
-		return false
-	}
-	for in, s := range a.Shares {
-		if b.Shares[in] != s {
-			return false
-		}
-	}
-	return true
-}
-
 // TestSolverMatchesCountEveryLevel is the tentpole equivalence property on
 // a deterministic grid: for random connected schedules, the incremental
 // Solver must agree with the from-scratch Count at every complete level,
@@ -53,7 +17,7 @@ func TestSolverMatchesCountEveryLevel(t *testing.T) {
 		for seed := int64(0); seed < 3; seed++ {
 			s := dynnet.NewRandomConnected(n, densities[seed], seed+1)
 			rounds := 3*n + 2
-			run := buildTree(t, s, leaderInputs(n), rounds)
+			run := BuildTree(t, s, LeaderInputs(n), rounds)
 			solver := NewSolver()
 			for l := 0; l <= rounds; l++ {
 				ref, err := Count(run.Tree, l)
@@ -64,7 +28,7 @@ func TestSolverMatchesCountEveryLevel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d seed=%d level=%d: CountAt: %v", n, seed, l, err)
 				}
-				if !sameCount(ref, inc) {
+				if !SameCount(ref, inc) {
 					t.Fatalf("n=%d seed=%d level=%d: incremental %+v != from-scratch %+v",
 						n, seed, l, inc, ref)
 				}
@@ -86,7 +50,7 @@ func TestSolverMatchesFrequenciesEveryLevel(t *testing.T) {
 			}
 			s := dynnet.NewRandomConnected(n, 0.4, 100+seed)
 			rounds := 3*n + 2
-			run := buildTree(t, s, inputs, rounds)
+			run := BuildTree(t, s, inputs, rounds)
 			solver := NewSolver()
 			for l := 0; l <= rounds; l++ {
 				ref, err := Frequencies(run.Tree, l)
@@ -97,7 +61,7 @@ func TestSolverMatchesFrequenciesEveryLevel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d seed=%d level=%d: FrequenciesAt: %v", n, seed, l, err)
 				}
-				if !sameFreq(ref, inc) {
+				if !SameFreq(ref, inc) {
 					t.Fatalf("n=%d seed=%d level=%d: incremental %+v != from-scratch %+v",
 						n, seed, l, inc, ref)
 				}
@@ -114,7 +78,7 @@ func TestSolverQuickEquivalence(t *testing.T) {
 		density := 0.05 + 0.9*float64(densRaw)/255
 		s := dynnet.NewRandomConnected(n, density, seed)
 		rounds := 3*n + 2
-		run, err := Build(s, leaderInputs(n), rounds)
+		run, err := Build(s, LeaderInputs(n), rounds)
 		if err != nil {
 			t.Logf("Build(n=%d, density=%.2f, seed=%d): %v", n, density, seed, err)
 			return false
@@ -127,7 +91,7 @@ func TestSolverQuickEquivalence(t *testing.T) {
 				t.Logf("n=%d seed=%d level=%d: errs %v / %v", n, seed, l, err1, err2)
 				return false
 			}
-			if !sameCount(ref, inc) {
+			if !SameCount(ref, inc) {
 				t.Logf("n=%d density=%.2f seed=%d level=%d: %+v != %+v", n, density, seed, l, inc, ref)
 				return false
 			}
@@ -146,7 +110,7 @@ func TestSolverConsumesEachLevelOnce(t *testing.T) {
 	n := 8
 	s := dynnet.NewRandomConnected(n, 0.3, 5)
 	rounds := 3*n + 2
-	run := buildTree(t, s, leaderInputs(n), rounds)
+	run := BuildTree(t, s, LeaderInputs(n), rounds)
 	solver := NewSolver()
 	for l := 0; l <= rounds; l++ {
 		if _, err := solver.CountAt(run.Tree, l); err != nil {
@@ -177,7 +141,7 @@ func TestSolverRebuildsAfterTruncation(t *testing.T) {
 	n := 7
 	s := dynnet.NewRandomConnected(n, 0.4, 11)
 	rounds := 3*n + 2
-	run := buildTree(t, s, leaderInputs(n), rounds)
+	run := BuildTree(t, s, LeaderInputs(n), rounds)
 	solver := NewSolver()
 	if _, err := solver.CountAt(run.Tree, rounds); err != nil {
 		t.Fatalf("CountAt: %v", err)
@@ -197,7 +161,7 @@ func TestSolverRebuildsAfterTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CountAt(%d): %v", l, err)
 		}
-		if !sameCount(ref, inc) {
+		if !SameCount(ref, inc) {
 			t.Fatalf("level %d after truncation: %+v != %+v", l, inc, ref)
 		}
 	}
@@ -212,7 +176,7 @@ func TestSolverShallowerQueryRebuilds(t *testing.T) {
 	n := 6
 	s := dynnet.NewRandomConnected(n, 0.5, 3)
 	rounds := 3 * n
-	run := buildTree(t, s, leaderInputs(n), rounds)
+	run := BuildTree(t, s, LeaderInputs(n), rounds)
 	solver := NewSolver()
 	if _, err := solver.CountAt(run.Tree, rounds); err != nil {
 		t.Fatal(err)
@@ -225,7 +189,7 @@ func TestSolverShallowerQueryRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameCount(ref, inc) {
+	if !SameCount(ref, inc) {
 		t.Fatalf("shallow re-query: %+v != %+v", inc, ref)
 	}
 	if st := solver.Stats(); st.Rebuilds != 1 {
@@ -252,7 +216,7 @@ func TestSolverStaticTopologies(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			s := dynnet.NewStatic(tt.graph(tt.n))
 			rounds := 3*tt.n + 2
-			run := buildTree(t, s, leaderInputs(tt.n), rounds)
+			run := BuildTree(t, s, LeaderInputs(tt.n), rounds)
 			solver := NewSolver()
 			resolved := -1
 			for l := 0; l <= rounds; l++ {
@@ -281,7 +245,7 @@ func TestResolvableGate(t *testing.T) {
 	// A path network resolves slowly: early levels have classes whose
 	// ancestor chains carry no cross red edge yet.
 	s := dynnet.NewStatic(dynnet.Path(6))
-	run := buildTree(t, s, leaderInputs(6), 20)
+	run := BuildTree(t, s, LeaderInputs(6), 20)
 	sawGated := false
 	for l := 0; l <= 20; l++ {
 		res, err := Count(run.Tree, l)

@@ -13,17 +13,17 @@
 //
 // The package provides the tree structure itself (with the integer node IDs
 // used by the congested protocol), an oracle that builds the true history
-// tree of any schedule (build.go), view extraction (view.go), canonical
-// forms and isomorphism (canon.go), the cardinality solver that plays the
+// tree of any schedule (build.go), the cardinality solver that plays the
 // role of the FOCS 2022 "CountFromView" black box (count.go), and ASCII/DOT
-// rendering (render.go).
+// rendering (render.go). Canonical forms, isomorphism and the ground-truth
+// weight check are test oracles in internal/oracle; view extraction is in
+// this package's tests.
 package historytree
 
 import (
 	"fmt"
 	"slices"
-
-	"anondyn/internal/ints"
+	"strconv"
 )
 
 // RootID is the conventional ID of the root node (level -1), following
@@ -43,13 +43,12 @@ func (in Input) String() string {
 	return string(in.appendText(make([]byte, 0, 8)))
 }
 
-// appendText appends String's rendering to dst; the hot-path form used by
-// the canonical-form builder.
+// appendText appends String's rendering to dst.
 func (in Input) appendText(dst []byte) []byte {
 	if in.Leader {
 		dst = append(dst, 'L', ':')
 	}
-	return ints.AppendInt(dst, int(in.Value))
+	return strconv.AppendInt(dst, in.Value, 10)
 }
 
 // RedEdge is a red multi-edge incident to a node v of level t: the class
@@ -357,32 +356,6 @@ func (t *Tree) RedEdgeCount(maxLevel int) int {
 		}
 	}
 	return count
-}
-
-// Clone returns a deep copy of the tree; the copy's nodes are fresh but
-// keep their IDs.
-func (t *Tree) Clone() *Tree {
-	out := New()
-	for l := 0; l <= t.Depth(); l++ {
-		for _, v := range t.Level(l) {
-			parent := out.NodeByID(v.Parent.ID)
-			if _, err := out.AddChild(v.ID, parent, v.Input); err != nil {
-				// Unreachable on a well-formed tree.
-				panic(err)
-			}
-		}
-	}
-	for l := 1; l <= t.Depth(); l++ {
-		for _, v := range t.Level(l) {
-			nv := out.NodeByID(v.ID)
-			for _, e := range v.Red {
-				if err := out.AddRed(nv, out.NodeByID(e.Src.ID), e.Mult); err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // Validate checks structural well-formedness: level bookkeeping, parent

@@ -1,8 +1,11 @@
-package historytree
+package historytree_test
 
 import (
 	"strings"
 	"testing"
+
+	. "anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 )
 
 // buildSmall returns a hand-built two-level tree:
@@ -138,7 +141,7 @@ func TestTruncateLevels(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	tr := buildSmall(t)
 	cp := tr.Clone()
-	if !Isomorphic(tr, cp) {
+	if !oracle.Isomorphic(tr, cp) {
 		t.Fatal("clone not isomorphic")
 	}
 	cp.TruncateLevels(1)

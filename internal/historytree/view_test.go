@@ -1,11 +1,14 @@
-package historytree
+package historytree_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"anondyn/internal/dynnet"
+	. "anondyn/internal/historytree"
+	"anondyn/internal/oracle"
 )
 
 func oracleTree(t *testing.T, n, rounds int, seed int64) *Run {
@@ -73,7 +76,7 @@ func TestUnionOfAllViewsIsWholeTree(t *testing.T) {
 	if all.NumNodes() != run.Tree.NumNodes() {
 		t.Fatalf("union view has %d nodes, tree has %d", all.NumNodes(), run.Tree.NumNodes())
 	}
-	if !Isomorphic(all, run.Tree) {
+	if !oracle.Isomorphic(all, run.Tree) {
 		t.Fatal("union of all views should equal the tree")
 	}
 }
@@ -104,18 +107,18 @@ func TestIsomorphismProperties(t *testing.T) {
 	// IDs (the oracle assigns IDs in discovery order; rebuilt trees match).
 	a := oracleTree(t, 6, 5, 21).Tree
 	b := oracleTree(t, 6, 5, 21).Tree
-	if !Isomorphic(a, b) {
+	if !oracle.Isomorphic(a, b) {
 		t.Fatal("identical builds must be isomorphic")
 	}
 	// Different seeds generically give different trees.
 	c := oracleTree(t, 6, 5, 22).Tree
-	if Isomorphic(a, c) {
+	if oracle.Isomorphic(a, c) {
 		t.Log("different schedules produced isomorphic trees (possible, rare)")
 	}
 	// A truncated tree is not isomorphic to the full one.
 	d := a.Clone()
 	d.TruncateLevels(3)
-	if Isomorphic(a, d) {
+	if oracle.Isomorphic(a, d) {
 		t.Fatal("truncated tree reported isomorphic")
 	}
 }
@@ -132,7 +135,7 @@ func TestIsomorphismIgnoresIDs(t *testing.T) {
 		}
 		return tr
 	}
-	if !Isomorphic(mk(0), mk(100)) {
+	if !oracle.Isomorphic(mk(0), mk(100)) {
 		t.Fatal("isomorphism must ignore node IDs")
 	}
 }
@@ -145,10 +148,10 @@ func TestIsomorphismDistinguishesInputs(t *testing.T) {
 		}
 		return tr
 	}
-	if Isomorphic(mk(Input{Value: 1}), mk(Input{Value: 2})) {
+	if oracle.Isomorphic(mk(Input{Value: 1}), mk(Input{Value: 2})) {
 		t.Fatal("different inputs must not be isomorphic")
 	}
-	if Isomorphic(mk(Input{Leader: true}), mk(Input{})) {
+	if oracle.Isomorphic(mk(Input{Leader: true}), mk(Input{})) {
 		t.Fatal("leader flag is structural")
 	}
 }
@@ -211,7 +214,7 @@ func TestOracleRedEdgesMatchGraph(t *testing.T) {
 		g := s.Graph(r)
 		for p := 0; p < n; p++ {
 			want := make(map[int]int)
-			for nb, m := range g.Neighbors(p) {
+			for nb, m := range oracle.Neighbors(g, p) {
 				want[run.NodeOf[r-1][nb].ID] += m
 			}
 			node := run.NodeOf[r][p]
@@ -245,4 +248,102 @@ func TestBuildValidation(t *testing.T) {
 	if run.Tree.Depth() != 0 {
 		t.Error("zero rounds should still build level 0")
 	}
+}
+
+// ExtractView returns the generalized view of the given target nodes: the
+// subgraph of t spanned by all shortest root-to-target paths, using black
+// and red edges indifferently (Section 2 of the paper). Since every edge of
+// a history tree connects adjacent levels, this is the closure of the
+// targets under parents and red-edge sources.
+//
+// The result is a fresh Tree whose nodes keep the IDs of the originals.
+// The view of a single process at round t is ExtractView(tree, node) for
+// the node representing it at level t.
+func ExtractView(t *Tree, targets ...*Node) (*Tree, error) {
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("historytree: no view targets")
+	}
+	include := make(map[*Node]bool)
+	stack := make([]*Node, 0, len(targets))
+	for _, v := range targets {
+		if v == nil {
+			return nil, fmt.Errorf("historytree: nil view target")
+		}
+		if !include[v] {
+			include[v] = true
+			stack = append(stack, v)
+		}
+	}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v.Parent != nil && !include[v.Parent] {
+			include[v.Parent] = true
+			stack = append(stack, v.Parent)
+		}
+		for _, e := range v.Red {
+			if !include[e.Src] {
+				include[e.Src] = true
+				stack = append(stack, e.Src)
+			}
+		}
+	}
+
+	out := New()
+	for l := 0; l <= t.Depth(); l++ {
+		for _, v := range t.Level(l) {
+			if !include[v] {
+				continue
+			}
+			parent := out.NodeByID(v.Parent.ID)
+			if parent == nil {
+				return nil, fmt.Errorf("historytree: view closure missed parent of node %d", v.ID)
+			}
+			nv, err := out.AddChild(v.ID, parent, v.Input)
+			if err != nil {
+				return nil, err
+			}
+			for _, e := range v.Red {
+				src := out.NodeByID(e.Src.ID)
+				if src == nil {
+					return nil, fmt.Errorf("historytree: view closure missed red source of node %d", v.ID)
+				}
+				if err := out.AddRed(nv, src, e.Mult); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return out, nil
+}
+
+// IsGeneralizedView reports whether sub (a tree whose node IDs are a subset
+// of t's) is a generalized view of t: every node of sub exists in t with
+// the same parent and red edges, and sub is closed under parents and red
+// sources.
+func IsGeneralizedView(t, sub *Tree) error {
+	for l := 0; l <= sub.Depth(); l++ {
+		for _, v := range sub.Level(l) {
+			orig := t.NodeByID(v.ID)
+			if orig == nil {
+				return fmt.Errorf("historytree: node %d not in base tree", v.ID)
+			}
+			if orig.Level != v.Level {
+				return fmt.Errorf("historytree: node %d at level %d vs %d", v.ID, v.Level, orig.Level)
+			}
+			if orig.Parent.ID != v.Parent.ID {
+				return fmt.Errorf("historytree: node %d parent mismatch", v.ID)
+			}
+			if len(orig.Red) != len(v.Red) {
+				return fmt.Errorf("historytree: node %d has %d red edges in view, %d in base",
+					v.ID, len(v.Red), len(orig.Red))
+			}
+			for _, e := range v.Red {
+				if orig.RedMult(t.NodeByID(e.Src.ID)) != e.Mult {
+					return fmt.Errorf("historytree: node %d red edge to %d mismatch", v.ID, e.Src.ID)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestLinearViewBitsMatchOracle checks every message's bit size against
-// the canonical wire.View that the oracle renders from the same class set
+// the canonical View that the oracle renders from the same class set
 // (linear.RunCheckingBits), over the checked-run matrix (forCheckedRuns),
 // whose E17 views pass position 128 from n = 24 on. The synthetic views
 // of TestLinearViewBitsBandEdges cover position 16384.

@@ -11,7 +11,7 @@ import (
 )
 
 // RunCheckingBits is Run with every message's size checked, before the
-// message is sent, against the canonical wire.View that buildView renders
+// message is sent, against the canonical View that buildView renders
 // from the same class set, and every message's set checked, after the
 // run, to be the one it was sized from. A mismatch is reported on tb and
 // fails the sending process; so does a run that sent messages it did not
@@ -73,7 +73,7 @@ func checkBits(tb testing.TB, h *hooks, _ int, _ Config) func(*core.RunResult) {
 	h.send = func(in *interner, m *viewMsg) error {
 		log = append(log, sent{m: m, set: slices.Clone(m.set)})
 		if want := oracleBits(in, m); m.bits != want {
-			err := fmt.Errorf("linear: a %d-class view sized %d bits, its canonical wire.View %d",
+			err := fmt.Errorf("linear: a %d-class view sized %d bits, its canonical View %d",
 				len(members(m.set)), m.bits, want)
 			tb.Error(err)
 			return err

@@ -25,7 +25,7 @@ import (
 //     unbounded run (rounds are capped, no wall-clock watchdog, so the
 //     target stays deterministic);
 //   - in either case, every linear message's bit size must equal that of
-//     its canonical wire.View (linear.RunCheckingBits).
+//     its canonical View (linear.RunCheckingBits).
 func FuzzProtocolEquivalence(f *testing.F) {
 	f.Add(5, uint8(50), int64(7), 1, "", false)
 	f.Add(5, uint8(50), int64(7), 2, "spike:5:30", false)

@@ -8,13 +8,13 @@
 // identical classes get one dense ID), so a message is a bit set of class
 // IDs plus the sender's current class, which a receiver merges a word at
 // a time; its honest wire cost is still the canonical serialization of
-// the whole view (internal/wire.View). Each process computes that size
-// exactly from per-level counts it keeps current as classes arrive and
-// from run-wide canonical ranks, without rendering the view (sizer.go);
-// the tests check every message against wire.View. The result: Θ(T·n)
-// rounds against the congested protocol's O(T·n³ log n), paid for with
-// messages that grow to Θ(n³ log n) bits — the tradeoff experiment E17
-// measures.
+// the whole view (View, in this package's tests). Each process computes
+// that size exactly from per-level counts it keeps current as classes
+// arrive and from run-wide canonical ranks, without rendering the view
+// (sizer.go); the tests check every message against View. The result:
+// Θ(T·n) rounds against the congested protocol's O(T·n³ log n), paid for
+// with messages that grow to Θ(n³ log n) bits — the tradeoff experiment
+// E17 measures.
 //
 // Both modes of the congested backend are supported, with decision rules
 // derived from the solver black box rather than the FOCS 2022 "cut"

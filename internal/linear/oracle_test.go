@@ -11,16 +11,15 @@ import (
 
 	"anondyn/internal/core"
 	"anondyn/internal/historytree"
-	"anondyn/internal/wire"
 )
 
 // buildView is the sizer's oracle: it renders a class-ID set as a
-// canonical wire.View: levels ascending, level-0 classes ordered by
+// canonical View: levels ascending, level-0 classes ordered by
 // input, deeper classes by (parent position, red list); positions are the
 // resulting indices. Hash-consing makes the within-level keys unique, so
 // the order — and therefore the encoding and its size — depends only on
 // the abstract view, not on interner ID assignment order.
-func buildView(infos []classInfo, ids []int32, self int32) *wire.View {
+func buildView(infos []classInfo, ids []int32, self int32) *View {
 	maxLevel := int32(0)
 	for _, id := range ids {
 		if l := infos[id].level; l > maxLevel {
@@ -33,12 +32,12 @@ func buildView(infos []classInfo, ids []int32, self int32) *wire.View {
 		buckets[l] = append(buckets[l], id)
 	}
 	pos := make(map[int32]int32, len(ids))
-	out := &wire.View{Classes: make([]wire.ViewClass, 0, len(ids))}
+	out := &View{Classes: make([]ViewClass, 0, len(ids))}
 	for level, bucket := range buckets {
-		cand := make([]wire.ViewClass, len(bucket))
+		cand := make([]ViewClass, len(bucket))
 		for i, id := range bucket {
 			ci := infos[id]
-			vc := wire.ViewClass{Level: int32(level), Parent: -1}
+			vc := ViewClass{Level: int32(level), Parent: -1}
 			if ci.parent >= 0 {
 				vc.Parent = pos[ci.parent]
 			} else {
@@ -46,9 +45,9 @@ func buildView(infos []classInfo, ids []int32, self int32) *wire.View {
 				vc.Value = ci.input.Value
 			}
 			if len(ci.reds) > 0 {
-				vc.Reds = make([]wire.ViewRed, len(ci.reds))
+				vc.Reds = make([]ViewRed, len(ci.reds))
 				for j, r := range ci.reds {
-					vc.Reds[j] = wire.ViewRed{Src: pos[r.src], Mult: r.mult}
+					vc.Reds[j] = ViewRed{Src: pos[r.src], Mult: r.mult}
 				}
 				sort.Slice(vc.Reds, func(a, b int) bool { return vc.Reds[a].Src < vc.Reds[b].Src })
 			}
@@ -72,7 +71,7 @@ func buildView(infos []classInfo, ids []int32, self int32) *wire.View {
 // 0, by (parent position, red list) for deeper levels. Same-level classes
 // never compare equal — the interner guarantees identical content means
 // identical ID, and each ID appears once.
-func lessViewClass(a, b wire.ViewClass) bool {
+func lessViewClass(a, b ViewClass) bool {
 	if a.Level == 0 {
 		if a.Leader != b.Leader {
 			return a.Leader
@@ -256,7 +255,7 @@ func split(rng *rand.Rand, total, w int) []int {
 // crossings reports which kinds of reference in v take both sides of
 // edge within one level: parent references (position + 1), red
 // references, and the sender's own position, whose level straddles edge.
-func crossings(v *wire.View, edge int) (parent, red, self bool) {
+func crossings(v *View, edge int) (parent, red, self bool) {
 	type span struct{ lo, hi int }
 	var parents, reds, levels []span
 	widen := func(s []span, k, x int) []span {

@@ -4,12 +4,12 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"anondyn/internal/core"
 	"anondyn/internal/engine"
 	"anondyn/internal/historytree"
-	"anondyn/internal/ints"
 )
 
 // classInfo describes one hash-consed history-tree class: its level, its
@@ -80,20 +80,20 @@ func (in *interner) intern(ci classInfo) (int32, error) {
 	// field), built in a reused scratch buffer so lookups of known
 	// classes allocate nothing.
 	buf := in.keyBuf[:0]
-	buf = ints.AppendInt(buf, int(ci.level))
+	buf = strconv.AppendInt(buf, int64(ci.level), 10)
 	buf = append(buf, '|')
-	buf = ints.AppendInt(buf, int(ci.parent))
+	buf = strconv.AppendInt(buf, int64(ci.parent), 10)
 	for _, r := range ci.reds {
 		buf = append(buf, '|')
-		buf = ints.AppendInt(buf, int(r.src))
+		buf = strconv.AppendInt(buf, int64(r.src), 10)
 		buf = append(buf, '*')
-		buf = ints.AppendInt(buf, int(r.mult))
+		buf = strconv.AppendInt(buf, int64(r.mult), 10)
 	}
 	buf = append(buf, '|')
 	if ci.input.Leader {
 		buf = append(buf, 'L')
 	}
-	buf = ints.AppendInt(buf, int(ci.input.Value))
+	buf = strconv.AppendInt(buf, ci.input.Value, 10)
 	in.keyBuf = buf
 	if id, ok := in.byKey[string(buf)]; ok {
 		return id, nil
@@ -114,7 +114,7 @@ func (in *interner) intern(ci classInfo) (int32, error) {
 
 // viewMsg is the full-information engine message: an immutable snapshot
 // of the sender's class set plus the sender's current class. The bits
-// field carries the exact size of the canonical wire.View encoding of
+// field carries the exact size of the canonical View encoding of
 // that set, computed once at send time from the sender's running view
 // sums without rendering the view (view.bits); the engine's SizeOf hook
 // reports it for congestion accounting.

@@ -9,10 +9,9 @@ import (
 )
 
 // This file keeps a process's view and sizes messages exactly as their
-// canonical wire.View encoding (internal/wire/view.go) without rendering
-// it: rendering and sorting the whole view on every send would dominate
-// the run. The oracle tests check every message against
-// wire.View.SizeBits.
+// canonical View encoding (view_test.go) without rendering it: rendering
+// and sorting the whole view on every send would dominate the run. The
+// oracle tests check every message against View.SizeBits.
 
 // view is one process's class set with the running sums its message size
 // is computed from and the per-level bookkeeping its decisions read.
@@ -107,7 +106,7 @@ func (v *view) complete(depth int) int {
 	return depth
 }
 
-// bits returns the size in bits of the canonical wire.View encoding of v
+// bits returns the size in bits of the canonical View encoding of v
 // with self as the sender's class.
 //
 // A class's position is its level's offset in v plus the number of v's

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -221,5 +222,17 @@ func TestManagerWatchdogJobFailsStructured(t *testing.T) {
 	}
 	if st2.State != JobFailed {
 		t.Fatalf("resubmitted state %s, want failed", st2.State)
+	}
+}
+
+// WaitTerminal blocks until the job reaches a terminal state or the
+// timeout elapses, returning the final status. It is a convenience for
+// clients (and tests) polling a submitted job.
+func WaitTerminal(job *Job, timeout time.Duration) (JobStatus, error) {
+	select {
+	case <-job.Done():
+		return job.Status(), nil
+	case <-time.After(timeout):
+		return job.Status(), fmt.Errorf("service: job %s not terminal after %v", job.ID, timeout)
 	}
 }

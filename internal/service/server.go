@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"anondyn/internal/store"
 )
@@ -121,9 +120,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Addr returns the bound listen address, e.g. "127.0.0.1:43627".
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Manager exposes the job manager (for embedding and tests).
-func (s *Server) Manager() *Manager { return s.mgr }
-
 // Serve blocks serving HTTP until Shutdown is called.
 func (s *Server) Serve() error {
 	err := s.http.Serve(s.ln)
@@ -131,11 +127,6 @@ func (s *Server) Serve() error {
 		return nil
 	}
 	return err
-}
-
-// Start serves in a background goroutine and returns immediately.
-func (s *Server) Start() {
-	go func() { _ = s.Serve() }()
 }
 
 // Shutdown stops the HTTP listener and then drains the job manager: queued
@@ -328,16 +319,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		WorkersBusy: s.mgr.Metrics.WorkersBusy.Load(),
 		QueueDepth:  s.mgr.Metrics.QueueDepth.Load(),
 	})
-}
-
-// WaitTerminal blocks until the job reaches a terminal state or the
-// timeout elapses, returning the final status. It is a convenience for
-// clients (and tests) polling a submitted job.
-func WaitTerminal(job *Job, timeout time.Duration) (JobStatus, error) {
-	select {
-	case <-job.Done():
-		return job.Status(), nil
-	case <-time.After(timeout):
-		return job.Status(), fmt.Errorf("service: job %s not terminal after %v", job.ID, timeout)
-	}
 }

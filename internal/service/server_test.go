@@ -337,3 +337,11 @@ func TestServerRejectsUnknownFields(t *testing.T) {
 		}
 	}
 }
+
+// Manager exposes the job manager (for embedding and tests).
+func (s *Server) Manager() *Manager { return s.mgr }
+
+// Start serves in a background goroutine and returns immediately.
+func (s *Server) Start() {
+	go func() { _ = s.Serve() }()
+}

@@ -17,8 +17,9 @@
 // The in-memory side is a flat index (key → segment/offset) rebuilt by
 // scanning the segments on Open; values are read back on demand with
 // ReadAt and re-verified against their CRC. Compaction rewrites the live
-// records into a fresh segment and deletes the rest; it runs on demand
-// (Compact) and automatically once dead bytes dominate the log.
+// records into a fresh segment and deletes the rest; it runs automatically
+// once dead bytes dominate the log (and on demand in the tests, through
+// their Compact).
 //
 // All methods are safe for concurrent use. Determinism: the store's
 // contents are a pure function of the Put history — there is no
@@ -379,19 +380,6 @@ func (s *Store) Stats() Stats {
 	st.Segments = len(s.segs)
 	st.Bytes = s.bytesLocked()
 	return st
-}
-
-// Compact rewrites all live records into a single fresh segment (built as
-// a temp file, synced, then renamed into place) and deletes the old
-// segments, reclaiming dead bytes. A crash mid-compaction is harmless: the
-// rename is the commit point and the next Open removes stray temp files.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.segs == nil {
-		return fmt.Errorf("store: closed")
-	}
-	return s.compactLocked()
 }
 
 func (s *Store) compactLocked() error {

@@ -360,3 +360,16 @@ func TestAutoCompaction(t *testing.T) {
 		t.Fatalf("log did not stay bounded: %+v", st)
 	}
 }
+
+// Compact rewrites all live records into a single fresh segment (built as
+// a temp file, synced, then renamed into place) and deletes the old
+// segments, reclaiming dead bytes. A crash mid-compaction is harmless: the
+// rename is the commit point and the next Open removes stray temp files.
+func (s *Store) Compact() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.segs == nil {
+		return fmt.Errorf("store: closed")
+	}
+	return s.compactLocked()
+}

@@ -136,20 +136,6 @@ func (l *Logger) Summary() string {
 	return b.String()
 }
 
-// Rounds returns the number of rounds observed.
-func (l *Logger) Rounds() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rounds
-}
-
-// LabelTotal returns the total number of messages sent with the label.
-func (l *Logger) LabelTotal(lb wire.Label) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.labelTotals[lb]
-}
-
 // compressRuns renders a sorted int slice as compact ranges: "3-7, 12, 19-20".
 func compressRuns(xs []int) string {
 	if len(xs) == 0 {

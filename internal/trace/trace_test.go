@@ -27,14 +27,14 @@ func TestLoggerObservesFullRun(t *testing.T) {
 	if res.N != n {
 		t.Fatalf("counted %d", res.N)
 	}
-	if logger.Rounds() != res.Stats.Rounds {
-		t.Errorf("logger saw %d rounds, run had %d", logger.Rounds(), res.Stats.Rounds)
+	if logger.rounds != res.Stats.Rounds {
+		t.Errorf("logger saw %d rounds, run had %d", logger.rounds, res.Stats.Rounds)
 	}
 	// A path run must include Begin, Edge, Done, End, Error, and Reset
 	// traffic (diameter 4 > initial estimate 1 forces resets).
 	for _, lb := range []wire.Label{wire.LabelBegin, wire.LabelEdge, wire.LabelDone,
 		wire.LabelEnd, wire.LabelError, wire.LabelReset} {
-		if logger.LabelTotal(lb) == 0 {
+		if logger.labelTotals[lb] == 0 {
 			t.Errorf("no %s messages observed", lb)
 		}
 	}
@@ -93,7 +93,7 @@ func TestSummaryTotalsAndResetTimeline(t *testing.T) {
 	// the engine's total message count (every message carries a label).
 	var sum int64
 	for lb, want := range indep {
-		if got := logger.LabelTotal(lb); got != want {
+		if got := logger.labelTotals[lb]; got != want {
 			t.Errorf("label %s: logger says %d, independent tally %d", lb, got, want)
 		}
 		sum += want
@@ -101,8 +101,8 @@ func TestSummaryTotalsAndResetTimeline(t *testing.T) {
 	if sum != res.Stats.TotalMessages {
 		t.Errorf("label totals sum to %d, engine sent %d messages", sum, res.Stats.TotalMessages)
 	}
-	if logger.Rounds() != indepRounds || logger.Rounds() != res.Stats.Rounds {
-		t.Errorf("rounds: logger %d, independent %d, engine %d", logger.Rounds(), indepRounds, res.Stats.Rounds)
+	if logger.rounds != indepRounds || logger.rounds != res.Stats.Rounds {
+		t.Errorf("rounds: logger %d, independent %d, engine %d", logger.rounds, indepRounds, res.Stats.Rounds)
 	}
 
 	// Timeline: a reset is leader-initiated in response to an error phase,
@@ -151,12 +151,13 @@ func TestSummaryTotalsAndResetTimeline(t *testing.T) {
 func TestLoggerNilWriterCollectsStats(t *testing.T) {
 	logger := New(nil)
 	hook := logger.Hook()
-	hook(1, []engine.Message{wire.Null(), wire.Begin(1)})
-	hook(2, []engine.Message{wire.Edge(1, 2, 3), "not-a-protocol-message"})
-	if logger.Rounds() != 2 {
-		t.Fatalf("rounds=%d", logger.Rounds())
+	null, begin, edge := wire.Null(), wire.Begin(1), wire.Edge(1, 2, 3)
+	hook(1, []engine.Message{&null, &begin})
+	hook(2, []engine.Message{&edge, "not-a-protocol-message"})
+	if logger.rounds != 2 {
+		t.Fatalf("rounds=%d", logger.rounds)
 	}
-	if logger.LabelTotal(wire.LabelEdge) != 1 || logger.LabelTotal(wire.LabelNull) != 1 {
+	if logger.labelTotals[wire.LabelEdge] != 1 || logger.labelTotals[wire.LabelNull] != 1 {
 		t.Fatal("label totals wrong")
 	}
 }

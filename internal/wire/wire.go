@@ -4,10 +4,12 @@
 // Section 3.2 of the paper specifies that every message consists of a
 // constant-size label plus at most three integer parameters, and Corollary
 // 4.9 argues that all parameters stay polynomial in n, so messages fit in
-// O(log n) bits. This package makes that concrete: messages are encoded as
-// one label byte followed by the unsigned varint encodings of their
-// parameters, and SizeBits reports the exact encoded size, which the engine
-// uses for congestion accounting and limit enforcement.
+// O(log n) bits. This package makes that concrete: a message's wire form is
+// one label byte followed by the varint encodings of its parameters, and
+// SizeBits reports the exact size of that form, which the engine uses for
+// congestion accounting and limit enforcement. SizeBits computes the size
+// without encoding; the codec that defines the bits (Encode, Decode) is
+// its oracle in this package's tests.
 package wire
 
 import (
@@ -107,15 +109,11 @@ func Equal(a, b Message) bool {
 
 // FromBox extracts a Message from an engine delivery box. The simulation
 // boxes *Message pointers — a direct-interface type, so the assert is a
-// pointer load instead of a 48-byte struct copy — but stub transports in
-// tests and external engine users may still deliver value boxes, so both
-// forms are accepted.
+// pointer load instead of a 48-byte struct copy — and FromBox accepts
+// nothing else: any other box, a Message value included, reports false.
 func FromBox(box any) (Message, bool) {
-	switch m := box.(type) {
-	case *Message:
+	if m, ok := box.(*Message); ok {
 		return *m, true
-	case Message:
-		return m, true
 	}
 	return Message{}, false
 }
@@ -239,81 +237,6 @@ func (l Label) arity() int {
 	}
 }
 
-// Encode appends the wire encoding of m to buf and returns the result:
-// one label byte followed by the varint parameters (zig-zag, so the
-// occasional negative input value is legal).
-func (m Message) Encode(buf []byte) ([]byte, error) {
-	k := m.Label.arity()
-	if k < 0 {
-		return nil, fmt.Errorf("wire: unknown label %d", m.Label)
-	}
-	buf = append(buf, byte(m.Label))
-	params := [3]int64{m.A, m.B, m.C}
-	for i := 0; i < k; i++ {
-		buf = binary.AppendVarint(buf, params[i])
-	}
-	if m.Label == LabelEdgeBatch {
-		buf = binary.AppendUvarint(buf, uint64(len(m.Ext)))
-		buf = append(buf, m.Ext...)
-	} else if len(m.Ext) != 0 {
-		return nil, fmt.Errorf("wire: Ext payload on %s message", m.Label)
-	}
-	return buf, nil
-}
-
-// Decode parses one message from buf and returns it along with the number
-// of bytes consumed.
-func Decode(buf []byte) (Message, int, error) {
-	if len(buf) == 0 {
-		return Message{}, 0, fmt.Errorf("wire: empty buffer")
-	}
-	m := Message{Label: Label(buf[0])}
-	k := m.Label.arity()
-	if k < 0 {
-		return Message{}, 0, fmt.Errorf("wire: unknown label %d", buf[0])
-	}
-	off := 1
-	params := [3]*int64{&m.A, &m.B, &m.C}
-	for i := 0; i < k; i++ {
-		v, n := binary.Varint(buf[off:])
-		if n <= 0 {
-			return Message{}, 0, fmt.Errorf("wire: truncated parameter %d of %s", i, m.Label)
-		}
-		// Reject non-minimal varints: stdlib Varint tolerates padded
-		// encodings (e.g. "ff 00" for -64), which would give one message
-		// two wire forms and break the codec bijection SizeBits accounting
-		// relies on (found by FuzzMessageCodec).
-		if ux := uint64(v)<<1 ^ uint64(v>>63); n != uvarintLen(ux) {
-			return Message{}, 0, fmt.Errorf("wire: non-canonical parameter %d of %s", i, m.Label)
-		}
-		*params[i] = v
-		off += n
-	}
-	if m.Label == LabelEdgeBatch {
-		extLen, n := binary.Uvarint(buf[off:])
-		if n <= 0 {
-			return Message{}, 0, fmt.Errorf("wire: truncated batch length")
-		}
-		if n != uvarintLen(extLen) {
-			return Message{}, 0, fmt.Errorf("wire: non-canonical batch length")
-		}
-		off += n
-		if uint64(len(buf[off:])) < extLen {
-			return Message{}, 0, fmt.Errorf("wire: truncated batch payload")
-		}
-		m.Ext = string(buf[off : off+int(extLen)])
-		off += int(extLen)
-		// A batch whose payload is not a whole number of (ID2, Mult)
-		// varint pairs would decode "successfully" yet be uninterpretable
-		// by ExtPairs; reject it here so Decode acceptance implies a fully
-		// readable message (found by FuzzMessageCodec).
-		if err := validExt(m.Ext); err != nil {
-			return Message{}, 0, err
-		}
-	}
-	return m, off, nil
-}
-
 // uvarintLen returns the length of the minimal uvarint encoding of x.
 func uvarintLen(x uint64) int {
 	n := 1
@@ -324,25 +247,10 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// validExt scans a batch payload and verifies it is a whole number of
-// varint pairs, without allocating the pair slice ExtPairs builds.
-func validExt(ext string) error {
-	buf := []byte(ext)
-	for len(buf) > 0 {
-		for _, field := range [2]string{"ID2", "Mult"} {
-			_, k := binary.Varint(buf)
-			if k <= 0 {
-				return fmt.Errorf("wire: truncated batch %s", field)
-			}
-			buf = buf[k:]
-		}
-	}
-	return nil
-}
-
-// SizeBits returns the exact encoded size of m in bits, as Encode would
-// write it: the label byte, the zig-zag varint of each parameter, and for
-// an EdgeBatch the Ext length prefix and payload. It computes the length
+// SizeBits returns the exact encoded size of m in bits, as the codec in
+// this package's tests (Encode) writes it: the label byte, the zig-zag
+// varint of each parameter, and for an EdgeBatch the Ext length prefix and
+// payload. It computes the length
 // without encoding, so it allocates nothing. A message Encode rejects (an
 // unknown label, or Ext on another label) counts as a single byte
 // (defensive; the constructors produce neither).

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -198,4 +200,95 @@ func TestDecodeTrailingBytesReported(t *testing.T) {
 	if m != Done(5) || used != len(buf)-2 {
 		t.Fatalf("m=%v used=%d", m, used)
 	}
+}
+
+// Encode appends the wire encoding of m to buf and returns the result:
+// one label byte followed by the varint parameters (zig-zag, so the
+// occasional negative input value is legal).
+func (m Message) Encode(buf []byte) ([]byte, error) {
+	k := m.Label.arity()
+	if k < 0 {
+		return nil, fmt.Errorf("wire: unknown label %d", m.Label)
+	}
+	buf = append(buf, byte(m.Label))
+	params := [3]int64{m.A, m.B, m.C}
+	for i := 0; i < k; i++ {
+		buf = binary.AppendVarint(buf, params[i])
+	}
+	if m.Label == LabelEdgeBatch {
+		buf = binary.AppendUvarint(buf, uint64(len(m.Ext)))
+		buf = append(buf, m.Ext...)
+	} else if len(m.Ext) != 0 {
+		return nil, fmt.Errorf("wire: Ext payload on %s message", m.Label)
+	}
+	return buf, nil
+}
+
+// Decode parses one message from buf and returns it along with the number
+// of bytes consumed.
+func Decode(buf []byte) (Message, int, error) {
+	if len(buf) == 0 {
+		return Message{}, 0, fmt.Errorf("wire: empty buffer")
+	}
+	m := Message{Label: Label(buf[0])}
+	k := m.Label.arity()
+	if k < 0 {
+		return Message{}, 0, fmt.Errorf("wire: unknown label %d", buf[0])
+	}
+	off := 1
+	params := [3]*int64{&m.A, &m.B, &m.C}
+	for i := 0; i < k; i++ {
+		v, n := binary.Varint(buf[off:])
+		if n <= 0 {
+			return Message{}, 0, fmt.Errorf("wire: truncated parameter %d of %s", i, m.Label)
+		}
+		// Reject non-minimal varints: stdlib Varint tolerates padded
+		// encodings (e.g. "ff 00" for -64), which would give one message
+		// two wire forms and break the codec bijection SizeBits accounting
+		// relies on (found by FuzzMessageCodec).
+		if ux := uint64(v)<<1 ^ uint64(v>>63); n != uvarintLen(ux) {
+			return Message{}, 0, fmt.Errorf("wire: non-canonical parameter %d of %s", i, m.Label)
+		}
+		*params[i] = v
+		off += n
+	}
+	if m.Label == LabelEdgeBatch {
+		extLen, n := binary.Uvarint(buf[off:])
+		if n <= 0 {
+			return Message{}, 0, fmt.Errorf("wire: truncated batch length")
+		}
+		if n != uvarintLen(extLen) {
+			return Message{}, 0, fmt.Errorf("wire: non-canonical batch length")
+		}
+		off += n
+		if uint64(len(buf[off:])) < extLen {
+			return Message{}, 0, fmt.Errorf("wire: truncated batch payload")
+		}
+		m.Ext = string(buf[off : off+int(extLen)])
+		off += int(extLen)
+		// A batch whose payload is not a whole number of (ID2, Mult)
+		// varint pairs would decode "successfully" yet be uninterpretable
+		// by ExtPairs; reject it here so Decode acceptance implies a fully
+		// readable message (found by FuzzMessageCodec).
+		if err := validExt(m.Ext); err != nil {
+			return Message{}, 0, err
+		}
+	}
+	return m, off, nil
+}
+
+// validExt scans a batch payload and verifies it is a whole number of
+// varint pairs, without allocating the pair slice ExtPairs builds.
+func validExt(ext string) error {
+	buf := []byte(ext)
+	for len(buf) > 0 {
+		for _, field := range [2]string{"ID2", "Mult"} {
+			_, k := binary.Varint(buf)
+			if k <= 0 {
+				return fmt.Errorf("wire: truncated batch %s", field)
+			}
+			buf = buf[k:]
+		}
+	}
+	return nil
 }
